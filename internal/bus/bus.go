@@ -192,13 +192,15 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Network, error) {
 	}
 	if n.sources == nil {
 		// The paper's default: Poisson think times at ThinkRate. Validate
-		// guaranteed the rate, so source construction cannot fail.
+		// guaranteed the rate, so source construction cannot fail. The
+		// Poisson source is stateless, so one instance serves every
+		// station with the same draw sequence as one instance each.
+		src, err := workload.Spec{}.NewSource(cfg.ThinkRate)
+		if err != nil {
+			return nil, err
+		}
 		n.sources = make([]workload.Source, cfg.Processors)
 		for i := range n.sources {
-			src, err := workload.Spec{}.NewSource(cfg.ThinkRate)
-			if err != nil {
-				return nil, err
-			}
 			n.sources[i] = src
 		}
 	}

@@ -441,12 +441,13 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 		}
 		s.sources = sc.Sources
 		if s.sources == nil && sc.Stations > 0 {
+			// One stateless Poisson source serves every station.
+			src, err := workload.Spec{}.NewSource(sc.ThinkRate)
+			if err != nil {
+				return nil, err
+			}
 			s.sources = make([]workload.Source, sc.Stations)
 			for i := range s.sources {
-				src, err := workload.Spec{}.NewSource(sc.ThinkRate)
-				if err != nil {
-					return nil, err
-				}
 				s.sources[i] = src
 			}
 		}

@@ -238,9 +238,10 @@ func (s Spec) Detail() string {
 }
 
 // NewSource validates the spec and builds a fresh source instance for
-// one station. Every station needs its own instance (modulated kinds
-// carry per-station hidden state); all instances of a run share the
-// run's RNG via Next.
+// one station. Stateful kinds need one instance per station (modulated
+// kinds carry hidden state, deterministic its phase); the Poisson
+// source is stateless, so the stations of one run may share it. All
+// instances of a run share the run's RNG via Next.
 func (s Spec) NewSource(baseRate float64) (Source, error) {
 	if err := s.Validate(baseRate); err != nil {
 		return nil, err

@@ -211,6 +211,14 @@ func (p Problem) Enumerate() ([]Candidate, error) {
 	if len(buses) == 0 {
 		buses = []int{base.Buses}
 	}
+	for i, m := range buses {
+		// Config reads 0 buses as the default one bus, so a 0 entry would
+		// be priced and labeled as a bus-free candidate the simulator then
+		// runs with one bus.
+		if m < 1 {
+			return nil, fmt.Errorf("opt: space.buses[%d] = %d, need ≥ 1", i, m)
+		}
+	}
 	depths := p.Space.BufferDepths
 	if len(depths) == 0 {
 		depths = []int{base.BufferCap}

@@ -292,6 +292,31 @@ func TestEnumerateUnbufferedIgnoresDepthAxis(t *testing.T) {
 	}
 }
 
+// A bus count below 1 is refused by index. Config reads Buses 0 as the
+// default single bus, so an "m=0" candidate would be priced with no bus
+// while simulating one, and win a cost-driven goal over the identical
+// "m=1" candidate.
+func TestEnumerateRejectsBusCountBelowOne(t *testing.T) {
+	for _, tt := range []struct {
+		buses []int
+		want  string
+	}{
+		{[]int{0, 1}, "space.buses[0] = 0"},
+		{[]int{1, -2}, "space.buses[1] = -2"},
+	} {
+		p := testProblem()
+		p.Space.Buses = tt.buses
+		p.Objective = Objective{Goal: MinCostAtSLO, SLOMeanResponse: 10}
+		p.Budget = Budget{BufferCost: 1, BusCost: 32}
+		if _, err := p.Enumerate(); err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("Enumerate with buses %v: err = %v, want %q", tt.buses, err, tt.want)
+		}
+		if _, err := Solve(p); err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("Solve with buses %v: err = %v, want %q", tt.buses, err, tt.want)
+		}
+	}
+}
+
 func TestParseGoal(t *testing.T) {
 	if g, err := ParseGoal(""); err != nil || g != MaxThroughput {
 		t.Errorf("ParseGoal(\"\") = %v, %v", g, err)

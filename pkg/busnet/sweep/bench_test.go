@@ -66,9 +66,10 @@ func BenchmarkMultiBus(b *testing.B) {
 
 // BenchmarkSweepCached pins the cache-hit fast path: the same sweep as
 // BenchmarkSweepParallel's single-worker case, answered entirely from a
-// pre-warmed Cache. Every job is a key derivation plus a map read — no
-// simulation — so per-op time is the pipeline + reduce overhead the
-// optimizer pays when it re-races survivors it has already measured.
+// pre-warmed Cache. Every job is a map read — each point's config is
+// hashed once per sweep, and no job simulates — so per-op time is the
+// pipeline + reduce overhead the optimizer pays when it re-races
+// survivors it has already measured.
 func BenchmarkSweepCached(b *testing.B) {
 	base := busnet.DefaultConfig().AtHorizon(20_000)
 	base.Seed = 42

@@ -23,6 +23,9 @@ type Key struct {
 // would evaluate (Stream already carrying any replication offset). It
 // errors only when the config does not marshal — unknown kind names,
 // which Validate rejects on every execution path first.
+// KeyFor defines a job's key: a sweep hashes each point once and builds
+// its replications' keys from that hash, and those keys equal KeyFor of
+// each job's config (see Jobs).
 func KeyFor(cfg busnet.Config) (Key, error) {
 	k := Key{Seed: cfg.Seed, Stream: cfg.Stream}
 	cfg.Seed, cfg.Stream = 0, 0

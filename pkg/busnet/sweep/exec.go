@@ -40,6 +40,11 @@ type pipeline[P, R any] struct {
 // jobs run to completion even when one fails, matching the pre-pipeline
 // barrier semantics, so a failed sweep leaves a fully-counted Progress
 // rather than a truncated one.
+//
+// Workers claim jobs from a shared atomic cursor, so claiming costs one
+// atomic add rather than a channel handoff. The calling goroutine is one
+// of the workers: a single-worker sweep runs every job inline and starts
+// no goroutine at all.
 func (pl *pipeline[P, R]) execute() error {
 	nJobs := len(pl.points) * pl.reps
 	workers := pl.workers
@@ -63,34 +68,38 @@ func (pl *pipeline[P, R]) execute() error {
 	// locking; the atomic countdown guarantees exactly one worker — the
 	// one finishing the point's last replication — attempts delivery.
 	var deliverMu sync.Mutex
-	jobs := make(chan int)
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			j := int(cursor.Add(1) - 1)
+			if j >= nJobs {
+				return
+			}
+			pl.progress.jobStart()
+			pt, rep := j/pl.reps, j%pl.reps
+			runs[j], errs[j] = pl.run(pl.points[pt], pt, rep)
+			if errs[j] != nil {
+				// Store precedes the countdown below, so whichever
+				// worker sees the count hit zero also sees the failure.
+				failed[pt].Store(true)
+			}
+			if remaining[pt].Add(-1) == 0 && !failed[pt].Load() && pl.deliver != nil {
+				deliverMu.Lock()
+				pl.deliver(pt, runs[pt*pl.reps:(pt+1)*pl.reps])
+				deliverMu.Unlock()
+			}
+			pl.progress.jobDone(pt)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				pl.progress.jobStart()
-				pt, rep := j/pl.reps, j%pl.reps
-				runs[j], errs[j] = pl.run(pl.points[pt], pt, rep)
-				if errs[j] != nil {
-					// Store precedes the countdown below, so whichever
-					// worker sees the count hit zero also sees the failure.
-					failed[pt].Store(true)
-				}
-				if remaining[pt].Add(-1) == 0 && !failed[pt].Load() && pl.deliver != nil {
-					deliverMu.Lock()
-					pl.deliver(pt, runs[pt*pl.reps:(pt+1)*pl.reps])
-					deliverMu.Unlock()
-				}
-				pl.progress.jobDone(pt)
-			}
+			work()
 		}()
 	}
-	for j := 0; j < nJobs; j++ {
-		jobs <- j
-	}
-	close(jobs)
+	work()
 	wg.Wait()
 	for j, err := range errs {
 		if err != nil {

@@ -3,7 +3,11 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/busnet/busnet/pkg/busnet"
 )
@@ -287,5 +291,137 @@ func TestExplicitPointsValidated(t *testing.T) {
 	_, err := Run(Spec{Points: []busnet.Config{testBase(), bad}, Replications: 1})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("sweep: point 1 invalid:")) {
 		t.Fatalf("err = %v, want point-1 validation failure", err)
+	}
+}
+
+// A point the simulator would refuse — above the station bound, or an
+// invalid topology — is refused at plan time, before any job runs,
+// rather than after every other point has been simulated.
+func TestPlanRefusesPointsBeforeAnyJobRuns(t *testing.T) {
+	big := testBase()
+	big.Processors = busnet.MaxSimProcessors + 1
+	refused := func(name string, err error, p *Progress) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "sweep: point 1 invalid:") {
+			t.Errorf("%s: err = %v, want a plan-time point-1 refusal", name, err)
+		}
+		if done := p.Snapshot().DoneJobs; done != 0 {
+			t.Errorf("%s: %d jobs ran before the refusal, want 0", name, done)
+		}
+	}
+	var p Progress
+	_, err := Run(Spec{Points: []busnet.Config{testBase(), big}, Replications: 3, Progress: &p})
+	refused("explicit points", err, &p)
+	grid := Grid{Base: testBase(), Processors: []int{4, big.Processors}}
+	_, err = Run(Spec{Grid: grid, Replications: 3, Progress: &p})
+	refused("grid", err, &p)
+	// The bound is the simulator's: the fluid backend still takes the point.
+	if _, err := Run(Spec{Grid: grid, Backend: busnet.BackendFluid}); err != nil {
+		t.Errorf("fluid sweep refused a large-N point: %v", err)
+	}
+
+	bad := testTopology(t, 1)
+	bad.Horizon = 0
+	var tp Progress
+	_, err = RunTopology(TopologySpec{Points: []busnet.Topology{testTopology(t, 1), bad}, Replications: 3, Progress: &tp})
+	refused("topology", err, &tp)
+}
+
+// The executor's failure contract, white-box: a failing job stops
+// nothing (every job still runs once), a point with a failed
+// replication is never delivered, every other point is delivered
+// exactly once with its own runs, and the error returned is the
+// lowest-indexed failing job's — even when a later job fails first.
+func TestPipelineFailureContract(t *testing.T) {
+	const points, reps = 6, 3
+	const slowFail, fastFail = 4, 13 // point 1 rep 1, point 4 rep 1
+	for _, workers := range []int{1, 2, 5} {
+		var ran [points * reps]atomic.Int32
+		delivered := make(map[int]int)
+		var p Progress
+		pl := &pipeline[int, int]{
+			points:   make([]int, points),
+			reps:     reps,
+			workers:  workers,
+			progress: &p,
+			run: func(_ int, pt, rep int) (int, error) {
+				j := pt*reps + rep
+				ran[j].Add(1)
+				switch j {
+				case slowFail:
+					time.Sleep(20 * time.Millisecond)
+					return 0, fmt.Errorf("job %d failed", j)
+				case fastFail:
+					return 0, fmt.Errorf("job %d failed", j)
+				}
+				return j, nil
+			},
+			deliver: func(pt int, runs []int) {
+				delivered[pt]++
+				for rep, got := range runs {
+					if want := pt*reps + rep; got != want {
+						t.Errorf("workers=%d: point %d delivered run %d for replication %d", workers, pt, got, rep)
+					}
+				}
+			},
+			wrapErr: func(pt, rep int, err error) error {
+				return fmt.Errorf("point %d replication %d: %w", pt, rep, err)
+			},
+		}
+		err := pl.execute()
+		if want := "point 1 replication 1: job 4 failed"; err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		for j := range ran {
+			if n := ran[j].Load(); n != 1 {
+				t.Errorf("workers=%d: job %d ran %d times, want 1", workers, j, n)
+			}
+		}
+		for pt := 0; pt < points; pt++ {
+			want := 1
+			if pt == slowFail/reps || pt == fastFail/reps {
+				want = 0
+			}
+			if delivered[pt] != want {
+				t.Errorf("workers=%d: point %d delivered %d times, want %d", workers, pt, delivered[pt], want)
+			}
+		}
+		if s := p.Snapshot(); s.DoneJobs != points*reps || s.Active != 0 {
+			t.Errorf("workers=%d: progress = %+v, want every job counted done", workers, s)
+		}
+	}
+}
+
+// A warm cache hit costs a map read: each point's config is hashed once
+// per sweep, so replications beyond the first add no allocations of
+// their own (the point's buffers grow in size, not in number).
+func TestWarmCachedReplicationsDoNotAllocate(t *testing.T) {
+	cache := NewCache()
+	spec := func(reps int) Spec {
+		return Spec{
+			Grid:         Grid{Base: testBase(), Processors: []int{4}},
+			Replications: reps,
+			Workers:      1,
+			Cache:        cache,
+		}
+	}
+	// Streams 0…39 cover every job of both measured sweeps.
+	if _, err := Run(spec(40)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(reps int) float64 {
+		s := spec(reps)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	perRep := (allocs(40) - allocs(10)) / 30
+	if perRep >= 0.5 {
+		t.Errorf("a warm cached replication allocates %.2f times, want < 0.5", perRep)
+	}
+	if cache.Misses() != 40 {
+		t.Errorf("cache misses = %d, want 40 (the warm-up only)", cache.Misses())
 	}
 }

@@ -73,6 +73,14 @@ func plan(spec Spec) (points []busnet.Config, reps int, backend busnet.Backend, 
 	if backend != busnet.BackendSim {
 		return points, 0, backend, nil
 	}
+	// The simulator also bounds the population, which Validate does not:
+	// refuse an oversized point here, before any other point's jobs run.
+	for i, cfg := range points {
+		if cfg.Processors > busnet.MaxSimProcessors {
+			return nil, 0, "", fmt.Errorf("sweep: point %d invalid: %d processors exceeds the discrete-event backend's %d-station bound; use the %q backend",
+				i, cfg.Processors, busnet.MaxSimProcessors, busnet.BackendFluid)
+		}
+	}
 	reps = spec.Replications
 	if reps <= 0 {
 		reps = DefaultReplications

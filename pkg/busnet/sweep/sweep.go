@@ -175,16 +175,33 @@ func RunStream(spec Spec, deliver func(PointDelivery)) error {
 // stream wires the pipeline for one planned sweep: model backends
 // evaluate point-by-point, the sim backend fans jobs through the
 // cache-aware pool and reduces each point as it completes.
+//
+// With a cache attached, each point's config is hashed once here rather
+// than once per job: a point's replications differ only in Stream, which
+// the config hash excludes, so every job key is that hash plus the job's
+// (Seed, Stream) — exactly what KeyFor derives for the job's config.
 func stream(spec Spec, backend busnet.Backend, points []busnet.Config, reps int, deliver func(PointDelivery)) error {
 	if backend != busnet.BackendSim {
 		return predictStream(backend, points, spec.Progress, deliver)
+	}
+	hashes := make([]string, len(points))
+	if spec.Cache != nil {
+		for p, cfg := range points {
+			// A config that does not marshal keeps an empty hash and runs
+			// uncached; Validate rejects such configs at plan time anyway.
+			if k, err := KeyFor(cfg); err == nil {
+				hashes[p] = k.ConfigHash
+			}
+		}
 	}
 	pl := &pipeline[busnet.Config, busnet.Results]{
 		points:   points,
 		reps:     reps,
 		workers:  spec.Workers,
 		progress: spec.Progress,
-		run:      func(cfg busnet.Config, _, rep int) (busnet.Results, error) { return runJob(cfg, rep, spec.Cache) },
+		run: func(cfg busnet.Config, pt, rep int) (busnet.Results, error) {
+			return runJob(cfg, rep, spec.Cache, hashes[pt])
+		},
 		deliver: func(pt int, runs []busnet.Results) {
 			deliver(PointDelivery{Index: pt, Point: reduce(points[pt], runs, spec.KeepRuns)})
 		},
@@ -242,27 +259,24 @@ func predictStream(backend busnet.Backend, points []busnet.Config, progress *Pro
 // runJob simulates replication rep of one grid point on RNG substream
 // base.Stream + rep: replication seeds are a function of the experiment
 // seed and the replication index alone, shared across points (common
-// random numbers) and independent within a point. With a cache, the
-// job's (config-hash, seed, stream) key is consulted first and the
-// fresh result stored after — determinism makes the cached and
-// simulated results interchangeable to the bit.
-func runJob(cfg busnet.Config, rep int, cache *Cache) (busnet.Results, error) {
+// random numbers) and independent within a point. With a cache and the
+// point's config hash, the job's (config-hash, seed, stream) key is
+// consulted first and the fresh result stored after — determinism makes
+// the cached and simulated results interchangeable to the bit.
+func runJob(cfg busnet.Config, rep int, cache *Cache, hash string) (busnet.Results, error) {
 	cfg.Stream += uint64(rep)
-	var key Key
-	haveKey := false
-	if cache != nil {
-		if k, err := KeyFor(cfg); err == nil {
-			key, haveKey = k, true
-			if res, ok := cache.Get(k); ok {
-				return res, nil
-			}
+	cached := cache != nil && hash != ""
+	key := Key{ConfigHash: hash, Seed: cfg.Seed, Stream: cfg.Stream}
+	if cached {
+		if res, ok := cache.Get(key); ok {
+			return res, nil
 		}
 	}
 	ev, err := busnet.Evaluate(cfg, busnet.BackendSim)
 	if err != nil {
 		return busnet.Results{}, err
 	}
-	if haveKey {
+	if cached {
 		cache.Put(key, *ev.Results)
 	}
 	return *ev.Results, nil

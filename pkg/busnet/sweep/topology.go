@@ -105,7 +105,9 @@ func RunTopologyStream(spec TopologySpec, deliver func(TopologyPointDelivery)) e
 }
 
 // planTopology resolves the backend and replication count and validates
-// the point list is non-empty — the topology flavor of plan.
+// the point list — non-empty, every point valid — the topology flavor of
+// plan. Every evaluator validates its point the same way, so an invalid
+// point is refused here before any other point's jobs run.
 func planTopology(spec TopologySpec) (busnet.Backend, int, error) {
 	backend, err := busnet.ParseBackend(string(spec.Backend))
 	if err != nil {
@@ -113,6 +115,11 @@ func planTopology(spec TopologySpec) (busnet.Backend, int, error) {
 	}
 	if len(spec.Points) == 0 {
 		return "", 0, fmt.Errorf("sweep: topology sweep has no points")
+	}
+	for i, t := range spec.Points {
+		if err := t.Validate(); err != nil {
+			return "", 0, fmt.Errorf("sweep: point %d invalid: %w", i, err)
+		}
 	}
 	if backend != busnet.BackendSim {
 		return backend, 0, nil
