@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/busnet/busnet/pkg/busnet"
 )
@@ -339,6 +338,7 @@ func TestPipelineFailureContract(t *testing.T) {
 		var ran [points * reps]atomic.Int32
 		delivered := make(map[int]int)
 		var p Progress
+		fastFailed := make(chan struct{})
 		pl := &pipeline[int, int]{
 			points:   make([]int, points),
 			reps:     reps,
@@ -349,9 +349,13 @@ func TestPipelineFailureContract(t *testing.T) {
 				ran[j].Add(1)
 				switch j {
 				case slowFail:
-					time.Sleep(20 * time.Millisecond)
+					if workers > 1 {
+						// Another worker reaches the later job meanwhile.
+						<-fastFailed
+					}
 					return 0, fmt.Errorf("job %d failed", j)
 				case fastFail:
+					close(fastFailed)
 					return 0, fmt.Errorf("job %d failed", j)
 				}
 				return j, nil
