@@ -215,7 +215,7 @@ func TestTraceExportFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	flatCats := validateChromeTrace(t, flatBlob)
-	if flatCats["event-fired"] == 0 || flatCats["grant"] == 0 {
+	if flatCats["event-fired"] == 0 || flatCats["hop-grant"] == 0 {
 		t.Errorf("flat trace missing engine/arbitration events: %v", flatCats)
 	}
 }

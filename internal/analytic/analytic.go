@@ -1,8 +1,9 @@
 // Package analytic provides the closed-form reference models the paper
 // validates its simulations against. Quantities use the same conventions
-// as internal/bus: λ is the per-processor request rate while thinking,
-// μ the bus service rate, wait excludes service, response includes it,
-// and queue length excludes the request in service.
+// as the simulator, internal/topo: λ is the per-processor request rate
+// while thinking, μ the bus service rate, wait excludes service,
+// response includes it, and queue length excludes the request in
+// service.
 package analytic
 
 import (

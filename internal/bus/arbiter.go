@@ -122,8 +122,8 @@ func (a *WeightedRoundRobinArbiter) Name() string { return "weighted-round-robin
 // ScanSlots reports the total slots probed, feeding Counters.ArbScanSlots.
 func (a *WeightedRoundRobinArbiter) ScanSlots() uint64 { return a.scanned }
 
-// Stations returns the number of processors the weight vector covers;
-// Config.Validate checks it against the processor count.
+// Stations returns the number of claimants the weight vector covers;
+// topo's Config.Validate checks it against the segment's claimant count.
 func (a *WeightedRoundRobinArbiter) Stations() int { return len(a.weights) }
 
 // FixedPriorityArbiter always grants the lowest-index pending processor,

@@ -225,19 +225,6 @@ func TestWeightedAllOnesIdenticalToRoundRobin(t *testing.T) {
 	}
 }
 
-func TestWeightedRoundRobinStations(t *testing.T) {
-	if got := mustWRR(t, 1, 2, 3).Stations(); got != 3 {
-		t.Fatalf("Stations() = %d, want 3", got)
-	}
-	cfg := Config{
-		Processors: 4, ThinkRate: 0.1, ServiceRate: 1,
-		Mode: Unbuffered, Arbiter: mustWRR(t, 1, 2),
-	}
-	if cfg.Validate() == nil {
-		t.Fatal("2-station arbiter accepted for a 4-processor config")
-	}
-}
-
 func TestArbiterPanicsWithNothingPending(t *testing.T) {
 	for _, a := range []Arbiter{NewRoundRobin(), NewFixedPriority(), mustWRR(t, 1, 1)} {
 		func() {

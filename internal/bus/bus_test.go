@@ -1,83 +1,127 @@
-package bus
+package bus_test
 
 import (
 	"math"
 	"testing"
 
+	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/servdist"
 	"github.com/busnet/busnet/internal/sim"
+	"github.com/busnet/busnet/internal/topo"
 	"github.com/busnet/busnet/internal/workload"
 )
 
-func newTestNetwork(t *testing.T, cfg Config, seed int64) (*Network, *sim.Engine) {
+// The paper's single-bus model — N stations around Buses multiplexed
+// buses behind one arbitration point, blocking or buffered — is a
+// fabric of one segment. These tests pin its behaviour on that fabric.
+
+// newSegment builds a one-segment fabric on a fresh engine.
+func newSegment(t *testing.T, seg topo.SegmentConfig, seed int64) (*topo.Fabric, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
-	n, err := New(cfg, eng, sim.NewRNG(seed))
+	f, err := topo.New(topo.Config{Segments: []topo.SegmentConfig{seg}}, eng, sim.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, eng
+	return f, eng
+}
+
+// metrics is the segment's snapshot.
+func metrics(f *topo.Fabric) topo.SegmentMetrics { return f.SegmentSnapshot(0) }
+
+// inFlight sums every station's outstanding requests.
+func inFlight(f *topo.Fabric, stations int) int {
+	n := 0
+	for i := range stations {
+		n += f.Outstanding(0, i)
+	}
+	return n
 }
 
 func TestConfigValidate(t *testing.T) {
-	valid := Config{
-		Processors: 4, ThinkRate: 0.1, ServiceRate: 1,
-		Mode: Buffered, BufferCap: 2, Arbiter: NewRoundRobin(),
+	valid := topo.SegmentConfig{
+		Stations: 4, ThinkRate: 0.1, ServiceRate: 1,
+		Mode: bus.Buffered, BufferCap: 2,
 	}
-	if err := valid.Validate(); err != nil {
+	check := func(s topo.SegmentConfig) error {
+		return topo.Config{Segments: []topo.SegmentConfig{s}}.Validate()
+	}
+	if err := check(valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	tests := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*topo.SegmentConfig)
 	}{
-		{"zero processors", func(c *Config) { c.Processors = 0 }},
-		{"negative buses", func(c *Config) { c.Buses = -1 }},
-		{"negative think rate", func(c *Config) { c.ThinkRate = -1 }},
-		{"NaN think rate", func(c *Config) { c.ThinkRate = math.NaN() }},
-		{"zero service rate", func(c *Config) { c.ServiceRate = 0 }},
-		{"bad mode", func(c *Config) { c.Mode = Mode(9) }},
-		{"zero buffer cap", func(c *Config) { c.BufferCap = 0 }},
-		{"nil arbiter", func(c *Config) { c.Arbiter = nil }},
-		{"source count mismatch", func(c *Config) {
-			c.Sources = make([]workload.Source, c.Processors-1)
+		{"zero processors", func(c *topo.SegmentConfig) { c.Stations = 0 }},
+		{"negative buses", func(c *topo.SegmentConfig) { c.Buses = -1 }},
+		{"negative think rate", func(c *topo.SegmentConfig) { c.ThinkRate = -1 }},
+		{"NaN think rate", func(c *topo.SegmentConfig) { c.ThinkRate = math.NaN() }},
+		{"zero service rate", func(c *topo.SegmentConfig) { c.ServiceRate = 0 }},
+		{"bad mode", func(c *topo.SegmentConfig) { c.Mode = bus.Mode(9) }},
+		{"zero buffer cap", func(c *topo.SegmentConfig) { c.BufferCap = 0 }},
+		{"source count mismatch", func(c *topo.SegmentConfig) {
+			c.Sources = make([]workload.Source, c.Stations-1)
 		}},
-		{"nil source entry", func(c *Config) {
-			c.Sources = make([]workload.Source, c.Processors)
+		{"nil source entry", func(c *topo.SegmentConfig) {
+			c.Sources = make([]workload.Source, c.Stations)
 		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := valid
 			tt.mutate(&cfg)
-			if cfg.Validate() == nil {
+			if check(cfg) == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})
 	}
 }
 
-// In unbuffered mode a processor blocks on its request, so it can never
+// A weighted arbiter reports the claimant count its weights cover, and a
+// segment refuses one sized for a different count: it would index out
+// of bounds mid-run.
+func TestWeightedRoundRobinStations(t *testing.T) {
+	wrr := func(ws ...int) *bus.WeightedRoundRobinArbiter {
+		a, err := bus.NewWeightedRoundRobin(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if got := wrr(1, 2, 3).Stations(); got != 3 {
+		t.Fatalf("Stations() = %d, want 3", got)
+	}
+	cfg := topo.Config{Segments: []topo.SegmentConfig{{
+		Stations: 4, ThinkRate: 0.1, ServiceRate: 1,
+		Mode: bus.Unbuffered, Arbiter: wrr(1, 2),
+	}}}
+	if cfg.Validate() == nil {
+		t.Fatal("2-station arbiter accepted for a 4-station segment")
+	}
+}
+
+// In unbuffered mode a station blocks on its request, so it can never
 // have more than one in flight.
 func TestUnbufferedSingleOutstanding(t *testing.T) {
-	cfg := Config{
-		Processors: 4, ThinkRate: 2, ServiceRate: 1, // heavy load forces contention
-		Mode: Unbuffered, Arbiter: NewRoundRobin(),
+	seg := topo.SegmentConfig{
+		Stations: 4, ThinkRate: 2, ServiceRate: 1, // heavy load forces contention
+		Mode: bus.Unbuffered,
 	}
-	n, eng := newTestNetwork(t, cfg, 7)
-	n.Start()
+	f, eng := newSegment(t, seg, 7)
+	f.Start()
 	for step := 0; step < 200; step++ {
 		if err := eng.RunUntil(eng.Now() + 1); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < cfg.Processors; i++ {
-			if c := n.Outstanding(i); c > 1 {
-				t.Fatalf("t=%v: processor %d has %d outstanding requests in unbuffered mode",
+		for i := 0; i < seg.Stations; i++ {
+			if c := f.Outstanding(0, i); c > 1 {
+				t.Fatalf("t=%v: station %d has %d outstanding requests in unbuffered mode",
 					eng.Now(), i, c)
 			}
 		}
 	}
-	if n.Snapshot().Completions == 0 {
+	if metrics(f).Completions == 0 {
 		t.Fatal("no completions under heavy load")
 	}
 }
@@ -86,57 +130,49 @@ func TestUnbufferedSingleOutstanding(t *testing.T) {
 // stalled + 1 in service.
 func TestBufferedFiniteCapRespected(t *testing.T) {
 	const capacity = 2
-	cfg := Config{
-		Processors: 3, ThinkRate: 3, ServiceRate: 1, // saturating: buffers will fill
-		Mode: Buffered, BufferCap: capacity, Arbiter: NewRoundRobin(),
+	seg := topo.SegmentConfig{
+		Stations: 3, ThinkRate: 3, ServiceRate: 1, // saturating: buffers will fill
+		Mode: bus.Buffered, BufferCap: capacity,
 	}
-	n, eng := newTestNetwork(t, cfg, 11)
-	n.Start()
-	sawStall := false
+	f, eng := newSegment(t, seg, 11)
+	f.Start()
 	for step := 0; step < 300; step++ {
 		if err := eng.RunUntil(eng.Now() + 0.5); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < cfg.Processors; i++ {
-			if q := n.queues[i].len(); q > capacity {
-				t.Fatalf("t=%v: processor %d queue length %d exceeds cap %d",
+		for i := 0; i < seg.Stations; i++ {
+			if q := f.Queued(0, i); q > capacity {
+				t.Fatalf("t=%v: station %d queue length %d exceeds cap %d",
 					eng.Now(), i, q, capacity)
 			}
-			if c := n.Outstanding(i); c > capacity+2 {
-				t.Fatalf("t=%v: processor %d outstanding %d exceeds cap+2", eng.Now(), i, c)
-			}
-			if !math.IsNaN(n.stalled[i]) {
-				sawStall = true
+			if c := f.Outstanding(0, i); c > capacity+2 {
+				t.Fatalf("t=%v: station %d outstanding %d exceeds cap+2", eng.Now(), i, c)
 			}
 		}
 	}
-	if !sawStall {
-		t.Fatal("saturating workload never stalled a processor; test is not exercising backpressure")
+	if f.Counters().Stalls == 0 {
+		t.Fatal("saturating workload never stalled a station; test is not exercising backpressure")
 	}
 }
 
-// Every issued request is eventually served: after the generators stop,
-// draining the queues brings completions up to issues.
+// Every issued request is eventually served: completions plus the
+// requests still in flight account for every issue.
 func TestRequestConservation(t *testing.T) {
-	for _, mode := range []Mode{Unbuffered, Buffered} {
+	for _, mode := range []bus.Mode{bus.Unbuffered, bus.Buffered} {
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := Config{
-				Processors: 8, ThinkRate: 0.2, ServiceRate: 1,
-				Mode: mode, BufferCap: Infinite, Arbiter: NewRoundRobin(),
+			seg := topo.SegmentConfig{
+				Stations: 8, ThinkRate: 0.2, ServiceRate: 1,
+				Mode: mode, BufferCap: topo.Infinite,
 			}
-			n, eng := newTestNetwork(t, cfg, 3)
-			n.Start()
+			f, eng := newSegment(t, seg, 3)
+			f.Start()
 			if err := eng.RunUntil(5000); err != nil {
 				t.Fatal(err)
 			}
-			m := n.Snapshot()
-			inFlight := 0
-			for i := 0; i < cfg.Processors; i++ {
-				inFlight += n.Outstanding(i)
-			}
-			if m.Issued != m.Completions+uint64(inFlight) {
+			m := metrics(f)
+			if live := inFlight(f, seg.Stations); m.Issued != m.Completions+uint64(live) {
 				t.Fatalf("issued %d != completions %d + in-flight %d",
-					m.Issued, m.Completions, inFlight)
+					m.Issued, m.Completions, live)
 			}
 			if m.Utilization <= 0 || m.Utilization > 1 {
 				t.Fatalf("utilization %v outside (0, 1]", m.Utilization)
@@ -153,27 +189,26 @@ func TestRequestConservation(t *testing.T) {
 // pure queueing of admitted requests. Regression guard for losing the
 // original issue timestamp on the stalled path.
 func TestStalledRequestKeepsIssueTime(t *testing.T) {
-	cfg := Config{
-		Processors: 2, ThinkRate: 10, ServiceRate: 1,
-		Mode: Buffered, BufferCap: 1, Arbiter: NewRoundRobin(),
+	seg := topo.SegmentConfig{
+		Stations: 2, ThinkRate: 10, ServiceRate: 1,
+		Mode: bus.Buffered, BufferCap: 1,
 	}
-	n, eng := newTestNetwork(t, cfg, 5)
-	n.Start()
+	f, eng := newSegment(t, seg, 5)
+	f.Start()
 	if err := eng.RunUntil(2000); err != nil {
 		t.Fatal(err)
 	}
-	m := n.Snapshot()
-	// At λ=10 per processor vs μ=1, nearly every request stalls ~one full
+	// At λ=10 per station vs μ=1, nearly every request stalls ~one full
 	// service behind the queued one; mean wait well above one service time
 	// proves stall time is being counted.
-	if m.MeanWait < 1 {
-		t.Fatalf("mean wait %v under saturation with cap 1; stall time appears dropped", m.MeanWait)
+	if w := metrics(f).MeanWait; w < 1 {
+		t.Fatalf("mean wait %v under saturation with cap 1; stall time appears dropped", w)
 	}
 }
 
 // Per-station sources are genuinely per-station: a fast deterministic
 // station next to slow Poisson stations must dominate issued requests,
-// and the config must accept heterogeneous shapes in one network.
+// and the config must accept heterogeneous shapes in one segment.
 func TestPerStationSourcesShapeTraffic(t *testing.T) {
 	mustSrc := func(spec workload.Spec, base float64) workload.Source {
 		src, err := spec.NewSource(base)
@@ -182,21 +217,21 @@ func TestPerStationSourcesShapeTraffic(t *testing.T) {
 		}
 		return src
 	}
-	cfg := Config{
-		Processors: 3, ServiceRate: 1,
-		Mode: Buffered, BufferCap: Infinite, Arbiter: NewRoundRobin(),
+	seg := topo.SegmentConfig{
+		Stations: 3, ServiceRate: 1,
+		Mode: bus.Buffered, BufferCap: topo.Infinite,
 		Sources: []workload.Source{
 			mustSrc(workload.Spec{Kind: workload.KindDeterministic}, 0.5),
 			mustSrc(workload.Spec{}, 0.01),
 			mustSrc(workload.Spec{}, 0.01),
 		},
 	}
-	n, eng := newTestNetwork(t, cfg, 13)
-	n.Start()
+	f, eng := newSegment(t, seg, 13)
+	f.Start()
 	if err := eng.RunUntil(5000); err != nil {
 		t.Fatal(err)
 	}
-	m := n.Snapshot()
+	m := metrics(f)
 	// Station 0 issues at 0.5/s against 0.01/s Poisson stations: it must
 	// hold the overwhelming majority of grants.
 	if m.Grants[0] < 10*(m.Grants[1]+m.Grants[2]+1) {
@@ -209,33 +244,33 @@ func TestPerStationSourcesShapeTraffic(t *testing.T) {
 	}
 }
 
-// Multi-bus invariants under saturation: the number of in-service
-// requests never exceeds the bus count, no processor is served by two
-// buses at once in unbuffered mode, and per-bus utilizations average to
-// the aggregate with the load skewed toward the lowest-numbered bus.
+// Multi-bus invariants under saturation: the number of occupied buses
+// never exceeds the bus count, no station is served by two buses at
+// once in unbuffered mode, and per-bus utilizations average to the
+// aggregate with the load skewed toward the lowest-numbered bus.
 func TestMultiBusInvariants(t *testing.T) {
 	const buses = 3
-	cfg := Config{
-		Processors: 8, ThinkRate: 2, ServiceRate: 1, // demand 16 on 3 buses
-		Mode: Unbuffered, Arbiter: NewRoundRobin(), Buses: buses,
+	seg := topo.SegmentConfig{
+		Stations: 8, ThinkRate: 2, ServiceRate: 1, // demand 16 on 3 buses
+		Mode: bus.Unbuffered, Buses: buses,
 	}
-	n, eng := newTestNetwork(t, cfg, 7)
-	n.Start()
+	f, eng := newSegment(t, seg, 7)
+	f.Start()
 	for step := 0; step < 300; step++ {
 		if err := eng.RunUntil(eng.Now() + 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if b := n.Busy(); b < 0 || b > buses {
+		if b := f.Busy(0); b < 0 || b > buses {
 			t.Fatalf("t=%v: %d busy buses outside [0, %d]", eng.Now(), b, buses)
 		}
-		for i := 0; i < cfg.Processors; i++ {
-			if c := n.Outstanding(i); c > 1 {
-				t.Fatalf("t=%v: processor %d has %d outstanding requests in unbuffered mode",
+		for i := 0; i < seg.Stations; i++ {
+			if c := f.Outstanding(0, i); c > 1 {
+				t.Fatalf("t=%v: station %d has %d outstanding requests in unbuffered mode",
 					eng.Now(), i, c)
 			}
 		}
 	}
-	m := n.Snapshot()
+	m := metrics(f)
 	if m.Completions == 0 {
 		t.Fatal("no completions under heavy load")
 	}
@@ -259,27 +294,23 @@ func TestMultiBusInvariants(t *testing.T) {
 	}
 }
 
-// Request conservation holds on a fabric too, and adding buses at a
-// fixed workload must strictly help: more completions, shorter waits.
+// Request conservation holds with several buses too, and adding buses at
+// a fixed workload must strictly help: more completions, shorter waits.
 func TestMultiBusConservationAndSpeedup(t *testing.T) {
-	run := func(buses int) Metrics {
-		cfg := Config{
-			Processors: 16, ThinkRate: 0.3, ServiceRate: 1,
-			Mode: Buffered, BufferCap: Infinite, Arbiter: NewRoundRobin(), Buses: buses,
+	run := func(buses int) topo.SegmentMetrics {
+		seg := topo.SegmentConfig{
+			Stations: 16, ThinkRate: 0.3, ServiceRate: 1,
+			Mode: bus.Buffered, BufferCap: topo.Infinite, Buses: buses,
 		}
-		n, eng := newTestNetwork(t, cfg, 3)
-		n.Start()
+		f, eng := newSegment(t, seg, 3)
+		f.Start()
 		if err := eng.RunUntil(5000); err != nil {
 			t.Fatal(err)
 		}
-		m := n.Snapshot()
-		inFlight := 0
-		for i := 0; i < cfg.Processors; i++ {
-			inFlight += n.Outstanding(i)
-		}
-		if m.Issued != m.Completions+uint64(inFlight) {
+		m := metrics(f)
+		if live := inFlight(f, seg.Stations); m.Issued != m.Completions+uint64(live) {
 			t.Fatalf("buses=%d: issued %d != completions %d + in-flight %d",
-				buses, m.Issued, m.Completions, inFlight)
+				buses, m.Issued, m.Completions, live)
 		}
 		return m
 	}
@@ -306,17 +337,17 @@ func TestMultiBusConservationAndSpeedup(t *testing.T) {
 // Buses = 0 is the documented single-bus default: it must run the exact
 // same trajectory as an explicit Buses = 1.
 func TestZeroBusesMeansOne(t *testing.T) {
-	run := func(buses int) Metrics {
-		cfg := Config{
-			Processors: 8, ThinkRate: 0.2, ServiceRate: 1,
-			Mode: Unbuffered, Arbiter: NewRoundRobin(), Buses: buses,
+	run := func(buses int) topo.SegmentMetrics {
+		seg := topo.SegmentConfig{
+			Stations: 8, ThinkRate: 0.2, ServiceRate: 1,
+			Mode: bus.Unbuffered, Buses: buses,
 		}
-		n, eng := newTestNetwork(t, cfg, 11)
-		n.Start()
+		f, eng := newSegment(t, seg, 11)
+		f.Start()
 		if err := eng.RunUntil(3000); err != nil {
 			t.Fatal(err)
 		}
-		return n.Snapshot()
+		return metrics(f)
 	}
 	a, b := run(0), run(1)
 	if a.Completions != b.Completions || a.Utilization != b.Utilization || a.MeanWait != b.MeanWait {
@@ -325,33 +356,30 @@ func TestZeroBusesMeansOne(t *testing.T) {
 }
 
 func TestResetStatsDropsHistoryKeepsState(t *testing.T) {
-	cfg := Config{
-		Processors: 4, ThinkRate: 0.5, ServiceRate: 1,
-		Mode: Buffered, BufferCap: Infinite, Arbiter: NewRoundRobin(),
+	seg := topo.SegmentConfig{
+		Stations: 4, ThinkRate: 0.5, ServiceRate: 1,
+		Mode: bus.Buffered, BufferCap: topo.Infinite,
 	}
-	n, eng := newTestNetwork(t, cfg, 9)
-	n.Start()
+	f, eng := newSegment(t, seg, 9)
+	f.Start()
 	if err := eng.RunUntil(500); err != nil {
 		t.Fatal(err)
 	}
-	before := n.Snapshot()
-	if before.Completions == 0 {
+	if metrics(f).Completions == 0 {
 		t.Fatal("warmup produced no completions")
 	}
-	n.ResetStats()
-	zeroed := n.Snapshot()
-	if zeroed.Completions != 0 || zeroed.Issued != 0 || zeroed.Elapsed != 0 {
-		t.Fatalf("ResetStats left residue: %+v", zeroed)
+	f.ResetStats()
+	if zeroed := metrics(f); zeroed.Completions != 0 || zeroed.Issued != 0 || f.Elapsed() != 0 {
+		t.Fatalf("ResetStats left residue: %+v after %v", zeroed, f.Elapsed())
 	}
 	if err := eng.RunUntil(1500); err != nil {
 		t.Fatal(err)
 	}
-	after := n.Snapshot()
-	if after.Completions == 0 {
+	if metrics(f).Completions == 0 {
 		t.Fatal("simulation did not continue after ResetStats")
 	}
-	if after.Elapsed != 1000 {
-		t.Fatalf("measured interval = %v, want 1000", after.Elapsed)
+	if f.Elapsed() != 1000 {
+		t.Fatalf("measured interval = %v, want 1000", f.Elapsed())
 	}
 }
 
@@ -387,28 +415,28 @@ func TestResetStatsScrubsWarmupExtrema(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = &burstSource{i: i}
 	}
-	cfg := Config{
-		Processors: stations, ServiceRate: 1,
-		Mode: Buffered, BufferCap: Infinite, Arbiter: NewRoundRobin(),
+	seg := topo.SegmentConfig{
+		Stations: stations, ServiceRate: 1,
+		Mode: bus.Buffered, BufferCap: topo.Infinite,
 		Sources: srcs,
 	}
-	n, eng := newTestNetwork(t, cfg, 21)
-	n.Start()
+	f, eng := newSegment(t, seg, 21)
+	f.Start()
 	// The burst queues ~all stations at once and drains at μ = 1 over
 	// ~32 time units; by t = 200 the system has long been in its light
 	// steady trickle (one request per station every 50).
 	if err := eng.RunUntil(200); err != nil {
 		t.Fatal(err)
 	}
-	pre := n.Snapshot()
+	pre := metrics(f)
 	if pre.MaxQueueLen < float64(stations)-5 || pre.MaxWait < 20 {
 		t.Fatalf("burst did not build the transient: maxQ=%v maxWait=%v", pre.MaxQueueLen, pre.MaxWait)
 	}
-	n.ResetStats()
+	f.ResetStats()
 	if err := eng.RunUntil(2000); err != nil {
 		t.Fatal(err)
 	}
-	post := n.Snapshot()
+	post := metrics(f)
 	if post.Completions == 0 {
 		t.Fatal("no post-reset completions; trickle not running")
 	}
@@ -426,82 +454,79 @@ func TestResetStatsScrubsWarmupExtrema(t *testing.T) {
 }
 
 // Conservation invariant under buffered-finite stall churn, single bus
-// and fabric: every issued request is exactly accounted for — completed,
-// waiting at an interface, stalled at a full one, or in service — and
-// the per-bus utilizations average to the aggregate within float
-// tolerance. The workload saturates 4-deep buffers so admission,
+// and multi-bus: every issued request is exactly accounted for —
+// completed, waiting at an interface, stalled at a full one, or in
+// service — and the per-bus utilizations average to the aggregate within
+// float tolerance. The workload saturates 4-deep buffers so admission,
 // stalling, and re-admission all churn continuously.
 func TestBufferedFiniteStallConservation(t *testing.T) {
 	for _, buses := range []int{1, 4} {
 		t.Run(map[int]string{1: "m1", 4: "m4"}[buses], func(t *testing.T) {
-			cfg := Config{
-				Processors: 12, ThinkRate: 0.8, ServiceRate: 1, // demand 9.6: saturates 1 and 4 buses
-				Mode: Buffered, BufferCap: 4, Arbiter: NewRoundRobin(), Buses: buses,
+			seg := topo.SegmentConfig{
+				Stations: 12, ThinkRate: 0.8, ServiceRate: 1, // demand 9.6: saturates 1 and 4 buses
+				Mode: bus.Buffered, BufferCap: 4, Buses: buses,
 			}
-			n, eng := newTestNetwork(t, cfg, 29)
-			n.Start()
-			sawStall := false
+			f, eng := newSegment(t, seg, 29)
+			f.Start()
 			for step := 0; step < 200; step++ {
 				if err := eng.RunUntil(eng.Now() + 25); err != nil {
 					t.Fatal(err)
 				}
-				m := n.Snapshot()
-				inFlight := 0
-				for i := 0; i < cfg.Processors; i++ {
-					c := n.Outstanding(i)
+				m := metrics(f)
+				live := 0
+				for i := 0; i < seg.Stations; i++ {
+					c := f.Outstanding(0, i)
 					// Cap waiting slots, plus one stalled at the full
 					// interface, plus up to one in service per bus.
-					if c > cfg.BufferCap+1+buses {
-						t.Fatalf("t=%v: processor %d outstanding %d exceeds cap+1+m", eng.Now(), i, c)
+					if c > seg.BufferCap+1+buses {
+						t.Fatalf("t=%v: station %d outstanding %d exceeds cap+1+m", eng.Now(), i, c)
 					}
-					inFlight += c
-					if !math.IsNaN(n.stalled[i]) {
-						sawStall = true
-					}
+					live += c
 				}
-				if m.Issued != m.Completions+uint64(inFlight) {
+				if m.Issued != m.Completions+uint64(live) {
 					t.Fatalf("t=%v: issued %d != completions %d + outstanding %d (stall accounting leak)",
-						eng.Now(), m.Issued, m.Completions, inFlight)
+						eng.Now(), m.Issued, m.Completions, live)
 				}
 				sum := 0.0
 				for _, u := range m.BusUtilization {
 					sum += u
 				}
-				if m.Elapsed > 0 && math.Abs(sum/float64(buses)-m.Utilization) > 1e-9 {
+				if f.Elapsed() > 0 && math.Abs(sum/float64(buses)-m.Utilization) > 1e-9 {
 					t.Fatalf("t=%v: mean per-bus utilization %v != aggregate %v",
 						eng.Now(), sum/float64(buses), m.Utilization)
 				}
 			}
-			if !sawStall {
-				t.Fatal("saturating workload never stalled a processor; churn not exercised")
+			if f.Counters().Stalls == 0 {
+				t.Fatal("saturating workload never stalled a station; churn not exercised")
 			}
 		})
 	}
 }
 
 // The service distribution is genuinely pluggable: deterministic service
-// makes every response at least one full service time and pins the busy
-// period per transaction, while the default remains exponential.
+// makes every response at least one full service time, while the offered
+// load stays the rate's.
 func TestServiceDistributionShapesServiceTimes(t *testing.T) {
-	mustDist := func(spec servdist.Spec) servdist.Dist {
-		d, err := spec.NewDist(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	d, err := servdist.Spec{Kind: servdist.KindDeterministic}.NewDist(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg := Config{
-		Processors: 4, ThinkRate: 0.1, ServiceRate: 1,
-		Mode: Buffered, BufferCap: Infinite, Arbiter: NewRoundRobin(),
-		Service:   mustDist(servdist.Spec{Kind: servdist.KindDeterministic}),
+	eng := sim.NewEngine()
+	f, err := topo.New(topo.Config{
+		Segments: []topo.SegmentConfig{{
+			Stations: 4, ThinkRate: 0.1, ServiceRate: 1,
+			Mode: bus.Buffered, BufferCap: topo.Infinite, Service: d,
+		}},
 		Quantiles: true,
+	}, eng, sim.NewRNG(31))
+	if err != nil {
+		t.Fatal(err)
 	}
-	n, eng := newTestNetwork(t, cfg, 31)
-	n.Start()
+	f.Start()
 	if err := eng.RunUntil(5000); err != nil {
 		t.Fatal(err)
 	}
-	m := n.Snapshot()
+	m := metrics(f)
 	if m.Completions == 0 {
 		t.Fatal("no completions with deterministic service")
 	}
@@ -516,48 +541,16 @@ func TestServiceDistributionShapesServiceTimes(t *testing.T) {
 	}
 }
 
-// BenchmarkNetworkSteadyState measures whole-system event throughput:
-// a loaded 16-processor buffered network including arbitration, queue
-// bookkeeping, and statistics on every event.
-func BenchmarkNetworkSteadyState(b *testing.B) {
-	cfg := Config{
-		Processors: 16, ThinkRate: 0.06, ServiceRate: 1,
-		Mode: Buffered, BufferCap: 8, Arbiter: NewRoundRobin(),
-	}
-	eng := sim.NewEngine()
-	n, err := New(cfg, eng, sim.NewRNG(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.Start()
-	if err := eng.RunUntil(100); err != nil { // past the startup transient
-		b.Fatal(err)
-	}
-	start := eng.Processed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for eng.Processed()-start < uint64(b.N) {
-		if err := eng.RunUntil(eng.Now() + 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestNetworkSteadyStateAllocFree locks the whole-system zero-allocation
-// contract: once past the startup transient, a loaded buffered network —
-// think-time draws, arbitration, queue bookkeeping, statistics — runs
-// without touching the heap.
+// contract on the paper's model: once past the startup transient, a
+// loaded 16-station buffered bus — think-time draws, arbitration, queue
+// bookkeeping, statistics — runs without touching the heap.
 func TestNetworkSteadyStateAllocFree(t *testing.T) {
-	cfg := Config{
-		Processors: 16, ThinkRate: 0.06, ServiceRate: 1,
-		Mode: Buffered, BufferCap: 8, Arbiter: NewRoundRobin(),
-	}
-	eng := sim.NewEngine()
-	n, err := New(cfg, eng, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
+	f, eng := newSegment(t, topo.SegmentConfig{
+		Stations: 16, ThinkRate: 0.06, ServiceRate: 1,
+		Mode: bus.Buffered, BufferCap: 8,
+	}, 1)
+	f.Start()
 	if err := eng.RunUntil(1000); err != nil { // reach the pool's high-water mark
 		t.Fatal(err)
 	}
@@ -567,6 +560,6 @@ func TestNetworkSteadyStateAllocFree(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("steady-state network allocates %v per 100-time-unit window, want 0", avg)
+		t.Fatalf("steady-state bus allocates %v per 100-time-unit window, want 0", avg)
 	}
 }

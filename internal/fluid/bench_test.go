@@ -7,7 +7,7 @@ import (
 
 // BenchmarkFluidSolve pins the O(1)-in-N claim: the solve at N = 10⁶
 // must cost the same as at N = 10³ (the buffered variants scale only
-// with buffer depth). BENCH_fluid.json records a run of this benchmark.
+// with buffer depth). docs/fluid.md describes it.
 func BenchmarkFluidSolve(b *testing.B) {
 	for _, n := range []int{1_000, 1_000_000} {
 		b.Run(fmt.Sprintf("unbuffered/N=%d", n), func(b *testing.B) {

@@ -6,7 +6,7 @@ import (
 )
 
 // Prediction holds the mean-field steady-state quantities, in the same
-// conventions as internal/analytic and internal/bus: λ is the
+// conventions as internal/analytic and internal/topo: λ is the
 // per-station request rate while thinking, μ the per-bus service rate,
 // wait excludes service, response includes it, queue length excludes
 // requests in service, and Utilization is the mean fraction of busy

@@ -196,8 +196,8 @@ func TestFluidValidation(t *testing.T) {
 }
 
 // O(1)-in-N: the fluid solve at N = 10⁶ must produce finite, sensible
-// numbers (the cost claim is pinned by BenchmarkFluidSolve and
-// BENCH_fluid.json).
+// numbers (the cost claim is pinned by BenchmarkFluidSolve; see
+// docs/fluid.md).
 func TestFluidMillionStations(t *testing.T) {
 	p, err := Unbuffered(1_000_000, 4, 0.1, 1)
 	if err != nil {

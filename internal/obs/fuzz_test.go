@@ -40,12 +40,6 @@ func FuzzTraceExport(f *testing.F) {
 				r.EventFired(tm)
 			case KindEventCancelled:
 				r.EventCancelled(tm, tm)
-			case KindGrant:
-				r.Grant(tm, n, n, tm)
-			case KindStall:
-				r.Stall(tm, n)
-			case KindComplete:
-				r.Complete(tm, n, n, tm)
 			case KindHopGrant:
 				r.HopGrant(tm, n, n, n, tm)
 			case KindHopStall:

@@ -1,14 +1,14 @@
 // Package obs is the repo's flight recorder: a fixed-capacity ring of
-// simulation events captured through the probe seams of internal/sim,
-// internal/bus, and internal/topo, exportable as Chrome trace-event
-// JSON (chrome://tracing, Perfetto).
+// simulation events captured through the probe seams of internal/sim
+// and internal/topo, exportable as Chrome trace-event JSON
+// (chrome://tracing, Perfetto).
 //
-// Recorder implements all three probe interfaces structurally —
-// sim.Probe, bus.Probe, and topo.Probe name their hooks so the
-// signatures never collide — which is what lets this package sit below
-// all of them with no imports and no cycles. One recorder can therefore
-// be attached to an engine, a network, and a fabric simultaneously and
-// interleave their events on a single timeline.
+// Recorder implements both probe interfaces structurally — sim.Probe
+// and topo.Probe name their hooks so the signatures never collide —
+// which is what lets this package sit below both with no imports and no
+// cycles. One recorder can therefore be attached to an engine and a
+// fabric simultaneously and interleave their events on a single
+// timeline.
 //
 // The append path is allocation-free by construction: the ring is
 // preallocated at New, records are fixed-size values, and the per-kind
@@ -26,11 +26,8 @@ const (
 	KindEventScheduled Kind = iota
 	KindEventFired
 	KindEventCancelled
-	// Flat-network arbitration (bus.Probe).
-	KindGrant
-	KindStall
-	KindComplete
-	// Fabric hops and bridges (topo.Probe).
+	// Fabric hops and bridges (topo.Probe); a flat run is a fabric of
+	// one segment.
 	KindHopGrant
 	KindHopStall
 	KindHopComplete
@@ -43,7 +40,6 @@ const (
 
 var kindNames = [numKinds]string{
 	"event-scheduled", "event-fired", "event-cancelled",
-	"grant", "stall", "complete",
 	"hop-grant", "hop-stall", "hop-complete",
 	"bridge-enqueue", "bridge-block", "bridge-release",
 }
@@ -63,9 +59,6 @@ func (k Kind) String() string {
 //	EventScheduled   D=fire time
 //	EventFired       —
 //	EventCancelled   D=would-have-fired time
-//	Grant            A=station B=bus          D=wait
-//	Stall            A=station
-//	Complete         A=station B=bus          D=busyFor
 //	HopGrant         A=segment B=claimant C=bus D=wait
 //	HopStall         A=segment B=station
 //	HopComplete      A=segment B=bus          D=busyFor
@@ -196,23 +189,6 @@ func (r *Recorder) EventFired(now float64) {
 // EventCancelled implements sim.Probe.
 func (r *Recorder) EventCancelled(t, now float64) {
 	r.add(KindEventCancelled, now, 0, 0, 0, t)
-}
-
-// bus.Probe implementation.
-
-// Grant implements bus.Probe.
-func (r *Recorder) Grant(now float64, station, b int, wait float64) {
-	r.add(KindGrant, now, station, b, 0, wait)
-}
-
-// Stall implements bus.Probe.
-func (r *Recorder) Stall(now float64, station int) {
-	r.add(KindStall, now, station, 0, 0, 0)
-}
-
-// Complete implements bus.Probe.
-func (r *Recorder) Complete(now float64, station, b int, busyFor float64) {
-	r.add(KindComplete, now, station, b, 0, busyFor)
 }
 
 // topo.Probe implementation.

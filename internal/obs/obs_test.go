@@ -94,9 +94,8 @@ func TestCaptureAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.EventScheduled(float64(i+1), float64(i))
 		r.EventFired(float64(i))
-		r.Grant(float64(i), i%16, i%3, 0.5)
-		r.Complete(float64(i), i%16, i%3, 1.5)
 		r.HopGrant(float64(i), i%2, i%16, i%3, 0.5)
+		r.HopComplete(float64(i), i%2, i%3, 1.5)
 		r.BridgeEnqueue(float64(i), 0, i%8)
 		i++
 	})
@@ -168,9 +167,9 @@ func TestWriteTraceMapsEveryKind(t *testing.T) {
 	r.EventScheduled(5, 1)
 	r.EventFired(2)
 	r.EventCancelled(9, 3)
-	r.Grant(4, 7, 1, 0.5)
-	r.Stall(5, 3)
-	r.Complete(6, 7, 1, 2)
+	r.HopGrant(4, 0, 7, 1, 0.5)
+	r.HopStall(5, 0, 3)
+	r.HopComplete(6, 0, 1, 2)
 	r.HopGrant(7, 1, 4, 0, 0.25)
 	r.HopStall(8, 1, 2)
 	r.HopComplete(9, 1, 0, 1.5)
@@ -193,29 +192,29 @@ func TestWriteTraceMapsEveryKind(t *testing.T) {
 			t.Errorf("kind %v produced no trace event", k)
 		}
 	}
-	// A span ends at the capture time: serve on bus 1 at T=6 with dur 2
-	// must start at ts=4.
+	// A span ends at the capture time: serve on segment 0 (pid 1), bus 1
+	// at T=6 with dur 2 must start at ts=4 on the bus's tid.
 	found := false
 	for _, ev := range evs {
-		if ev["name"] == "serve" && ev["cat"] == KindComplete.String() {
+		if ev["name"] == "serve" && ev["pid"].(float64) == 1 {
 			found = true
 			if ev["ts"].(float64) != 4 || ev["dur"].(float64) != 2 {
 				t.Errorf("serve span ts, dur = %v, %v, want 4, 2", ev["ts"], ev["dur"])
 			}
-			if ev["pid"].(float64) != 1 || ev["tid"].(float64) != 1 {
-				t.Errorf("serve span pid, tid = %v, %v, want 1, 1", ev["pid"], ev["tid"])
+			if ev["tid"].(float64) != 1 {
+				t.Errorf("serve span tid = %v, want 1", ev["tid"])
 			}
 		}
 	}
 	if !found {
-		t.Error("no serve span from the Complete record")
+		t.Error("no serve span from the segment-0 HopComplete record")
 	}
 }
 
 func TestWriteTraceNonFinite(t *testing.T) {
 	r := New(8)
 	r.EventScheduled(math.Inf(1), 1)
-	r.Complete(math.NaN(), 0, 0, math.Inf(1))
+	r.HopComplete(math.NaN(), 0, 0, math.Inf(1))
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
 		t.Fatalf("non-finite records broke the export: %v", err)

@@ -14,10 +14,10 @@ import (
 // Track layout:
 //   - pid 0 is the engine: event-fired/scheduled/cancelled instants on
 //     tid 0, and one counter track per bridge (queue length).
-//   - pid 1+seg is segment seg (a flat bus.Network exports as segment
-//     0, pid 1): "serve" and "blocked" complete-spans on tid = bus,
-//     "wait" spans on tid = claimant/station, "stall" and
-//     "bridge-block" instants.
+//   - pid 1+seg is segment seg (a flat run is a one-segment fabric and
+//     exports as segment 0, pid 1): "serve" and "blocked" complete-spans
+//     on tid = bus, "wait" spans on tid = claimant (the station, on a
+//     flat run), "stall" and "bridge-block" instants.
 //
 // Span reconstruction needs no pairing state: Complete-style records
 // carry their own duration, so a span is emitted retroactively as
@@ -122,15 +122,6 @@ func (rec Record) traceEvent() (ev traceEvent, pid int, pidName string, ok bool)
 			KindEventScheduled: "sched", KindEventFired: "fire", KindEventCancelled: "cancel",
 		}
 		return instant(names[rec.Kind], rec.Kind, rec.T, enginePid, 0), enginePid, "engine", true
-	case KindGrant:
-		p, n := segPid(0)
-		return span("wait", rec.Kind, rec.T, rec.D, p, rec.A), p, n, true
-	case KindStall:
-		p, n := segPid(0)
-		return instant("stall", rec.Kind, rec.T, p, rec.A), p, n, true
-	case KindComplete:
-		p, n := segPid(0)
-		return span("serve", rec.Kind, rec.T, rec.D, p, rec.B), p, n, true
 	case KindHopGrant:
 		p, n := segPid(rec.A)
 		return span("wait", rec.Kind, rec.T, rec.D, p, rec.B), p, n, true

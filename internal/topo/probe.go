@@ -2,14 +2,13 @@ package topo
 
 // Probe receives fabric-level callbacks — the per-hop arbitration
 // lifecycle plus the bridge events (enqueue, blocking-after-service,
-// release) that have no analog in a flat bus.Network. Nil (the default)
-// disables the seam at one predicted branch per hook point; the
-// steady-state alloc lock and the probe-disabled benchmark pin that the
-// disabled path stays free.
+// release). Nil (the default) disables the seam at one predicted branch
+// per hook point; the steady-state alloc locks and the probe-disabled
+// benchmarks pin that the disabled path stays free.
 //
 // Method names carry Hop/Bridge prefixes so a single recorder type can
-// structurally implement sim.Probe, bus.Probe, and topo.Probe at once
-// without the packages importing each other.
+// structurally implement sim.Probe and topo.Probe at once without the
+// packages importing each other.
 //
 // The contract mirrors sim.Probe: callbacks run synchronously inside
 // engine events, must not allocate if the zero-allocation contract is to
@@ -37,8 +36,8 @@ type Probe interface {
 	BridgeRelease(now float64, link, seg, b int, blockedFor float64)
 }
 
-// Counters is the fabric's deterministic self-measurement, the topology
-// analog of bus.Counters: totals over the whole run (not
+// Counters is the fabric's deterministic self-measurement, mirroring
+// sim.EngineCounters one layer up: totals over the whole run (not
 // warmup-truncated), bit-identical for equal (Config, Seed, Stream)
 // with or without a probe attached.
 type Counters struct {
@@ -65,7 +64,11 @@ type scanCounting interface {
 
 // SetProbe attaches p to the fabric's hook points, or detaches with
 // nil. Attach before Start.
-func (f *Fabric) SetProbe(p Probe) { f.probe = p }
+func (f *Fabric) SetProbe(p Probe) {
+	for k := range f.segs {
+		f.segs[k].probe = p
+	}
+}
 
 // Counters returns the fabric's deterministic counters as of now.
 func (f *Fabric) Counters() Counters {
@@ -74,8 +77,8 @@ func (f *Fabric) Counters() Counters {
 		BridgeCrossings: f.crossings,
 		BridgeBlocks:    f.blocks,
 	}
-	for _, s := range f.segs {
-		if sc, ok := s.arbiter.(scanCounting); ok {
+	for k := range f.segs {
+		if sc, ok := f.segs[k].arbiter.(scanCounting); ok {
 			c.ArbScanSlots += sc.ScanSlots()
 		}
 	}

@@ -1,12 +1,22 @@
-// Package topo generalizes internal/bus from one arbitration point to a
-// directed acyclic fabric of bus segments connected by bridges. Each
-// segment is a multi-bus arbitration point exactly like bus.Network —
-// same arbiters, same queueing modes, same statistics — but its
-// claimants are both its local stations and the bridges delivering
-// traffic from upstream segments. A request issued by a station follows
-// its segment's route hop by hop: it is arbitrated onto a bus of the
+// Package topo is the simulator: every discrete-event run, flat or
+// bridged, is a directed acyclic fabric of bus segments connected by
+// bridges. Each segment is one arbitration point of the source paper —
+// Buses identical multiplexed buses, the arbiters and queueing modes of
+// internal/bus — whose claimants are its local stations and the
+// bridges delivering traffic from upstream segments. A flat config is a
+// fabric of one segment. A request issued by a station follows its
+// segment's route hop by hop: it is arbitrated onto a bus of the
 // current segment, served, and handed through the connecting bridge
 // into the next segment's claimant queue.
+//
+// Stations alternate between thinking (local work, exponential with
+// rate ThinkRate unless Sources shape it) and issuing a bus
+// transaction. An unbuffered station blocks from the moment it issues
+// until its request leaves the fabric; a buffered station queues
+// requests at its interface (finite or unbounded capacity) and keeps
+// thinking. The arbiter picks which claimant is granted next; the grant
+// goes to the lowest-numbered free bus, and each bus serves
+// independently.
 //
 // Bridges have their own finite buffers, and the fabric models
 // blocking-after-service (the tandem-blocking discipline): a bus that
@@ -16,11 +26,11 @@
 // Because the segment graph is acyclic (validated), the chain of
 // releases always terminates and the fabric cannot deadlock.
 //
-// Determinism mirrors internal/bus exactly: all randomness flows
-// through the single per-run RNG in a fixed order, so a fabric of one
-// segment reproduces bus.Network's event trajectory bit for bit — the
-// golden tests in pkg/busnet pin this. Per-segment metrics carry the
-// same fields as bus.Metrics plus the time-averaged blocked-bus
+// All randomness flows through the single per-run RNG in a fixed order,
+// so a run is bit-reproducible in (Config, RNG seed). The golden tests
+// in pkg/busnet and this package pin the one-segment trajectory to the
+// values the original single-bus engine produced. Per-segment metrics
+// carry the flat statistics plus the time-averaged blocked-bus
 // fraction; per-flow metrics add end-to-end (issue → fabric exit)
 // response statistics for every station-bearing segment.
 package topo
@@ -49,8 +59,10 @@ type SegmentConfig struct {
 	Buses int
 	// ServiceRate is μ, the per-bus service rate.
 	ServiceRate float64
-	// Service optionally shapes the service time (nil → exponential at
-	// ServiceRate, the paper's model, with bus.Network's draw sequence).
+	// Service optionally shapes the service time, sampled once per
+	// dispatch. Nil keeps the paper's model: exponential at ServiceRate,
+	// one Exp draw per dispatch. Non-nil dists are expected to have mean
+	// 1/ServiceRate (servdist builds them that way).
 	Service servdist.Dist
 	// Arbiter picks the next claimant — local stations first (indices
 	// 0..Stations-1), then one claimant per inbound bridge in link
@@ -63,8 +75,9 @@ type SegmentConfig struct {
 	// ThinkRate is λ, each station's request rate while thinking.
 	ThinkRate float64
 	// Sources optionally shapes each station's request generation, one
-	// per station (nil → Poisson at ThinkRate with bus.Network's draw
-	// sequence).
+	// per station, consulted every time the station re-enters the
+	// thinking state. Nil keeps the paper's model: Poisson think times
+	// at ThinkRate. When set, ThinkRate is not consulted.
 	Sources []workload.Source
 	// Mode is the station-interface regime: bus.Unbuffered blocks the
 	// issuing station until its request exits the fabric (the multi-hop
@@ -89,6 +102,42 @@ func (c SegmentConfig) buses() int {
 	return c.Buses
 }
 
+// Validate reports the first error in the segment's own fields — the
+// checks that hold whatever fabric surrounds it — or nil. Config.Validate
+// runs it on every segment before the graph-level checks. It allocates
+// nothing on success.
+func (c SegmentConfig) Validate() error {
+	switch {
+	case c.Buses < 0:
+		return fmt.Errorf("Buses = %d, need ≥ 1 (or 0 for one)", c.Buses)
+	case !(c.ServiceRate > 0) || math.IsInf(c.ServiceRate, 1):
+		return fmt.Errorf("ServiceRate = %v, need finite and > 0", c.ServiceRate)
+	case c.Stations < 0:
+		return fmt.Errorf("Stations = %d, need ≥ 0", c.Stations)
+	case c.Stations == 0 && len(c.Route) != 0:
+		return fmt.Errorf("a route but no stations to originate it")
+	case c.Stations == 0 && c.Sources != nil:
+		return fmt.Errorf("sources but no stations")
+	case c.Stations == 0:
+		return nil
+	case c.Sources == nil && (!(c.ThinkRate > 0) || math.IsInf(c.ThinkRate, 1)):
+		// An infinite rate makes Exp draw 0 forever, freezing the clock.
+		return fmt.Errorf("ThinkRate = %v, need finite and > 0", c.ThinkRate)
+	case c.Sources != nil && len(c.Sources) != c.Stations:
+		return fmt.Errorf("%d sources for %d stations", len(c.Sources), c.Stations)
+	case c.Mode != bus.Unbuffered && c.Mode != bus.Buffered:
+		return fmt.Errorf("unknown mode %d", int(c.Mode))
+	case c.Mode == bus.Buffered && c.BufferCap != Infinite && c.BufferCap < 1:
+		return fmt.Errorf("BufferCap = %d, need ≥ 1 or Infinite", c.BufferCap)
+	}
+	for i, src := range c.Sources {
+		if src == nil {
+			return fmt.Errorf("Sources[%d] is nil", i)
+		}
+	}
+	return nil
+}
+
 // LinkConfig is a directed bridge between two segments with its own
 // finite buffer.
 type LinkConfig struct {
@@ -104,8 +153,10 @@ type Config struct {
 	Segments []SegmentConfig
 	Links    []LinkConfig
 	// Quantiles enables per-hop wait/response histograms and per-flow
-	// end-to-end response histograms. Same contract as bus.Config: off
-	// by default, and toggling never changes the event trajectory.
+	// end-to-end response histograms. Off by default: the histogram
+	// updates sit on the dispatch and completion hot paths. Histograms
+	// draw nothing from the RNG, so toggling this never changes the
+	// event trajectory.
 	Quantiles bool
 }
 
@@ -121,60 +172,64 @@ func (c Config) claimants(k int) int {
 	return n
 }
 
-// Validate reports the first configuration error, or nil. Beyond the
-// per-segment checks bus.Config performs, it requires the link graph to
-// be a DAG (acyclicity is what guarantees blocking-after-service cannot
-// deadlock), every route to follow existing links, and every link and
-// transit segment to lie on at least one route.
+// link returns the index of the link from → to, or -1.
+func (c Config) link(from, to int) int {
+	for i, l := range c.Links {
+		if l.From == from && l.To == to {
+			return i
+		}
+	}
+	return -1
+}
+
+// onRoute reports whether some segment's route crosses from → to.
+func (c Config) onRoute(from, to int) bool {
+	for k, s := range c.Segments {
+		prev := k
+		for _, hop := range s.Route {
+			if prev == from && hop == to {
+				return true
+			}
+			prev = hop
+		}
+	}
+	return false
+}
+
+// routed reports whether some segment's route visits segment k.
+func (c Config) routed(k int) bool {
+	for _, s := range c.Segments {
+		for _, hop := range s.Route {
+			if hop == k {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Validate reports the first configuration error, or nil. Beyond every
+// segment's own checks (SegmentConfig.Validate), it requires unique
+// names, the link graph to be a DAG (acyclicity is what guarantees
+// blocking-after-service cannot deadlock), every route to follow
+// existing links, and every link and transit segment to lie on at least
+// one route. The graph checks scan rather than index, so validating a
+// fabric allocates nothing on success; fabrics are small.
 func (c Config) Validate() error {
 	if len(c.Segments) == 0 {
 		return fmt.Errorf("topo: no segments")
 	}
-	names := make(map[string]int, len(c.Segments))
 	stations := 0
 	for k, s := range c.Segments {
-		if s.Name != "" {
-			if prev, dup := names[s.Name]; dup {
+		for prev := range k {
+			if s.Name != "" && c.Segments[prev].Name == s.Name {
 				return fmt.Errorf("topo: segments %d and %d share the name %q", prev, k, s.Name)
 			}
-			names[s.Name] = k
 		}
-		if s.Buses < 0 {
-			return fmt.Errorf("topo: segment %d: Buses = %d, need ≥ 1 (or 0 for one)", k, s.Buses)
-		}
-		if !(s.ServiceRate > 0) || math.IsInf(s.ServiceRate, 1) {
-			return fmt.Errorf("topo: segment %d: ServiceRate = %v, need finite and > 0", k, s.ServiceRate)
-		}
-		if s.Stations < 0 {
-			return fmt.Errorf("topo: segment %d: Stations = %d, need ≥ 0", k, s.Stations)
+		if err := s.Validate(); err != nil {
+			return fmt.Errorf("topo: segment %d: %w", k, err)
 		}
 		stations += s.Stations
-		if s.Stations == 0 {
-			if len(s.Route) != 0 {
-				return fmt.Errorf("topo: segment %d has a route but no stations to originate it", k)
-			}
-			if s.Sources != nil {
-				return fmt.Errorf("topo: segment %d has sources but no stations", k)
-			}
-		} else {
-			if s.Sources == nil && (!(s.ThinkRate > 0) || math.IsInf(s.ThinkRate, 1)) {
-				return fmt.Errorf("topo: segment %d: ThinkRate = %v, need finite and > 0", k, s.ThinkRate)
-			}
-			if s.Sources != nil && len(s.Sources) != s.Stations {
-				return fmt.Errorf("topo: segment %d: %d sources for %d stations", k, len(s.Sources), s.Stations)
-			}
-			for i, src := range s.Sources {
-				if src == nil {
-					return fmt.Errorf("topo: segment %d: Sources[%d] is nil", k, i)
-				}
-			}
-			if s.Mode != bus.Unbuffered && s.Mode != bus.Buffered {
-				return fmt.Errorf("topo: segment %d: unknown mode %d", k, int(s.Mode))
-			}
-			if s.Mode == bus.Buffered && s.BufferCap != Infinite && s.BufferCap < 1 {
-				return fmt.Errorf("topo: segment %d: BufferCap = %d, need ≥ 1 or Infinite", k, s.BufferCap)
-			}
-		}
 		for h, hop := range s.Route {
 			if hop < 0 || hop >= len(c.Segments) {
 				return fmt.Errorf("topo: segment %d route hop %d = %d, need in [0, %d)", k, h, hop, len(c.Segments))
@@ -184,7 +239,6 @@ func (c Config) Validate() error {
 	if stations == 0 {
 		return fmt.Errorf("topo: no segment has stations — nothing generates requests")
 	}
-	linkAt := make(map[[2]int]int, len(c.Links))
 	for i, l := range c.Links {
 		if l.From < 0 || l.From >= len(c.Segments) || l.To < 0 || l.To >= len(c.Segments) {
 			return fmt.Errorf("topo: link %d connects %d → %d, segments are [0, %d)", i, l.From, l.To, len(c.Segments))
@@ -192,38 +246,32 @@ func (c Config) Validate() error {
 		if l.From == l.To {
 			return fmt.Errorf("topo: link %d is a self-loop on segment %d", i, l.From)
 		}
-		if prev, dup := linkAt[[2]int{l.From, l.To}]; dup {
+		if prev := c.link(l.From, l.To); prev != i {
 			return fmt.Errorf("topo: links %d and %d both connect %d → %d", prev, i, l.From, l.To)
 		}
 		if l.Depth != Infinite && l.Depth < 1 {
 			return fmt.Errorf("topo: link %d: Depth = %d, need ≥ 1 or Infinite", i, l.Depth)
 		}
-		linkAt[[2]int{l.From, l.To}] = i
 	}
 	if err := c.checkAcyclic(); err != nil {
 		return err
 	}
-	linkUsed := make([]bool, len(c.Links))
-	segOnRoute := make([]bool, len(c.Segments))
 	for k, s := range c.Segments {
 		prev := k
 		for h, hop := range s.Route {
-			li, ok := linkAt[[2]int{prev, hop}]
-			if !ok {
+			if c.link(prev, hop) < 0 {
 				return fmt.Errorf("topo: segment %d route hop %d needs a link %d → %d", k, h, prev, hop)
 			}
-			linkUsed[li] = true
-			segOnRoute[hop] = true
 			prev = hop
 		}
 	}
-	for i, used := range linkUsed {
-		if !used {
-			return fmt.Errorf("topo: link %d (%d → %d) is on no route", i, c.Links[i].From, c.Links[i].To)
+	for i, l := range c.Links {
+		if !c.onRoute(l.From, l.To) {
+			return fmt.Errorf("topo: link %d (%d → %d) is on no route", i, l.From, l.To)
 		}
 	}
 	for k, s := range c.Segments {
-		if s.Stations == 0 && !segOnRoute[k] {
+		if s.Stations == 0 && !c.routed(k) {
 			return fmt.Errorf("topo: segment %d has no stations and is on no route", k)
 		}
 	}
@@ -243,6 +291,9 @@ func (c Config) Validate() error {
 // checkAcyclic runs Kahn's algorithm over the link graph. A cycle of
 // bridges would let blocking-after-service form a circular wait.
 func (c Config) checkAcyclic() error {
+	if len(c.Links) == 0 {
+		return nil
+	}
 	indeg := make([]int, len(c.Segments))
 	for _, l := range c.Links {
 		indeg[l.To]++
@@ -272,23 +323,27 @@ func (c Config) checkAcyclic() error {
 	return nil
 }
 
-// request is one in-flight transaction, pooled on the fabric. path is
-// shared with every request of its home segment; enqueuedAt is reset at
-// each hop (arrival into the current claimant queue) while issuedAt
-// keeps the original issue time for end-to-end response.
+// request is one in-flight transaction, held by value on a bus or in a
+// bridge queue. A station's own queue holds only issue times: a request
+// waiting at its home interface is fully described by its station and
+// issue time, so the request value is built when the arbiter grants it.
+// enqueuedAt is reset at each hop (arrival into the current claimant
+// queue) while issuedAt keeps the original issue time for end-to-end
+// response.
 type request struct {
-	path       *path
-	local      int // station index within the home segment
-	hop        int // index into path.segs of the segment holding it
+	path       *path // nil marks an idle bus
+	local      int32 // station index within the home segment
+	hop        int32 // bridges crossed so far: path.links[hop] is the next
 	issuedAt   float64
 	enqueuedAt float64
 }
 
-// path is the precomputed route of one home segment: the full segment
-// sequence (segs[0] is home) and the link crossed after each hop.
+// path is the precomputed route of one home segment: the link crossed
+// after each hop. A request exits the fabric at the segment it reaches
+// after crossing every link.
 type path struct {
-	segs  []int
-	links []*link // links[h] connects segs[h] → segs[h+1]
+	home  *segment
+	links []*link
 }
 
 // link is a bridge. Its buffer is the destination segment's claimant
@@ -303,28 +358,32 @@ type link struct {
 }
 
 // blockedEntry identifies one blocked upstream bus; the held request is
-// seg.serving[b].
+// seg.buses[b].req.
 type blockedEntry struct {
 	seg   *segment
 	b     int
 	since float64 // when the bus blocked, for BridgeRelease's blockedFor
 }
 
+// queue returns the bridge's buffer: its claimant queue downstream.
+func (l *link) queue() *ring[request] { return &l.to.bridgeQ[l.claimant-l.to.stations] }
+
 // hasSpace reports whether the bridge can accept one more request.
 func (l *link) hasSpace() bool {
-	return l.cfg.Depth == Infinite || l.to.claimQ[l.claimant].len() < l.cfg.Depth
+	return l.cfg.Depth == Infinite || l.queue().len() < l.cfg.Depth
 }
 
 // advance moves r through the bridge into the destination's claimant
 // queue. Callers kick the destination's dispatch when appropriate.
-func (l *link) advance(r *request, now float64) {
+func (l *link) advance(r request, now float64) {
 	r.hop++
 	r.enqueuedAt = now
-	l.to.enqueue(l.claimant, r)
-	f := l.to.fab
-	f.crossings++
-	if f.probe != nil {
-		f.probe.BridgeEnqueue(now, l.idx, l.to.claimQ[l.claimant].len())
+	q := l.queue()
+	q.push(r)
+	l.to.arrive(l.claimant, now)
+	l.to.fab.crossings++
+	if p := l.to.probe; p != nil {
+		p.BridgeEnqueue(now, l.idx, q.len())
 	}
 }
 
@@ -342,77 +401,95 @@ func (l *link) admitBlocked(now float64) {
 	copy(l.waiters, l.waiters[1:])
 	l.waiters = l.waiters[:len(l.waiters)-1]
 	us, b := e.seg, e.b
-	if f := us.fab; f.probe != nil {
-		f.probe.BridgeRelease(now, l.idx, us.idx, b, now-e.since)
+	if p := us.probe; p != nil {
+		p.BridgeRelease(now, l.idx, us.idx, b, now-e.since)
 	}
-	r := us.serving[b]
-	us.depart(b, r, now)
+	r := us.buses[b].req
+	us.depart(b, r.enqueuedAt, now)
 	us.blocked--
 	us.blockedTW.Set(float64(us.blocked)/float64(us.nBuses), now)
 	l.advance(r, now)
 	us.tryDispatch()
 }
 
-// segment is the runtime state of one arbitration point — the fields
-// and update order mirror bus.Network so a single-segment fabric is
-// draw-for-draw identical to it.
+// busSlot is one bus of a segment: the request occupying it (serving,
+// or blocked after service), its dispatch time, its busy indicator, and
+// its completion callback, built once so the dispatch hot path
+// schedules without allocating a closure per grant.
+type busSlot struct {
+	req      request
+	start    float64
+	util     sim.TimeWeighted
+	complete func()
+}
+
+// flowStats holds the end-to-end (issue → fabric exit) statistics of a
+// station segment's flow.
+type flowStats struct {
+	resp     sim.Tally
+	respHist *sim.Histogram // nil unless Config.Quantiles
+	done     uint64
+}
+
+// segment is the runtime state of one arbitration point.
 type segment struct {
-	idx     int
-	cfg     SegmentConfig
-	fab     *Fabric
-	eng     *sim.Engine
-	rng     *sim.RNG
-	nBuses  int
-	path    *path // nil for transit segments
-	sources []workload.Source
-	service servdist.Dist
-	arbiter bus.Arbiter
+	idx       int
+	name      string
+	stations  int
+	mode      bus.Mode
+	bufferCap int
+	fab       *Fabric
+	eng       *sim.Engine
+	rng       *sim.RNG
+	nBuses    int
+	path      *path // nil for transit segments
+	sources   []workload.Source
+	service   servdist.Dist
+	arbiter   bus.Arbiter
+	probe     Probe // the fabric's, copied here for the hot path
 
-	claimQ     []reqRing  // per-claimant FIFO: stations, then inbound bridges
-	pending    []bool     // claimQ[j] is nonempty
-	claimLink  []*link    // claimant j's inbound link, nil for local stations
-	stalled    []*request // Buffered finite: request held at a full interface
-	queued     int        // waiting requests across all claimant queues
-	busy       int        // buses occupied: serving or blocked-after-service
-	blocked    int        // buses held by a full downstream bridge
-	serving    []*request // per-bus request occupying it; nil when idle
-	servStart  []float64  // per-bus dispatch time of the occupying request
-	completeFn []func()
-	issueFn    []func()
+	// Claimant j < stations is local station j, whose queue holds issue
+	// times; claimant stations+i is inbound bridge i, whose queue holds
+	// requests in transit.
+	stationQ []ring[float64]
+	bridgeQ  []ring[request]
+	inbound  []*link   // inbound[i] feeds claimant stations+i
+	pending  []bool    // claimant j's queue is nonempty
+	stalled  []float64 // Buffered finite: issue time of the request held at a full interface; NaN when none
+	queued   int       // waiting requests across all claimant queues
+	busy     int       // buses occupied: serving or blocked-after-service
+	blocked  int       // buses held by a full downstream bridge
+	buses    []busSlot
+	issueFn  []func() // per-station issue callbacks, built once
+	live     int      // requests issued here and not yet exited
 
-	util        sim.TimeWeighted
-	blockedTW   sim.TimeWeighted
-	busUtil     []sim.TimeWeighted
-	qlen        sim.TimeWeighted
-	wait        sim.Tally // claimant-queue arrival → service start, per hop
-	resp        sim.Tally // claimant-queue arrival → segment departure, per hop
+	util        sim.TimeWeighted // fraction of occupied buses
+	blockedTW   sim.TimeWeighted // fraction of buses blocked after service
+	qlen        sim.TimeWeighted // waiting requests, excluding those on a bus
+	wait        sim.Tally        // claimant-queue arrival → service start, per hop
+	resp        sim.Tally        // claimant-queue arrival → segment departure, per hop
 	waitHist    *sim.Histogram
 	respHist    *sim.Histogram
 	issued      uint64
 	completions uint64
 	grants      []uint64
 
-	// End-to-end flow statistics for requests issued here (station
-	// segments only): issue → fabric exit.
-	flowResp     sim.Tally
-	flowRespHist *sim.Histogram
-	flowDone     uint64
+	// flow collects the end-to-end statistics of the requests issued
+	// here. It is nil on transit segments, and on station segments whose
+	// flow ends here with no bridge feeding them: there every departure
+	// is one of the segment's own requests leaving the fabric, with
+	// enqueuedAt equal to issuedAt, so the hop collectors already are
+	// the flow's.
+	flow *flowStats
 }
 
-// Fabric is the simulated multi-segment system. Like bus.Network it is
-// not safe for concurrent use; all mutation happens inside engine
-// callbacks.
+// Fabric is the simulated multi-segment system. It is not safe for
+// concurrent use; all mutation happens inside engine callbacks.
 type Fabric struct {
-	cfg        Config
 	eng        *sim.Engine
-	rng        *sim.RNG
-	segs       []*segment
-	links      []*link
+	segs       []segment
 	statsStart float64
-	free       []*request // request pool
-	live       int        // requests issued and not yet exited
 
-	probe     Probe  // nil-by-default observability seam
 	stalls    uint64 // requests held at a full buffered-finite interface
 	crossings uint64 // requests handed through any bridge
 	blocks    uint64 // blocking-after-service events
@@ -424,24 +501,28 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{cfg: cfg, eng: eng, rng: rng}
+	f := &Fabric{eng: eng, segs: make([]segment, len(cfg.Segments))}
 	now := eng.Now()
-	f.segs = make([]*segment, len(cfg.Segments))
 	for k, sc := range cfg.Segments {
-		s := &segment{
+		s := &f.segs[k]
+		*s = segment{
 			idx:       k,
-			cfg:       sc,
+			name:      sc.Name,
+			stations:  sc.Stations,
+			mode:      sc.Mode,
+			bufferCap: sc.BufferCap,
 			fab:       f,
 			eng:       eng,
 			rng:       rng,
 			nBuses:    sc.buses(),
-			serving:   make([]*request, sc.buses()),
-			servStart: make([]float64, sc.buses()),
-			busUtil:   make([]sim.TimeWeighted, sc.buses()),
+			sources:   sc.Sources,
+			service:   sc.Service,
+			arbiter:   sc.Arbiter,
+			buses:     make([]busSlot, sc.buses()),
 		}
-		s.sources = sc.Sources
 		if s.sources == nil && sc.Stations > 0 {
-			// One stateless Poisson source serves every station.
+			// One stateless Poisson source serves every station with the
+			// same draw sequence as one instance each.
 			src, err := workload.Spec{}.NewSource(sc.ThinkRate)
 			if err != nil {
 				return nil, err
@@ -451,7 +532,6 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 				s.sources[i] = src
 			}
 		}
-		s.service = sc.Service
 		if s.service == nil {
 			d, err := servdist.Spec{}.NewDist(sc.ServiceRate)
 			if err != nil {
@@ -459,189 +539,186 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 			}
 			s.service = d
 		}
-		s.arbiter = sc.Arbiter
 		if s.arbiter == nil {
 			s.arbiter = bus.NewRoundRobin()
 		}
 		if cfg.Quantiles {
 			s.waitHist = new(sim.Histogram)
 			s.respHist = new(sim.Histogram)
-			if sc.Stations > 0 {
-				s.flowRespHist = new(sim.Histogram)
-			}
 		}
+		s.stationQ = make([]ring[float64], sc.Stations)
+		switch {
+		case sc.Mode == bus.Unbuffered:
+			// A blocked station never has more than one request queued.
+			carve(s.stationQ, 1)
+		case sc.BufferCap != Infinite:
+			carve(s.stationQ, sc.BufferCap)
+		}
+		s.stalled = make([]float64, sc.Stations)
 		s.issueFn = make([]func(), sc.Stations)
-		s.stalled = make([]*request, sc.Stations)
 		for i := range s.issueFn {
+			s.stalled[i] = math.NaN()
 			s.issueFn[i] = func() { s.issue(i) }
 		}
-		s.completeFn = make([]func(), s.nBuses)
-		for b := range s.completeFn {
-			s.completeFn[b] = func() { s.complete(b) }
-			s.busUtil[b].Set(0, now)
+		for b := range s.buses {
+			s.buses[b].complete = func() { s.complete(b) }
+			s.buses[b].util.Set(0, now)
 		}
 		s.util.Set(0, now)
 		s.blockedTW.Set(0, now)
 		s.qlen.Set(0, now)
-		f.segs[k] = s
 	}
 	// Wire claimant queues: local stations first, then inbound bridges
 	// in link order — the indexing sized arbiters are validated against.
-	f.links = make([]*link, len(cfg.Links))
+	links := make([]link, len(cfg.Links))
 	for i, lc := range cfg.Links {
-		f.links[i] = &link{cfg: lc, idx: i, from: f.segs[lc.From], to: f.segs[lc.To]}
+		links[i] = link{cfg: lc, idx: i, from: &f.segs[lc.From], to: &f.segs[lc.To]}
 	}
-	for k, s := range f.segs {
-		n := s.cfg.Stations
-		inbound := make([]*link, 0, 2)
-		for i, lc := range cfg.Links {
-			if lc.To == k {
-				f.links[i].claimant = n
-				inbound = append(inbound, f.links[i])
-				n++
+	for k := range f.segs {
+		s := &f.segs[k]
+		for i := range links {
+			if l := &links[i]; l.cfg.To == k {
+				l.claimant = s.stations + len(s.inbound)
+				s.inbound = append(s.inbound, l)
 			}
 		}
-		s.claimQ = make([]reqRing, n)
+		n := s.stations + len(s.inbound)
 		s.pending = make([]bool, n)
-		s.claimLink = make([]*link, n)
 		s.grants = make([]uint64, n)
-		for i := 0; i < s.cfg.Stations; i++ {
-			if s.cfg.Mode == bus.Buffered && s.cfg.BufferCap != Infinite {
-				s.claimQ[i].reserve(s.cfg.BufferCap)
-			}
-		}
-		for _, l := range inbound {
-			s.claimLink[l.claimant] = l
+		s.bridgeQ = make([]ring[request], len(s.inbound))
+		for i, l := range s.inbound {
 			if l.cfg.Depth != Infinite {
-				s.claimQ[l.claimant].reserve(l.cfg.Depth)
+				carve(s.bridgeQ[i:i+1], l.cfg.Depth)
 			}
 		}
-	}
-	// Precompute each station segment's path once; every request of the
-	// segment shares it.
-	linkAt := make(map[[2]int]*link, len(cfg.Links))
-	for _, l := range f.links {
-		linkAt[[2]int{l.cfg.From, l.cfg.To}] = l
-	}
-	for k, s := range f.segs {
-		if s.cfg.Stations == 0 {
+		if s.stations == 0 {
 			continue
 		}
-		p := &path{segs: make([]int, 1, 1+len(s.cfg.Route))}
-		p.segs[0] = k
+		// Precompute the segment's path once; every request of the
+		// segment shares it.
+		route := cfg.Segments[k].Route
+		p := &path{home: s}
 		prev := k
-		for _, hop := range s.cfg.Route {
-			p.links = append(p.links, linkAt[[2]int{prev, hop}])
-			p.segs = append(p.segs, hop)
+		for _, hop := range route {
+			p.links = append(p.links, &links[cfg.link(prev, hop)])
 			prev = hop
 		}
 		s.path = p
+		if len(route) > 0 || len(s.inbound) > 0 {
+			s.flow = new(flowStats)
+			if cfg.Quantiles {
+				s.flow.respHist = new(sim.Histogram)
+			}
+		}
 	}
 	f.statsStart = now
 	return f, nil
 }
 
 // Start schedules the first think completion for every station, in
-// segment order then station order — the same order bus.Network.Start
-// uses within one segment.
+// segment order then station order.
 func (f *Fabric) Start() {
-	for _, s := range f.segs {
-		for i := 0; i < s.cfg.Stations; i++ {
+	for k := range f.segs {
+		s := &f.segs[k]
+		for i := range s.stations {
 			s.scheduleThink(i)
 		}
 	}
 }
 
-// newRequest takes a pooled request for station i of segment s.
-func (f *Fabric) newRequest(s *segment, i int, now float64) *request {
-	var r *request
-	if n := len(f.free); n > 0 {
-		r = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		r = new(request)
-	}
-	r.path = s.path
-	r.local = i
-	r.hop = 0
-	r.issuedAt = now
-	r.enqueuedAt = now
-	f.live++
-	return r
-}
-
-// release returns an exited request to the pool.
-func (f *Fabric) release(r *request) {
-	r.path = nil
-	f.free = append(f.free, r)
-	f.live--
-}
-
 // Live returns the number of requests issued and not yet exited —
 // waiting, stalled, in service, or blocked anywhere in the fabric.
 // Exposed for conservation checks in tests.
-func (f *Fabric) Live() int { return f.live }
+func (f *Fabric) Live() int {
+	n := 0
+	for k := range f.segs {
+		n += f.segs[k].live
+	}
+	return n
+}
 
 func (s *segment) scheduleThink(i int) {
 	s.eng.Schedule(s.sources[i].Next(s.rng), s.issueFn[i])
 }
 
-// issue fires when station i of this segment finishes thinking —
-// the exact analog of bus.Network.issue.
+// issue fires when station i of this segment finishes thinking and
+// presents a request to its interface.
 func (s *segment) issue(i int) {
 	now := s.eng.Now()
 	s.issued++
-	switch s.cfg.Mode {
+	s.live++
+	switch s.mode {
 	case bus.Unbuffered:
 		// The station blocks: no further thinking is scheduled until its
 		// request exits the fabric.
-		s.enqueue(i, s.fab.newRequest(s, i, now))
+		s.enqueue(i, now, now)
 		s.tryDispatch()
 	case bus.Buffered:
-		if s.cfg.BufferCap == Infinite || s.claimQ[i].len() < s.cfg.BufferCap {
-			s.enqueue(i, s.fab.newRequest(s, i, now))
+		if s.bufferCap == Infinite || s.stationQ[i].len() < s.bufferCap {
+			s.enqueue(i, now, now)
 			s.scheduleThink(i)
 			s.tryDispatch()
 		} else {
 			// Interface full: the request is held at the station, which
-			// stalls until the segment drains a slot. issuedAt/enqueuedAt
-			// keep the stall time in its waiting time.
-			s.stalled[i] = s.fab.newRequest(s, i, now)
+			// stalls until the segment drains a slot. The original issue
+			// time is kept so its waiting time includes the stall.
+			s.stalled[i] = now
 			s.fab.stalls++
-			if p := s.fab.probe; p != nil {
+			if p := s.probe; p != nil {
 				p.HopStall(now, s.idx, i)
 			}
 		}
 	}
 }
 
-func (s *segment) enqueue(j int, r *request) {
-	s.claimQ[j].push(r)
+// enqueue queues station i's request issued at issuedAt.
+func (s *segment) enqueue(i int, issuedAt, now float64) {
+	s.stationQ[i].push(issuedAt)
+	s.arrive(i, now)
+}
+
+// arrive accounts for one request joining claimant j's queue.
+func (s *segment) arrive(j int, now float64) {
 	s.pending[j] = true
 	s.queued++
-	s.qlen.Set(float64(s.queued), s.eng.Now())
+	s.qlen.Set(float64(s.queued), now)
 }
 
 // freeBus returns the lowest-numbered idle bus; callers guarantee one
-// exists. Blocked buses are occupied, never returned.
+// exists. Blocked buses are occupied, never returned. The low-index
+// preference concentrates load on bus 0 — visible in the per-bus
+// utilizations — without affecting any aggregate.
 func (s *segment) freeBus() int {
-	for b, r := range s.serving {
-		if r == nil {
+	for b := range s.buses {
+		if s.buses[b].req.path == nil {
 			return b
 		}
 	}
 	panic("topo: freeBus called with every bus occupied")
 }
 
-// tryDispatch mirrors bus.Network.tryDispatch claimant for claimant;
-// the only additions are bridge claimants, whose pop frees a bridge
-// slot and therefore releases the oldest blocked upstream bus.
+// tryDispatch grants waiting requests to the arbiter's picks while any
+// bus is idle and any claimant has a waiting request. With one bus this
+// dispatches at most one request per call; with m buses it drains up to
+// m grants back to back at the same instant, each onto the lowest-
+// numbered free bus. A pop from a station queue admits that station's
+// stalled request; a pop from a bridge frees a bridge slot and
+// therefore releases the oldest blocked upstream bus.
 func (s *segment) tryDispatch() {
 	for s.busy < s.nBuses && s.queued > 0 {
 		now := s.eng.Now()
 		j := s.arbiter.Select(s.pending)
-		r := s.claimQ[j].pop()
-		s.pending[j] = s.claimQ[j].len() > 0
+		var r request
+		if j < s.stations {
+			q := &s.stationQ[j]
+			t := q.pop()
+			s.pending[j] = q.len() > 0
+			r = request{path: s.path, local: int32(j), issuedAt: t, enqueuedAt: t}
+		} else {
+			q := &s.bridgeQ[j-s.stations]
+			r = q.pop()
+			s.pending[j] = q.len() > 0
+		}
 		s.queued--
 		s.qlen.Set(float64(s.queued), now)
 		s.grants[j]++
@@ -650,127 +727,153 @@ func (s *segment) tryDispatch() {
 			s.waitHist.Add(now - r.enqueuedAt)
 		}
 
-		if l := s.claimLink[j]; l != nil {
-			// Popping freed a bridge slot; pull the oldest blocked
-			// upstream bus through it.
-			l.admitBlocked(now)
-		} else if st := s.stalled[j]; st != nil {
+		if j >= s.stations {
+			s.inbound[j-s.stations].admitBlocked(now)
+		} else if t := s.stalled[j]; !math.IsNaN(t) {
 			// Popping freed a slot at interface j; admit the stalled
 			// request and let the station think again.
-			s.stalled[j] = nil
-			s.enqueue(j, st)
+			s.stalled[j] = math.NaN()
+			s.enqueue(j, t, now)
 			s.scheduleThink(j)
 		}
 
 		b := s.freeBus()
-		s.serving[b] = r
-		s.servStart[b] = now
+		slot := &s.buses[b]
+		slot.req = r
+		slot.start = now
 		s.busy++
 		s.util.Set(float64(s.busy)/float64(s.nBuses), now)
-		s.busUtil[b].Set(1, now)
-		if p := s.fab.probe; p != nil {
+		slot.util.Set(1, now)
+		if p := s.probe; p != nil {
 			p.HopGrant(now, s.idx, j, b, now-r.enqueuedAt)
 		}
-		s.eng.Schedule(s.service.Sample(s.rng), s.completeFn[b])
+		s.eng.Schedule(s.service.Sample(s.rng), slot.complete)
 	}
 }
 
-// depart records the end of request r's visit to this segment on bus b
-// and frees the bus. It never draws from the RNG.
-func (s *segment) depart(b int, r *request, now float64) {
-	s.resp.Add(now - r.enqueuedAt)
+// depart records the end of a visit to this segment on bus b by a
+// request that joined its claimant queue at enqueuedAt, and frees the
+// bus — for a bus blocked after service; complete writes the same
+// steps out for every other visit. It never draws from the RNG.
+func (s *segment) depart(b int, enqueuedAt, now float64) {
+	s.resp.Add(now - enqueuedAt)
 	if s.respHist != nil {
-		s.respHist.Add(now - r.enqueuedAt)
+		s.respHist.Add(now - enqueuedAt)
 	}
 	s.completions++
-	s.serving[b] = nil
+	slot := &s.buses[b]
+	slot.req.path = nil // frees the bus; the stale fields are never read
 	s.busy--
 	s.util.Set(float64(s.busy)/float64(s.nBuses), now)
-	s.busUtil[b].Set(0, now)
-	if p := s.fab.probe; p != nil {
-		p.HopComplete(now, s.idx, b, now-s.servStart[b])
+	slot.util.Set(0, now)
+	if p := s.probe; p != nil {
+		p.HopComplete(now, s.idx, b, now-slot.start)
 	}
 }
 
 // complete fires when bus b of this segment finishes its transaction.
 func (s *segment) complete(b int) {
 	now := s.eng.Now()
-	r := s.serving[b]
-	if r.hop == len(r.path.segs)-1 {
-		// Final hop: the request exits the fabric. The update order —
-		// per-hop stats, free the bus, release the blocked station,
-		// dispatch — matches bus.Network.complete exactly, so a
-		// single-segment fabric replays its trajectory bit for bit.
-		s.depart(b, r, now)
-		home := s.fab.segs[r.path.segs[0]]
-		home.flowResp.Add(now - r.issuedAt)
-		if home.flowRespHist != nil {
-			home.flowRespHist.Add(now - r.issuedAt)
+	slot := &s.buses[b]
+	r := slot.req
+	var next *link
+	if int(r.hop) < len(r.path.links) {
+		if next = r.path.links[r.hop]; !next.hasSpace() {
+			// Blocking after service: the bridge is full, so the bus
+			// stays occupied holding the finished request. Its visit
+			// (and the hop response tally) ends only when admitBlocked
+			// pulls it through.
+			s.blocked++
+			s.blockedTW.Set(float64(s.blocked)/float64(s.nBuses), now)
+			s.fab.blocks++
+			if p := s.probe; p != nil {
+				p.BridgeBlock(now, next.idx, s.idx, b)
+			}
+			next.waiters = append(next.waiters, blockedEntry{seg: s, b: b, since: now})
+			return
 		}
-		home.flowDone++
-		if home.cfg.Mode == bus.Unbuffered {
-			home.scheduleThink(r.local)
+	}
+	// The visit ends now. This is depart written out: every flat event
+	// passes here, and the call alone measured about 2% of its cost.
+	s.resp.Add(now - r.enqueuedAt)
+	if s.respHist != nil {
+		s.respHist.Add(now - r.enqueuedAt)
+	}
+	s.completions++
+	slot.req.path = nil
+	s.busy--
+	s.util.Set(float64(s.busy)/float64(s.nBuses), now)
+	slot.util.Set(0, now)
+	if p := s.probe; p != nil {
+		p.HopComplete(now, s.idx, b, now-slot.start)
+	}
+	if next != nil {
+		next.advance(r, now)
+		next.to.tryDispatch()
+	} else {
+		// The request exits the fabric. The update order — per-hop
+		// stats, free the bus, release the blocked station, dispatch —
+		// is the single-bus model's, which the goldens pin.
+		home := r.path.home
+		if fl := home.flow; fl != nil {
+			fl.resp.Add(now - r.issuedAt)
+			if fl.respHist != nil {
+				fl.respHist.Add(now - r.issuedAt)
+			}
+			fl.done++
 		}
-		s.fab.release(r)
-		s.tryDispatch()
-		return
+		home.live--
+		if home.mode == bus.Unbuffered {
+			home.scheduleThink(int(r.local))
+		}
 	}
-	l := r.path.links[r.hop]
-	if l.hasSpace() {
-		s.depart(b, r, now)
-		l.advance(r, now)
-		l.to.tryDispatch()
-		s.tryDispatch()
-		return
-	}
-	// Blocking after service: the bridge is full, so the bus stays
-	// occupied holding the finished request. Its visit (and the hop
-	// response tally) ends only when admitBlocked pulls it through.
-	s.blocked++
-	s.blockedTW.Set(float64(s.blocked)/float64(s.nBuses), now)
-	s.fab.blocks++
-	if p := s.fab.probe; p != nil {
-		p.BridgeBlock(now, l.idx, s.idx, b)
-	}
-	l.waiters = append(l.waiters, blockedEntry{seg: s, b: b, since: now})
+	s.tryDispatch()
 }
 
 // ResetStats discards accumulated statistics on every segment and flow
 // and restarts collection at the current time, preserving fabric state
-// — the warmup-truncation hook, mirroring bus.Network.ResetStats.
+// — the warmup-truncation hook. The collectors keep their live values
+// (busy-bus fraction, per-bus indicators, current queue depth) and
+// restart integration at now, so the state carries across the
+// truncation point while its history is dropped.
 func (f *Fabric) ResetStats() {
 	now := f.eng.Now()
 	f.statsStart = now
-	for _, s := range f.segs {
+	for k := range f.segs {
+		s := &f.segs[k]
 		s.wait.Reset()
 		s.resp.Reset()
-		s.flowResp.Reset()
 		if s.waitHist != nil {
 			s.waitHist.Reset()
 			s.respHist.Reset()
 		}
-		if s.flowRespHist != nil {
-			s.flowRespHist.Reset()
+		if fl := s.flow; fl != nil {
+			fl.resp.Reset()
+			if fl.respHist != nil {
+				fl.respHist.Reset()
+			}
+			fl.done = 0
 		}
 		s.issued = 0
 		s.completions = 0
-		s.flowDone = 0
 		for i := range s.grants {
 			s.grants[i] = 0
 		}
 		s.util.ResetAt(now)
 		s.blockedTW.ResetAt(now)
-		for b := range s.busUtil {
-			s.busUtil[b].ResetAt(now)
+		for b := range s.buses {
+			s.buses[b].util.ResetAt(now)
 		}
 		s.qlen.ResetAt(now)
 	}
 }
 
-// SegmentMetrics summarizes one segment over the measured interval —
-// the same fields as bus.Metrics plus Blocked, the time-averaged
-// fraction of buses held by blocking-after-service (a subset of
-// Utilization: a blocked bus is occupied but doing no work).
+// SegmentMetrics summarizes one segment over the measured interval.
+// Utilization is the time-averaged fraction of occupied buses (the busy
+// indicator of the single bus when Buses is 1); BusUtilization breaks
+// it down per bus, so its mean equals Utilization. Blocked is the
+// time-averaged fraction of buses held by blocking-after-service (a
+// subset of Utilization: a blocked bus is occupied but doing no work).
 type SegmentMetrics struct {
 	Name           string    `json:"name"`
 	Utilization    float64   `json:"utilization"`
@@ -814,70 +917,92 @@ type Metrics struct {
 	Flows    []FlowMetrics    `json:"flows"`
 }
 
+// Elapsed returns the length of the measured interval so far.
+func (f *Fabric) Elapsed() float64 { return f.eng.Now() - f.statsStart }
+
+// SegmentSnapshot computes segment k's metrics as of the engine's
+// current time without disturbing the collectors — one entry of
+// Snapshot's Segments, for callers that read a single segment.
+func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
+	s := &f.segs[k]
+	now := f.eng.Now()
+	elapsed := f.Elapsed()
+	util := s.util
+	util.Finish(now)
+	blocked := s.blockedTW
+	blocked.Finish(now)
+	qlen := s.qlen
+	qlen.Finish(now)
+	perBus := make([]float64, s.nBuses)
+	for b := range perBus {
+		bu := s.buses[b].util
+		bu.Finish(now)
+		perBus[b] = bu.Average(elapsed)
+	}
+	var waitHist, respHist *sim.Histogram
+	if s.waitHist != nil {
+		wh := *s.waitHist
+		rh := *s.respHist
+		waitHist, respHist = &wh, &rh
+	}
+	m := SegmentMetrics{
+		Name:           s.name,
+		Utilization:    util.Average(elapsed),
+		Blocked:        blocked.Average(elapsed),
+		BusUtilization: perBus,
+		MeanQueueLen:   qlen.Average(elapsed),
+		MaxQueueLen:    qlen.Max(),
+		MeanWait:       s.wait.Mean(),
+		WaitStdDev:     s.wait.StdDev(),
+		MaxWait:        s.wait.Max(),
+		MeanResponse:   s.resp.Mean(),
+		Issued:         s.issued,
+		Completions:    s.completions,
+		Grants:         append([]uint64(nil), s.grants...),
+		WaitHist:       waitHist,
+		RespHist:       respHist,
+	}
+	if elapsed > 0 {
+		m.Throughput = float64(s.completions) / elapsed
+	}
+	return m
+}
+
 // Snapshot computes metrics as of the engine's current time without
 // disturbing the collectors, so the simulation can continue afterwards.
 func (f *Fabric) Snapshot() Metrics {
-	now := f.eng.Now()
-	elapsed := now - f.statsStart
 	m := Metrics{
-		Elapsed:  elapsed,
+		Elapsed:  f.Elapsed(),
 		Segments: make([]SegmentMetrics, len(f.segs)),
 	}
-	for k, s := range f.segs {
-		util := s.util
-		util.Finish(now)
-		blocked := s.blockedTW
-		blocked.Finish(now)
-		qlen := s.qlen
-		qlen.Finish(now)
-		perBus := make([]float64, s.nBuses)
-		for b := range perBus {
-			bu := s.busUtil[b]
-			bu.Finish(now)
-			perBus[b] = bu.Average(elapsed)
-		}
-		var waitHist, respHist *sim.Histogram
-		if s.waitHist != nil {
-			wh := *s.waitHist
-			rh := *s.respHist
-			waitHist, respHist = &wh, &rh
-		}
-		sm := SegmentMetrics{
-			Name:           s.cfg.Name,
-			Utilization:    util.Average(elapsed),
-			Blocked:        blocked.Average(elapsed),
-			BusUtilization: perBus,
-			MeanQueueLen:   qlen.Average(elapsed),
-			MaxQueueLen:    qlen.Max(),
-			MeanWait:       s.wait.Mean(),
-			WaitStdDev:     s.wait.StdDev(),
-			MaxWait:        s.wait.Max(),
-			MeanResponse:   s.resp.Mean(),
-			Issued:         s.issued,
-			Completions:    s.completions,
-			Grants:         append([]uint64(nil), s.grants...),
-			WaitHist:       waitHist,
-			RespHist:       respHist,
-		}
-		if elapsed > 0 {
-			sm.Throughput = float64(s.completions) / elapsed
-		}
+	for k := range f.segs {
+		s := &f.segs[k]
+		sm := f.SegmentSnapshot(k)
 		m.Segments[k] = sm
-		if s.cfg.Stations > 0 {
-			var flowHist *sim.Histogram
-			if s.flowRespHist != nil {
-				fh := *s.flowRespHist
-				flowHist = &fh
-			}
-			m.Flows = append(m.Flows, FlowMetrics{
-				Segment:        s.cfg.Name,
-				Completed:      s.flowDone,
-				MeanResponse:   s.flowResp.Mean(),
-				ResponseStdDev: s.flowResp.StdDev(),
-				MaxResponse:    s.flowResp.Max(),
-				RespHist:       flowHist,
-			})
+		if s.stations == 0 {
+			continue
 		}
+		// Without a flow of its own, the hop collectors are the flow's.
+		flow := FlowMetrics{
+			Segment:        s.name,
+			Completed:      s.completions,
+			MeanResponse:   s.resp.Mean(),
+			ResponseStdDev: s.resp.StdDev(),
+			MaxResponse:    s.resp.Max(),
+			RespHist:       sm.RespHist,
+		}
+		if fl := s.flow; fl != nil {
+			flow.Completed = fl.done
+			flow.MeanResponse = fl.resp.Mean()
+			flow.ResponseStdDev = fl.resp.StdDev()
+			flow.MaxResponse = fl.resp.Max()
+			flow.RespHist = nil
+			if fl.respHist != nil {
+				fh := *fl.respHist
+				flow.RespHist = &fh
+			}
+		}
+		m.Flows = append(m.Flows, flow)
 	}
 	return m
 }
@@ -887,27 +1012,38 @@ func (f *Fabric) Snapshot() Metrics {
 // stalled, crossing any bridge on its route, in service, or blocked.
 // Exposed for invariant checks in tests.
 func (f *Fabric) Outstanding(k, i int) int {
-	home := f.segs[k]
-	c := home.claimQ[i].len()
-	if home.stalled[i] != nil {
+	home := &f.segs[k]
+	c := home.stationQ[i].len()
+	if !math.IsNaN(home.stalled[i]) {
 		c++
 	}
-	for h, hop := range home.path.segs {
-		t := f.segs[hop]
-		for _, r := range t.serving {
-			if r != nil && r.path == home.path && r.local == i {
+	mine := func(r request) bool { return r.path == home.path && int(r.local) == i }
+	for _, slot := range home.buses {
+		if mine(slot.req) {
+			c++
+		}
+	}
+	for _, l := range home.path.links {
+		for _, slot := range l.to.buses {
+			if mine(slot.req) {
 				c++
 			}
 		}
-		if h > 0 {
-			l := home.path.links[h-1]
-			q := &l.to.claimQ[l.claimant]
-			for n := 0; n < q.len(); n++ {
-				if r := q.at(n); r.path == home.path && r.local == i {
-					c++
-				}
+		q := l.queue()
+		for n := range q.len() {
+			if mine(q.at(n)) {
+				c++
 			}
 		}
 	}
 	return c
 }
+
+// Queued returns the number of requests waiting at station i's
+// interface on segment k, excluding a stalled one. Exposed for
+// invariant checks in tests.
+func (f *Fabric) Queued(k, i int) int { return f.segs[k].stationQ[i].len() }
+
+// Busy returns the number of occupied buses of segment k — serving or
+// blocked after service. Exposed for invariant checks in tests.
+func (f *Fabric) Busy(k int) int { return f.segs[k].busy }

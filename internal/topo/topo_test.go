@@ -25,99 +25,129 @@ func run(t *testing.T, cfg Config, seed int64, horizon float64) (Metrics, *Fabri
 	return f.Snapshot(), f
 }
 
-// A single-segment fabric must replay bus.Network's trajectory bit for
-// bit: same draws, same event order, same statistics. This is the
-// internal twin of the public 1-node golden test.
+// A single-segment fabric is the paper's single-bus model, and it must
+// replay the trajectory of bus.Network, the flat engine it replaced, bit
+// for bit: same draws, same event order, same statistics. The want
+// values are that engine's outputs for these five configs (6 stations,
+// λ = 0.2, μ = 1, seed 7, horizon 2000, no warmup), recorded at full
+// float64 precision before it was deleted — the internal twin of the
+// public goldens in pkg/busnet.
 func TestSingleSegmentMatchesBusNetwork(t *testing.T) {
+	type want struct {
+		util, meanQ, maxQ, meanWait, waitSD, maxWait, meanResp, thr float64
+		issued, completions, waitHist, respHist, events             uint64
+		grants                                                      []uint64
+		busUtil                                                     []float64
+	}
 	cases := []struct {
 		name string
 		mode bus.Mode
 		cap  int
 		m    int
+		want want
 	}{
-		{"unbuffered", bus.Unbuffered, 0, 1},
-		{"buffered-finite", bus.Buffered, 3, 1},
-		{"buffered-infinite", bus.Buffered, Infinite, 1},
-		{"multibus-unbuffered", bus.Unbuffered, 0, 3},
-		{"multibus-buffered", bus.Buffered, 2, 2},
+		{"unbuffered", bus.Unbuffered, 0, 1, want{
+			util: 0.8132683917754715, meanQ: 1.1680071563564847, maxQ: 5,
+			meanWait: 1.4509405669024633, waitSD: 1.893648780855731, maxWait: 11.724344108792707,
+			meanResp: 2.461205426483079, thr: 0.8045,
+			issued: 1610, completions: 1609, waitHist: 1610, respHist: 1609, events: 3219,
+			grants:  []uint64{263, 272, 273, 261, 272, 269},
+			busUtil: []float64{0.8132683917754715},
+		}},
+		{"buffered-finite", bus.Buffered, 3, 1, want{
+			util: 0.9781634144505621, meanQ: 10.777907558614647, maxQ: 18,
+			meanWait: 11.887316209948459, waitSD: 8.077073163340982, maxWait: 34.63608245699055,
+			meanResp: 12.876974453044964, thr: 0.9915,
+			issued: 1990, completions: 1983, waitHist: 1984, respHist: 1983, events: 3973,
+			grants:  []uint64{323, 337, 331, 350, 322, 321},
+			busUtil: []float64{0.9781634144505621},
+		}},
+		{"buffered-infinite", bus.Buffered, Infinite, 1, want{
+			util: 0.9965473766059257, meanQ: 189.5219623607594, maxQ: 393,
+			meanWait: 156.86822724039644, waitSD: 90.56324326686756, maxWait: 373.3481853496435,
+			meanResp: 157.79155846074468, thr: 1.0005,
+			issued: 2394, completions: 2001, waitHist: 2002, respHist: 2001, events: 4395,
+			grants:  []uint64{333, 336, 340, 332, 333, 328},
+			busUtil: []float64{0.9965473766059257},
+		}},
+		{"multibus-unbuffered", bus.Unbuffered, 0, 3, want{
+			util: 0.3401810382849016, meanQ: 0.015473591781409812, maxQ: 3,
+			meanWait: 0.015275016566051153, waitSD: 0.10101806100268858, maxWait: 1.6079428977881491,
+			meanResp: 1.0227213293545054, thr: 1.013,
+			issued: 2026, completions: 2026, waitHist: 2026, respHist: 2026, events: 4052,
+			grants:  []uint64{342, 317, 347, 356, 338, 326},
+			busUtil: []float64{0.5282764486010892, 0.3510630981179934, 0.14120356813562185},
+		}},
+		{"multibus-buffered", bus.Buffered, 2, 2, want{
+			util: 0.5837168754105982, meanQ: 0.5378390049283653, maxQ: 8,
+			meanWait: 0.46647928444260217, waitSD: 0.9842035433123729, maxWait: 9.162952775340841,
+			meanResp: 1.4549260325471634, thr: 1.181,
+			issued: 2364, completions: 2362, waitHist: 2364, respHist: 2362, events: 4726,
+			grants:  []uint64{428, 405, 379, 381, 375, 396},
+			busUtil: []float64{0.661283951716264, 0.5061497991049325},
+		}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			const (
-				seed    = 7
-				horizon = 2000.0
-				n       = 6
-				lambda  = 0.2
-				mu      = 1.0
-			)
-			busEng := sim.NewEngine()
-			busNet, err := bus.New(bus.Config{
-				Processors: n, Buses: tt.m, ThinkRate: lambda, ServiceRate: mu,
-				Mode: tt.mode, BufferCap: tt.cap, Arbiter: bus.NewRoundRobin(),
+			eng := sim.NewEngine()
+			f, err := New(Config{
+				Segments: []SegmentConfig{{
+					Name: "bus", Buses: tt.m, ServiceRate: 1,
+					Stations: 6, ThinkRate: 0.2, Mode: tt.mode, BufferCap: tt.cap,
+				}},
 				Quantiles: true,
-			}, busEng, sim.NewRNGStream(seed, 0))
+			}, eng, sim.NewRNGStream(7, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			busNet.Start()
-			if err := busEng.RunUntil(horizon); err != nil {
+			f.Start()
+			if err := eng.RunUntil(2000); err != nil {
 				t.Fatal(err)
 			}
-			want := busNet.Snapshot()
-
-			got, _ := run(t, Config{
-				Segments: []SegmentConfig{{
-					Name: "bus", Buses: tt.m, ServiceRate: mu,
-					Stations: n, ThinkRate: lambda, Mode: tt.mode, BufferCap: tt.cap,
-				}},
-				Quantiles: true,
-			}, seed, horizon)
-
+			got := f.Snapshot()
 			if len(got.Segments) != 1 {
 				t.Fatalf("got %d segments", len(got.Segments))
 			}
-			s := got.Segments[0]
-			if busEng.Processed() == 0 {
-				t.Fatal("no events")
-			}
+			s, w := got.Segments[0], tt.want
 			pairs := []struct {
 				name       string
 				gotV, want float64
 			}{
-				{"utilization", s.Utilization, want.Utilization},
-				{"mean_queue_len", s.MeanQueueLen, want.MeanQueueLen},
-				{"max_queue_len", s.MaxQueueLen, want.MaxQueueLen},
-				{"mean_wait", s.MeanWait, want.MeanWait},
-				{"wait_std_dev", s.WaitStdDev, want.WaitStdDev},
-				{"max_wait", s.MaxWait, want.MaxWait},
-				{"mean_response", s.MeanResponse, want.MeanResponse},
-				{"throughput", s.Throughput, want.Throughput},
-				{"issued", float64(s.Issued), float64(want.Issued)},
-				{"completions", float64(s.Completions), float64(want.Completions)},
+				{"utilization", s.Utilization, w.util},
+				{"mean_queue_len", s.MeanQueueLen, w.meanQ},
+				{"max_queue_len", s.MaxQueueLen, w.maxQ},
+				{"mean_wait", s.MeanWait, w.meanWait},
+				{"wait_std_dev", s.WaitStdDev, w.waitSD},
+				{"max_wait", s.MaxWait, w.maxWait},
+				{"mean_response", s.MeanResponse, w.meanResp},
+				{"throughput", s.Throughput, w.thr},
 			}
 			for _, p := range pairs {
 				if p.gotV != p.want {
 					t.Errorf("%s = %v, want %v (bit-exact)", p.name, p.gotV, p.want)
 				}
 			}
-			if !reflect.DeepEqual(s.Grants, want.Grants) {
-				t.Errorf("grants = %v, want %v", s.Grants, want.Grants)
+			if s.Issued != w.issued || s.Completions != w.completions {
+				t.Errorf("issued, completions = %d, %d, want %d, %d", s.Issued, s.Completions, w.issued, w.completions)
 			}
-			if !reflect.DeepEqual(s.BusUtilization, want.BusUtilization) {
-				t.Errorf("bus utilization = %v, want %v", s.BusUtilization, want.BusUtilization)
+			if ev := eng.Processed(); ev != w.events {
+				t.Errorf("events = %d, want %d", ev, w.events)
+			}
+			if !reflect.DeepEqual(s.Grants, w.grants) {
+				t.Errorf("grants = %v, want %v", s.Grants, w.grants)
+			}
+			if !reflect.DeepEqual(s.BusUtilization, w.busUtil) {
+				t.Errorf("bus utilization = %v, want %v", s.BusUtilization, w.busUtil)
+			}
+			if s.WaitHist.Count() != w.waitHist || s.RespHist.Count() != w.respHist {
+				t.Errorf("histogram counts = %d, %d, want %d, %d", s.WaitHist.Count(), s.RespHist.Count(), w.waitHist, w.respHist)
 			}
 			if s.Blocked != 0 {
 				t.Errorf("single segment reported blocked = %v", s.Blocked)
 			}
 			// End-to-end response of a 1-hop fabric is the hop response.
-			if len(got.Flows) != 1 || got.Flows[0].MeanResponse != want.MeanResponse {
-				t.Errorf("flow mean response = %+v, want %v", got.Flows, want.MeanResponse)
-			}
-			if got.Flows[0].Completed != want.Completions {
-				t.Errorf("flow completed = %d, want %d", got.Flows[0].Completed, want.Completions)
-			}
-			if s.WaitHist == nil || s.WaitHist.Count() != want.WaitHist.Count() {
-				t.Errorf("wait histogram count mismatch")
+			if len(got.Flows) != 1 || got.Flows[0].MeanResponse != w.meanResp || got.Flows[0].Completed != w.completions {
+				t.Errorf("flow = %+v, want mean response %v over %d", got.Flows, w.meanResp, w.completions)
 			}
 		})
 	}

@@ -8,7 +8,8 @@ import (
 
 // BenchmarkSourceNext measures one inter-arrival draw per shape — the
 // per-request cost the workload subsystem adds to the think-scheduling
-// hot path. BENCH_workload.json records the numbers per machine.
+// hot path. The benchmark in bench/ reports the same draw per fired
+// event as sim.variate (bench/README.md).
 func BenchmarkSourceNext(b *testing.B) {
 	benches := []struct {
 		name string

@@ -151,16 +151,26 @@ const MaxSimProcessors = 10_000_000
 // taken literally (empty Mode/Arbiter strings normalize to the
 // defaults).
 func FromConfig(cfg Config) (*Network, error) {
-	cfg = cfg.normalized()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.resolved()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Processors > MaxSimProcessors {
-		return nil, fmt.Errorf(
-			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (FluidPredict, sweep Backend %q) for large-N curves",
-			cfg.Processors, MaxSimProcessors, BackendFluid)
-	}
 	return &Network{cfg: cfg}, nil
+}
+
+// resolved is FromConfig's check: the normalized config if it is valid
+// and within the discrete-event backend's station bound.
+func (c Config) resolved() (Config, error) {
+	c = c.normalized()
+	if err := c.Validate(); err != nil {
+		return Config{}, err
+	}
+	if c.Processors > MaxSimProcessors {
+		return Config{}, fmt.Errorf(
+			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (FluidPredict, sweep Backend %q) for large-N curves",
+			c.Processors, MaxSimProcessors, BackendFluid)
+	}
+	return c, nil
 }
 
 // Config returns the resolved configuration.

@@ -372,91 +372,33 @@ func (c Config) Validate() error {
 	if err := c.Traffic.Validate(c.ThinkRate); err != nil {
 		return err
 	}
-	// Domain-level constraints (processor count, rates, buffer capacity)
-	// are validated by bus.Config so the two layers cannot drift apart;
-	// the service spec is checked after it so a bad ServiceRate keeps its
-	// established domain-level error message.
-	if err := c.busConfig().Validate(); err != nil {
-		return err
+	if c.Processors < 1 {
+		return fmt.Errorf("busnet: processors = %d, need ≥ 1", c.Processors)
+	}
+	// Segment-level constraints (bus count, rates, buffer capacity) are
+	// the simulator's own checks, so the two layers cannot drift apart;
+	// the service spec is checked after them so a bad ServiceRate keeps
+	// the simulator's error message.
+	if err := c.node().segment(c.Processors).Validate(); err != nil {
+		return fmt.Errorf("busnet: %w", err)
 	}
 	return c.Service.Validate(c.ServiceRate)
 }
 
-// busConfig lowers the public value type to the domain model's config,
-// building fresh per-processor sources and a fresh arbiter — both carry
-// run state, so every Run gets its own. Unknown mode/arbiter/traffic
-// strings lower to the defaults; Validate rejects them first on every
-// construction path.
-func (c Config) busConfig() bus.Config {
-	mode, _ := parseMode(c.Mode)
-	kind, _ := ParseArbiter(c.Arbiter)
-	bc := bus.Config{
-		Processors:  c.Processors,
+// node is the config's one node: the flat model is a fabric of this
+// single segment, named "bus", with no bridges.
+func (c Config) node() Node {
+	return Node{
+		Name:        "bus",
 		Buses:       c.Buses,
-		ThinkRate:   c.ThinkRate,
 		ServiceRate: c.ServiceRate,
-		Mode:        mode,
+		Service:     c.Service,
+		Arbiter:     c.Arbiter,
+		Weights:     c.Weights,
+		Processors:  c.Processors,
+		ThinkRate:   c.ThinkRate,
+		Traffic:     c.Traffic,
+		Mode:        c.Mode,
 		BufferCap:   c.BufferCap,
-		Sources:     c.sources(),
-		Service:     c.serviceDist(),
-		Quantiles:   c.Quantiles,
 	}
-	switch kind {
-	case FixedPriority:
-		bc.Arbiter = bus.NewFixedPriority()
-	case WeightedRoundRobin:
-		ws, _ := ParseWeights(c.Weights)
-		if ws == nil {
-			ws = make([]int, max(c.Processors, 0))
-			for i := range ws {
-				ws[i] = 1
-			}
-		}
-		if wrr, err := bus.NewWeightedRoundRobin(ws); err == nil {
-			bc.Arbiter = wrr
-		} else {
-			bc.Arbiter = bus.NewRoundRobin()
-		}
-	default:
-		bc.Arbiter = bus.NewRoundRobin()
-	}
-	return bc
-}
-
-// sources builds one fresh traffic source per processor from the
-// Traffic spec, or nil — bus's built-in Poisson default with the
-// pre-subsystem draw sequence — when the spec is (or normalizes to)
-// plain Poisson. Invalid specs also lower to nil; Validate rejects them
-// first on every construction path.
-func (c Config) sources() []workload.Source {
-	spec := c.Traffic.Normalized()
-	if spec == PoissonTraffic() || c.Processors < 1 {
-		return nil
-	}
-	srcs := make([]workload.Source, c.Processors)
-	for i := range srcs {
-		src, err := spec.NewSource(c.ThinkRate)
-		if err != nil {
-			return nil
-		}
-		srcs[i] = src
-	}
-	return srcs
-}
-
-// serviceDist lowers the Service spec to a servdist.Dist, or nil —
-// bus's built-in exponential default with the pre-subsystem draw
-// sequence — when the spec is (or normalizes to) plain exponential.
-// Invalid specs also lower to nil; Validate rejects them first on every
-// construction path.
-func (c Config) serviceDist() servdist.Dist {
-	spec := c.Service.Normalized()
-	if spec == ExponentialService() {
-		return nil
-	}
-	d, err := spec.NewDist(c.ServiceRate)
-	if err != nil {
-		return nil
-	}
-	return d
 }

@@ -66,54 +66,38 @@ func (d *Diagnostics) Accumulate(o Diagnostics) {
 }
 
 // EvaluateTraced is Evaluate with a flight recorder attached to the
-// simulation's probe seams, capturing engine, arbitration, and (for
-// completeness of the shared recorder type) bridge events. rec may be
-// nil, in which case it behaves exactly like Evaluate. Tracing is a
-// simulation-level facility: a non-nil recorder with an analytic or
-// fluid backend is refused rather than silently ignored.
+// simulation's probe seams, capturing engine and fabric (arbitration,
+// and on topologies bridge) events. rec may be nil, in which case it
+// behaves exactly like Evaluate. Tracing is a simulation-level facility:
+// a non-nil recorder with an analytic or fluid backend is refused rather
+// than silently ignored.
 func EvaluateTraced(cfg Config, backend Backend, rec *FlightRecorder) (Evaluation, error) {
-	b, err := ParseBackend(string(backend))
+	b, err := parseTracedBackend(backend, rec)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	if rec != nil && b != BackendSim {
-		return Evaluation{}, fmt.Errorf("busnet: tracing needs the %q backend, not %q — closed-form backends fire no events", BackendSim, b)
-	}
-	if rec == nil {
-		return Evaluate(cfg, backend)
-	}
-	res, err := runSim(cfg, rec)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	return Evaluation{
-		Backend:      b,
-		Utilization:  res.Utilization,
-		Throughput:   res.Throughput,
-		MeanWait:     res.MeanWait,
-		MeanResponse: res.MeanResponse,
-		MeanQueueLen: res.MeanQueueLen,
-		Results:      &res,
-		Diagnostics:  res.Diagnostics,
-	}, nil
+	return evaluate(cfg, b, rec)
 }
 
 // EvaluateTopologyTraced is EvaluateTopology with a flight recorder
 // attached; see EvaluateTraced for the recorder contract.
 func EvaluateTopologyTraced(t Topology, backend Backend, rec *FlightRecorder) (TopologyEvaluation, error) {
+	b, err := parseTracedBackend(backend, rec)
+	if err != nil {
+		return TopologyEvaluation{}, err
+	}
+	return evaluateTopology(t, b, rec)
+}
+
+// parseTracedBackend resolves backend and refuses a non-nil recorder on
+// a backend that fires no events.
+func parseTracedBackend(backend Backend, rec *FlightRecorder) (Backend, error) {
 	b, err := ParseBackend(string(backend))
 	if err != nil {
-		return TopologyEvaluation{}, err
+		return "", err
 	}
 	if rec != nil && b != BackendSim {
-		return TopologyEvaluation{}, fmt.Errorf("busnet: tracing needs the %q backend, not %q — closed-form backends fire no events", BackendSim, b)
+		return "", fmt.Errorf("busnet: tracing needs the %q backend, not %q — closed-form backends fire no events", BackendSim, b)
 	}
-	if rec == nil {
-		return EvaluateTopology(t, backend)
-	}
-	res, err := runTopologySim(t, rec)
-	if err != nil {
-		return TopologyEvaluation{}, err
-	}
-	return topologyEvaluationFrom(b, res), nil
+	return b, nil
 }

@@ -1,9 +1,9 @@
 package busnet
 
 import (
-	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/obs"
 	"github.com/busnet/busnet/internal/sim"
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // Evaluation is the backend-independent answer to "what does this
@@ -59,6 +59,13 @@ func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 	if err != nil {
 		return Evaluation{}, err
 	}
+	return evaluate(cfg, b, nil)
+}
+
+// evaluate runs cfg on the resolved backend b. A non-nil rec, which
+// callers pass only with BackendSim, is attached to the simulation's
+// probe seams.
+func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 	switch b {
 	case BackendAnalytic:
 		p, err := predict(cfg)
@@ -89,7 +96,7 @@ func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 			Fluid:        &p,
 		}, nil
 	default:
-		res, err := runSim(cfg, nil)
+		res, err := runSim(cfg, rec)
 		if err != nil {
 			return Evaluation{}, err
 		}
@@ -106,53 +113,29 @@ func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 	}
 }
 
-// runSim is the discrete-event backend: build fresh engine + model,
-// warm up, measure over [warmup, horizon]. Deterministic in
-// (Config, Seed, Stream); every field of Results covers the measured
-// interval only, except Diagnostics, which covers the whole run. A
-// non-nil rec is attached to the engine's and model's probe seams;
-// attachment never changes the trajectory or the counters.
+// runSim is the discrete-event backend for a flat config: simulate runs
+// the config's one-segment fabric (Config.node), and Results are read
+// off segment 0. Deterministic in (Config, Seed, Stream); every field of
+// Results covers the measured interval only, except Diagnostics, which
+// covers the whole run.
 func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
-	n, err := FromConfig(cfg)
+	cfg, err := cfg.resolved()
 	if err != nil {
 		return Results{}, err
 	}
-	cfg = n.cfg
-	eng := sim.NewEngine()
-	rng := sim.NewRNGStream(cfg.Seed, cfg.Stream)
-	model, err := bus.New(cfg.busConfig(), eng, rng)
+	fabric := topo.Config{
+		Segments:  []topo.SegmentConfig{cfg.node().segment(cfg.Processors)},
+		Quantiles: cfg.Quantiles,
+	}
+	run, err := simulate(fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
 	if err != nil {
 		return Results{}, err
 	}
-	if rec != nil {
-		eng.SetProbe(rec)
-		model.SetProbe(rec)
-	}
-	model.Start()
-	var warmupEvents uint64
-	if cfg.Warmup > 0 {
-		if err := eng.RunUntil(cfg.Warmup); err != nil {
-			return Results{}, err
-		}
-		model.ResetStats()
-		// Truncate the event count with the rest of the statistics so
-		// every Results field covers the same measured interval.
-		warmupEvents = eng.Processed()
-	}
-	if err := eng.RunUntil(cfg.Horizon); err != nil {
-		return Results{}, err
-	}
-	m := model.Snapshot()
-	mc := model.Counters()
-	diag := &Diagnostics{
-		Engine:       eng.Counters(),
-		Stalls:       mc.Stalls,
-		ArbScanSlots: mc.ArbScanSlots,
-	}
+	m := run.fabric.SegmentSnapshot(0)
 	return Results{
 		Config:            cfg,
-		MeasuredTime:      m.Elapsed,
-		Events:            eng.Processed() - warmupEvents,
+		MeasuredTime:      run.fabric.Elapsed(),
+		Events:            run.events,
 		Issued:            m.Issued,
 		Completions:       m.Completions,
 		Throughput:        m.Throughput,
@@ -169,6 +152,57 @@ func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
 		WaitHistogram:     m.WaitHist,
 		ResponseHistogram: m.RespHist,
 		Grants:            m.Grants,
-		Diagnostics:       diag,
+		Diagnostics:       run.diag,
+	}, nil
+}
+
+// simRun is one finished simulation: the fabric at the horizon, the
+// events fired after warmup, and the whole run's counters.
+type simRun struct {
+	fabric *topo.Fabric
+	events uint64
+	diag   *Diagnostics
+}
+
+// simulate is the one discrete-event runner behind every BackendSim
+// evaluation, flat or topology: a fresh engine and RNG substream, the
+// fabric cfg describes, statistics reset at warmup, and a run to the
+// horizon. A non-nil rec is attached to the engine's and fabric's probe
+// seams; attachment never changes the trajectory or the counters.
+func simulate(cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
+	eng := sim.NewEngine()
+	fab, err := topo.New(cfg, eng, sim.NewRNGStream(seed, stream))
+	if err != nil {
+		return simRun{}, err
+	}
+	if rec != nil {
+		eng.SetProbe(rec)
+		fab.SetProbe(rec)
+	}
+	fab.Start()
+	var warmupEvents uint64
+	if warmup > 0 {
+		if err := eng.RunUntil(warmup); err != nil {
+			return simRun{}, err
+		}
+		fab.ResetStats()
+		// Truncate the event count with the rest of the statistics so
+		// every measured field covers the same interval.
+		warmupEvents = eng.Processed()
+	}
+	if err := eng.RunUntil(horizon); err != nil {
+		return simRun{}, err
+	}
+	fc := fab.Counters()
+	return simRun{
+		fabric: fab,
+		events: eng.Processed() - warmupEvents,
+		diag: &Diagnostics{
+			Engine:          eng.Counters(),
+			Stalls:          fc.Stalls,
+			ArbScanSlots:    fc.ArbScanSlots,
+			BridgeCrossings: fc.BridgeCrossings,
+			BridgeBlocks:    fc.BridgeBlocks,
+		},
 	}, nil
 }

@@ -12,7 +12,8 @@ import (
 // unbuffered curve over N with 4 replications per point — at increasing
 // worker counts. Jobs are independent simulations with no shared state,
 // so speedup should stay near-linear until the pool exhausts the
-// hardware; BENCH_sweep.json records the numbers per machine.
+// hardware. The repo's timed record is bench/ (bench/README.md) and
+// docs/perf.md.
 func BenchmarkSweepParallel(b *testing.B) {
 	base := busnet.DefaultConfig().AtHorizon(20_000)
 	base.Seed = 42
@@ -105,8 +106,8 @@ func BenchmarkSweepCached(b *testing.B) {
 // 6-point mean-preserving MMPP2 burstiness curve at N=16 with 2
 // replications per point. Against BenchmarkSweepParallel this isolates
 // the cost the workload subsystem adds per event (modulated sources
-// draw 2–3 variates per request instead of 1); BENCH_workload.json
-// records the numbers per machine.
+// draw 2–3 variates per request instead of 1); BENCH_baseline.txt
+// gates it alongside the other sweeps.
 func BenchmarkBurstySweep(b *testing.B) {
 	base := busnet.DefaultConfig().AtHorizon(20_000)
 	base.Seed = 42

@@ -19,13 +19,13 @@ type Key struct {
 	Stream     uint64
 }
 
-// KeyFor derives a job's cache key from the exact config the simulator
-// would evaluate (Stream already carrying any replication offset). It
-// errors only when the config does not marshal — unknown kind names,
-// which Validate rejects on every execution path first.
-// KeyFor defines a job's key: a sweep hashes each point once and builds
-// its replications' keys from that hash, and those keys equal KeyFor of
-// each job's config (see Jobs).
+// KeyFor defines a job's cache key: the hash of the exact config the
+// simulator would evaluate, plus its seed and stream (Stream already
+// carrying any replication offset). A sweep hashes each point once and
+// builds its replications' keys from that hash; those keys equal KeyFor
+// of each job's config (see Jobs). It errors only when the config does
+// not marshal — unknown kind names, which Validate rejects on every
+// execution path first.
 func KeyFor(cfg busnet.Config) (Key, error) {
 	k := Key{Seed: cfg.Seed, Stream: cfg.Stream}
 	cfg.Seed, cfg.Stream = 0, 0

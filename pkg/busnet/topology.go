@@ -7,7 +7,6 @@ import (
 	"github.com/busnet/busnet/internal/analytic"
 	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/obs"
-	"github.com/busnet/busnet/internal/sim"
 	"github.com/busnet/busnet/internal/topo"
 	"github.com/busnet/busnet/internal/workload"
 )
@@ -81,25 +80,13 @@ type Topology struct {
 }
 
 // Topology lifts the flat config into its one-node topology: a single
-// segment named "bus" with no bridges. Evaluating it with BackendSim
-// replays the flat simulation bit for bit — same seed, same event
-// trajectory, same statistics — which the golden tests pin.
+// segment named "bus" with no bridges. The flat simulation is exactly
+// this one-segment fabric, so evaluating the lift with BackendSim gives
+// the flat run's trajectory and statistics to the last bit.
 func (c Config) Topology() Topology {
 	c = c.normalized()
 	return Topology{
-		Nodes: []Node{{
-			Name:        "bus",
-			Buses:       c.Buses,
-			ServiceRate: c.ServiceRate,
-			Service:     c.Service,
-			Arbiter:     c.Arbiter,
-			Weights:     c.Weights,
-			Processors:  c.Processors,
-			ThinkRate:   c.ThinkRate,
-			Traffic:     c.Traffic,
-			Mode:        c.Mode,
-			BufferCap:   c.BufferCap,
-		}},
+		Nodes:     []Node{c.node()},
 		Seed:      c.Seed,
 		Stream:    c.Stream,
 		Horizon:   c.Horizon,
@@ -269,50 +256,13 @@ func (t Topology) topoConfig() (topo.Config, error) {
 		cfg.Links[i] = topo.LinkConfig{From: from, To: to, Depth: l.Buffer}
 	}
 	for k, n := range t.Nodes {
-		mode, _ := parseMode(n.Mode)
-		sc := topo.SegmentConfig{
-			Name:        n.Name,
-			Buses:       n.Buses,
-			ServiceRate: n.ServiceRate,
-			Stations:    n.Processors,
-			ThinkRate:   n.ThinkRate,
-			Mode:        mode,
-			BufferCap:   n.BufferCap,
-		}
-		if spec := n.Traffic.Normalized(); n.Processors > 0 && spec != PoissonTraffic() {
-			srcs := make([]workload.Source, n.Processors)
-			for i := range srcs {
-				src, err := spec.NewSource(n.ThinkRate)
-				if err != nil {
-					return topo.Config{}, fmt.Errorf("busnet: node %q: %w", n.Name, err)
-				}
-				srcs[i] = src
-			}
-			sc.Sources = srcs
-		}
-		if spec := n.Service.Normalized(); spec != ExponentialService() {
-			d, err := spec.NewDist(n.ServiceRate)
-			if err != nil {
-				return topo.Config{}, fmt.Errorf("busnet: node %q: %w", n.Name, err)
-			}
-			sc.Service = d
-		}
-		kind, _ := ParseArbiter(n.Arbiter)
-		switch kind {
-		case FixedPriority:
-			sc.Arbiter = bus.NewFixedPriority()
-		case WeightedRoundRobin:
-			ws, _ := ParseWeights(n.Weights)
-			if ws == nil {
-				ws = make([]int, max(t.claimants(k), 0))
-				for i := range ws {
-					ws[i] = 1
-				}
-			}
-			if wrr, err := bus.NewWeightedRoundRobin(ws); err == nil {
-				sc.Arbiter = wrr
+		claimants := n.Processors
+		for _, l := range cfg.Links {
+			if l.To == k {
+				claimants++
 			}
 		}
+		sc := n.segment(claimants)
 		for _, hop := range n.Route {
 			h, ok := idx[hop]
 			if !ok {
@@ -323,6 +273,61 @@ func (t Topology) topoConfig() (topo.Config, error) {
 		cfg.Segments[k] = sc
 	}
 	return cfg, nil
+}
+
+// segment lowers one node, without its route, to a fabric segment,
+// building fresh per-station sources, service dist and arbiter — all
+// carry run state, so every run gets its own. claimants sizes the
+// all-ones weight vector a weighted-round-robin arbiter defaults to.
+// Plain Poisson traffic, exponential service and round-robin lower to
+// nil, the simulator's built-in defaults. Unknown names and invalid
+// specs lower to the defaults too; Validate rejects them first on every
+// construction path.
+func (n Node) segment(claimants int) topo.SegmentConfig {
+	mode, _ := parseMode(n.Mode)
+	sc := topo.SegmentConfig{
+		Name:        n.Name,
+		Buses:       n.Buses,
+		ServiceRate: n.ServiceRate,
+		Stations:    n.Processors,
+		ThinkRate:   n.ThinkRate,
+		Mode:        mode,
+		BufferCap:   n.BufferCap,
+	}
+	if spec := n.Traffic.Normalized(); n.Processors > 0 && spec != PoissonTraffic() {
+		srcs := make([]workload.Source, n.Processors)
+		for i := range srcs {
+			src, err := spec.NewSource(n.ThinkRate)
+			if err != nil {
+				srcs = nil
+				break
+			}
+			srcs[i] = src
+		}
+		sc.Sources = srcs
+	}
+	if spec := n.Service.Normalized(); spec != ExponentialService() {
+		if d, err := spec.NewDist(n.ServiceRate); err == nil {
+			sc.Service = d
+		}
+	}
+	kind, _ := ParseArbiter(n.Arbiter)
+	switch kind {
+	case FixedPriority:
+		sc.Arbiter = bus.NewFixedPriority()
+	case WeightedRoundRobin:
+		ws, _ := ParseWeights(n.Weights)
+		if ws == nil {
+			ws = make([]int, max(claimants, 0))
+			for i := range ws {
+				ws[i] = 1
+			}
+		}
+		if wrr, err := bus.NewWeightedRoundRobin(ws); err == nil {
+			sc.Arbiter = wrr
+		}
+	}
+	return sc
 }
 
 // HopResult summarizes one node over the measured interval — the flat
@@ -414,6 +419,11 @@ func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 	if err != nil {
 		return TopologyEvaluation{}, err
 	}
+	return evaluateTopology(t, b, nil)
+}
+
+// evaluateTopology runs t on the resolved backend b; rec as in evaluate.
+func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluation, error) {
 	switch b {
 	case BackendAnalytic:
 		p, err := PredictTopology(t)
@@ -431,38 +441,31 @@ func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 			"busnet: no fluid model for topologies — the mean-field balance covers the flat single-segment config only (use %q or %q)",
 			BackendSim, BackendAnalytic)
 	default:
-		res, err := runTopologySim(t, nil)
+		res, err := runTopologySim(t, rec)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}
-		return topologyEvaluationFrom(b, res), nil
-	}
-}
-
-// topologyEvaluationFrom lifts a simulation payload into the shared
-// summary: total exit rate and the rate-weighted mean end-to-end
-// response across flows.
-func topologyEvaluationFrom(b Backend, res TopologyResults) TopologyEvaluation {
-	ev := TopologyEvaluation{Backend: b, Results: &res, Diagnostics: res.Diagnostics}
-	var rate, weighted float64
-	for _, f := range res.Flows {
-		if res.MeasuredTime > 0 {
-			r := float64(f.Completed) / res.MeasuredTime
-			rate += r
-			weighted += r * f.MeanResponse
+		// The shared summary: total exit rate and the rate-weighted mean
+		// end-to-end response across flows.
+		ev := TopologyEvaluation{Backend: b, Results: &res, Diagnostics: res.Diagnostics}
+		var rate, weighted float64
+		for _, f := range res.Flows {
+			if res.MeasuredTime > 0 {
+				r := float64(f.Completed) / res.MeasuredTime
+				rate += r
+				weighted += r * f.MeanResponse
+			}
 		}
+		ev.Throughput = rate
+		if rate > 0 {
+			ev.MeanResponse = weighted / rate
+		}
+		return ev, nil
 	}
-	ev.Throughput = rate
-	if rate > 0 {
-		ev.MeanResponse = weighted / rate
-	}
-	return ev
 }
 
-// runTopologySim is the discrete-event backend for topologies,
-// mirroring runSim: fresh engine + fabric, warmup, measure over
-// [warmup, horizon]. A non-nil rec is attached to the engine's and
-// fabric's probe seams; attachment never changes the trajectory.
+// runTopologySim is the discrete-event backend for topologies: the
+// validated, lowered fabric run by simulate.
 func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 	t = t.normalized()
 	if err := t.Validate(); err != nil {
@@ -472,43 +475,18 @@ func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 	if err != nil {
 		return TopologyResults{}, err
 	}
-	eng := sim.NewEngine()
-	rng := sim.NewRNGStream(t.Seed, t.Stream)
-	fab, err := topo.New(cfg, eng, rng)
+	run, err := simulate(cfg, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
 	if err != nil {
 		return TopologyResults{}, err
 	}
-	if rec != nil {
-		eng.SetProbe(rec)
-		fab.SetProbe(rec)
-	}
-	fab.Start()
-	var warmupEvents uint64
-	if t.Warmup > 0 {
-		if err := eng.RunUntil(t.Warmup); err != nil {
-			return TopologyResults{}, err
-		}
-		fab.ResetStats()
-		warmupEvents = eng.Processed()
-	}
-	if err := eng.RunUntil(t.Horizon); err != nil {
-		return TopologyResults{}, err
-	}
-	m := fab.Snapshot()
-	fc := fab.Counters()
+	m := run.fabric.Snapshot()
 	return TopologyResults{
 		Topology:     t,
 		MeasuredTime: m.Elapsed,
-		Events:       eng.Processed() - warmupEvents,
+		Events:       run.events,
 		Hops:         m.Segments,
 		Flows:        m.Flows,
-		Diagnostics: &Diagnostics{
-			Engine:          eng.Counters(),
-			Stalls:          fc.Stalls,
-			ArbScanSlots:    fc.ArbScanSlots,
-			BridgeCrossings: fc.BridgeCrossings,
-			BridgeBlocks:    fc.BridgeBlocks,
-		},
+		Diagnostics:  run.diag,
 	}, nil
 }
 
