@@ -15,6 +15,8 @@ import (
 // loop performs zero heap allocations per event (see the lifetime rule
 // on Event). Callbacks should likewise be long-lived values — a fresh
 // closure per Schedule call reintroduces one allocation per event.
+// Reset carries the events, and the scheduler's memory, over into the
+// next run on the same engine.
 type Engine struct {
 	sched     scheduler
 	free      []*Event
@@ -30,6 +32,11 @@ type Engine struct {
 	cancelled  uint64
 	poolHits   uint64
 	poolMisses uint64
+
+	// spare holds the events a Reset took back: memory, not pool. A
+	// miss takes one before allocating, so a reset engine counts its
+	// pool hits and misses exactly as a fresh one does.
+	spare []*Event
 }
 
 // NewEngine returns an engine with the clock at zero, scheduling on the
@@ -40,6 +47,20 @@ func NewEngine() *Engine { return &Engine{sched: NewTimingWheel()} }
 // seam the differential tests use to run the retained binary heap
 // against the wheel.
 func newEngineOn(s scheduler) *Engine { return &Engine{sched: s} }
+
+// Reset returns the engine to the logical state NewEngine builds: the
+// clock at zero, no pending events, every counter cleared, no probe,
+// and the scheduler's geometry back to its defaults. It keeps the
+// memory: the wheel's bucket arrays, the overflow heap's slice and
+// every Event the engine ever minted. A run after Reset fires the same
+// events in the same order as on a fresh engine, with bit-identical
+// Counters, and allocates only what the previous runs never needed.
+// Handles from before the reset are stale (see Event).
+func (e *Engine) Reset() {
+	spare := e.sched.reset(append(e.spare, e.free...))
+	clear(e.free)
+	*e = Engine{sched: e.sched, free: e.free[:0], spare: spare}
+}
 
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
@@ -101,7 +122,8 @@ func (e *Engine) Cancel(ev *Event) bool {
 // alloc takes an Event from the free list, or mints one when empty. The
 // list's high-water mark is the peak concurrently-pending event count,
 // so a steady-state run stops allocating once the model's working set is
-// reached.
+// reached. A miss is minted from the spare events of earlier runs while
+// any remain.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -110,6 +132,11 @@ func (e *Engine) alloc() *Event {
 		return ev
 	}
 	e.poolMisses++
+	if n := len(e.spare); n > 0 {
+		ev := e.spare[n-1]
+		e.spare = e.spare[:n-1]
+		return ev
+	}
 	return new(Event)
 }
 
@@ -132,9 +159,10 @@ func (e *Engine) Stop() { e.running = false }
 // next event is strictly after horizon. The clock is left at
 // min(horizon, last event time): if events remain past the horizon the
 // clock advances to horizon exactly, so time-weighted statistics cover
-// the full interval. It returns ErrStopped only when Stop was called.
+// the full interval. It returns ErrStopped only when Stop was called. A
+// NaN horizon is refused like one before now: it bounds nothing.
 func (e *Engine) RunUntil(horizon float64) error {
-	if horizon < e.now {
+	if horizon < e.now || math.IsNaN(horizon) {
 		return fmt.Errorf("sim: horizon %v before now %v", horizon, e.now)
 	}
 	e.running = true

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -66,6 +67,15 @@ func TestEngineRunUntilHorizon(t *testing.T) {
 	}
 	if e.Now() != 20 {
 		t.Fatalf("clock = %v, want 20 (empty heap advances to horizon)", e.Now())
+	}
+	// A NaN horizon bounds nothing: it is refused like one before now,
+	// firing nothing and leaving the clock alone.
+	e.ScheduleAt(30, func() { fired++ })
+	if err := e.RunUntil(math.NaN()); err == nil {
+		t.Fatal("RunUntil(NaN) = nil, want the horizon-before-now error")
+	}
+	if fired != 3 || e.Now() != 20 || e.Pending() != 1 {
+		t.Fatalf("after RunUntil(NaN): fired %d, clock %v, pending %d; want 3, 20, 1", fired, e.Now(), e.Pending())
 	}
 }
 

@@ -51,6 +51,18 @@ type scheduler interface {
 	// Remove cancels a pending event by identity, reporting whether it
 	// was pending.
 	Remove(e *Event) bool
+	// reset drops every pending event, appending each to spare with its
+	// callback cleared, and returns the scheduler to its constructor's
+	// logical state while keeping its memory.
+	reset(spare []*Event) []*Event
+}
+
+// detach clears a pending event that a scheduler reset drops — its
+// callback, so the spare list retains no captures, and its position, so
+// a stale handle's Cancel reports false — and appends it to spare.
+func detach(spare []*Event, e *Event) []*Event {
+	*e = Event{index: -1, slot: slotNone}
+	return append(spare, e)
 }
 
 var (

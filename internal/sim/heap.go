@@ -102,6 +102,18 @@ func (h *EventHeap) Remove(e *Event) bool {
 	return true
 }
 
+// reset drops every pending event into spare and restarts the sequence
+// numbering, keeping the slice's capacity.
+func (h *EventHeap) reset(spare []*Event) []*Event {
+	for _, e := range h.events {
+		spare = detach(spare, e)
+	}
+	clear(h.events)
+	h.events = h.events[:0]
+	h.nextSeq = 0
+	return spare
+}
+
 // less orders by time, then by insertion sequence for FIFO tie-breaking.
 func (h *EventHeap) less(i, j int) bool {
 	a, b := h.events[i], h.events[j]

@@ -29,9 +29,9 @@ type Probe interface {
 // EngineCounters is the engine's deterministic self-measurement: plain
 // totals over a run, bit-identical for equal (Config, Seed, Stream)
 // regardless of probe attachment or worker count (each run is
-// single-threaded). Counters cover the whole run from construction —
-// they are not warmup-truncated, because they measure the engine, not
-// the model's steady state.
+// single-threaded). Counters cover the whole run from construction or
+// the last Reset — they are not warmup-truncated, because they measure
+// the engine, not the model's steady state.
 type EngineCounters struct {
 	// Scheduled, Fired, and Cancelled count event lifecycle transitions;
 	// Scheduled = Fired + Cancelled + still-pending.
@@ -46,8 +46,8 @@ type EngineCounters struct {
 	PoolMisses uint64 `json:"pool_misses"`
 	// WheelOverflow counts pushes that landed beyond the timing wheel's
 	// window (parked in the sorted overflow heap); WheelRebases counts
-	// window slides, and WheelResizes the rebases that also reallocated
-	// the bucket array. All zero when the engine runs on the oracle heap.
+	// window slides, and WheelResizes the rebases that also changed
+	// the bucket count. All zero when the engine runs on the oracle heap.
 	WheelOverflow uint64 `json:"wheel_overflow"`
 	WheelRebases  uint64 `json:"wheel_rebases"`
 	WheelResizes  uint64 `json:"wheel_resizes"`

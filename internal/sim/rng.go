@@ -9,7 +9,8 @@ import "math/rand/v2"
 // which keeps replications statistically independent while the whole
 // experiment stays reproducible from a single seed.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	pcg *rand.PCG // r's source, for Reseed
 }
 
 // NewRNG returns a source seeded deterministically from seed; it is
@@ -24,9 +25,19 @@ func NewRNG(seed int64) *RNG { return NewRNGStream(seed, 0) }
 // so distinct (seed, stream) pairs always map to distinct PCG states —
 // no seed/stream aliasing. Equal pairs yield identical draw sequences.
 func NewRNGStream(seed int64, stream uint64) *RNG {
-	hi := splitmix64(uint64(seed))
-	lo := splitmix64(hi ^ splitmix64(stream))
-	return &RNG{r: rand.New(rand.NewPCG(hi, lo))}
+	pcg := rand.NewPCG(streamState(seed, stream))
+	return &RNG{r: rand.New(pcg), pcg: pcg}
+}
+
+// Reseed moves g to substream stream of seed in place: every later draw
+// equals the same draw on NewRNGStream(seed, stream), and nothing is
+// allocated.
+func (g *RNG) Reseed(seed int64, stream uint64) { g.pcg.Seed(streamState(seed, stream)) }
+
+// streamState is the PCG state of substream stream of seed.
+func streamState(seed int64, stream uint64) (hi, lo uint64) {
+	hi = splitmix64(uint64(seed))
+	return hi, splitmix64(hi ^ splitmix64(stream))
 }
 
 // splitmix64 is the standard 64-bit seed expander (Steele et al.); a

@@ -14,6 +14,40 @@ func TestRNGStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGReseedMatchesNewStream pins Reseed to NewRNGStream draw for
+// draw, whatever the generator drew before: a recycled RNG must be
+// indistinguishable from a fresh substream.
+func TestRNGReseedMatchesNewStream(t *testing.T) {
+	g := NewRNGStream(1, 0)
+	for _, p := range []struct {
+		seed   int64
+		stream uint64
+	}{{42, 0}, {42, 1}, {7919, 9}, {-3, 1 << 63}, {42, 0}} {
+		for range 17 { // leave g mid-sequence
+			g.Uniform()
+		}
+		g.Reseed(p.seed, p.stream)
+		fresh := NewRNGStream(p.seed, p.stream)
+		for i := range 1000 {
+			var x, y float64
+			switch i % 3 {
+			case 0:
+				x, y = g.Exp(1.5), fresh.Exp(1.5)
+			case 1:
+				x, y = g.Uniform(), fresh.Uniform()
+			default:
+				x, y = float64(g.Intn(1000)), float64(fresh.Intn(1000))
+			}
+			if x != y {
+				t.Fatalf("seed %d stream %d: draw %d is %v after Reseed, %v on a new stream", p.seed, p.stream, i, x, y)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { g.Reseed(5, 6) }); avg != 0 {
+		t.Fatalf("Reseed allocates %v times, want 0", avg)
+	}
+}
+
 func TestRNGStreamsDiffer(t *testing.T) {
 	// Adjacent stream ids of the same seed must produce unrelated
 	// sequences; so must the same stream id under different seeds.

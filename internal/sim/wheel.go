@@ -62,7 +62,7 @@ type TimingWheel struct {
 
 	// Self-measurement totals surfaced through Engine.Counters: pushes
 	// that landed in the overflow level, window slides, and the slides
-	// that also reallocated the bucket array. Deterministic for a fixed
+	// that also changed the bucket count. Deterministic for a fixed
 	// push/pop sequence, so they double as regression canaries for the
 	// adaptive sizing heuristics.
 	nOverflow uint64
@@ -86,13 +86,12 @@ const (
 // NewTimingWheel returns an empty wheel with the default bucket count
 // and unit bucket width; both adapt to the workload at each rebase.
 func NewTimingWheel() *TimingWheel {
-	return &TimingWheel{
+	w := &TimingWheel{
 		buckets: make([]*Event, wheelMinBuckets),
 		bits:    make([]uint64, wheelMinBuckets/64),
-		width:   1,
-		invW:    1,
-		nbuckF:  wheelMinBuckets,
 	}
+	w.reset(nil)
+	return w
 }
 
 // Len reports the number of pending events.
@@ -236,8 +235,8 @@ func (w *TimingWheel) Remove(e *Event) bool {
 
 // unbucket unlinks e from its bucket list in O(1), clearing the
 // occupancy bit when the bucket empties. The stale next/prev pointers
-// left on e retain nothing: events are pooled per engine and live for
-// the whole run.
+// left on e retain nothing: events are pooled per engine and outlive
+// every run on it.
 func (w *TimingWheel) unbucket(e *Event) {
 	if e.prev != nil {
 		e.prev.next = e.next
@@ -303,8 +302,10 @@ func (w *TimingWheel) rebase() {
 // (clamped to [wheelMinBuckets, wheelMaxBuckets]) so the window span
 // comfortably covers the spread of the pending set. Growth is immediate;
 // shrinking waits for a 4× overshoot so an oscillating load doesn't
-// thrash allocations. Called only from rebase, when every bucket is
-// empty, so no event moves and the bitmap is all zero.
+// thrash the geometry. Called only from rebase, when every bucket is
+// empty, so no event moves and the bitmap is all zero — and so is the
+// array beyond the current count, which a later resize or reset
+// reslices into instead of allocating while the capacity suffices.
 func (w *TimingWheel) resize() {
 	total := w.overflow.Len()
 	target := wheelMinBuckets
@@ -313,10 +314,44 @@ func (w *TimingWheel) resize() {
 	}
 	if target > len(w.buckets) || target*4 <= len(w.buckets) {
 		w.nResizes++
-		w.buckets = make([]*Event, target)
-		w.bits = make([]uint64, target/64)
+		if target <= cap(w.buckets) {
+			w.buckets = w.buckets[:target]
+			w.bits = w.bits[:target/64]
+		} else {
+			w.buckets = make([]*Event, target)
+			w.bits = make([]uint64, target/64)
+		}
 	}
 	w.nbuckF = float64(len(w.buckets))
+}
+
+// reset drops every pending event into spare and returns the wheel to
+// NewTimingWheel's geometry, keeping the bucket arrays' and the
+// overflow heap's capacity. It walks the occupancy bitmap, so its cost
+// is the pending events plus one word per 64 buckets.
+func (w *TimingWheel) reset(spare []*Event) []*Event {
+	for wi, word := range w.bits {
+		for ; word != 0; word &= word - 1 {
+			b := wi<<6 + bits.TrailingZeros64(word)
+			for e := w.buckets[b]; e != nil; {
+				next := e.next
+				spare = detach(spare, e)
+				e = next
+			}
+			w.buckets[b] = nil
+		}
+		w.bits[wi] = 0
+	}
+	spare = w.overflow.reset(spare)
+	*w = TimingWheel{
+		buckets:  w.buckets[:wheelMinBuckets],
+		bits:     w.bits[:wheelMinBuckets/64],
+		width:    1,
+		invW:     1,
+		nbuckF:   wheelMinBuckets,
+		overflow: w.overflow,
+	}
+	return spare
 }
 
 // counters reports the wheel's self-measurement totals; the seam

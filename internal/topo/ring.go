@@ -11,7 +11,7 @@ type ring[T any] struct {
 }
 
 // push appends v, growing the buffer (doubling, so amortized O(1)) only
-// when full. Finite queues never grow after New sizes them.
+// when full. Finite queues never grow after Init sizes them.
 func (q *ring[T]) push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
@@ -51,16 +51,35 @@ func (q *ring[T]) grow() {
 	q.head = 0
 }
 
-// carve sizes every ring in qs to hold c entries without growing, out
-// of one shared backing array: one allocation for a whole segment's
-// station queues instead of one per station.
+// reset empties the queue, keeping its buffer.
+func (q *ring[T]) reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}
+
+// carve sizes every empty ring in qs to hold c entries without growing.
+// A ring whose buffer already holds c keeps it; the rest are cut from
+// one shared backing array: one allocation for a whole segment's
+// station queues instead of one per station, and none when every ring
+// was sized by an earlier fabric.
 func carve[T any](qs []ring[T], c int) {
 	size := 1
 	for size < c {
 		size <<= 1
 	}
-	backing := make([]T, size*len(qs))
+	short := 0
 	for i := range qs {
-		qs[i].buf = backing[i*size : (i+1)*size : (i+1)*size]
+		if len(qs[i].buf) < size {
+			short++
+		}
+	}
+	if short == 0 {
+		return
+	}
+	backing := make([]T, size*short)
+	for i := range qs {
+		if len(qs[i].buf) < size {
+			qs[i].buf, backing = backing[:size:size], backing[size:]
+		}
 	}
 }

@@ -431,7 +431,30 @@ type flowStats struct {
 	done     uint64
 }
 
-// segment is the runtime state of one arbitration point.
+// segmentMem is the memory behind a segment's pointers that Fabric.Init
+// keeps from one fabric to the next: the route, the default Poisson
+// sources and round-robin arbiter, the flow's collectors, and the
+// histograms. It lives apart from segment so that the fields the event
+// path reads keep the compact layout they had before fabrics were
+// recycled (docs/perf.md, "Replication recycling").
+type segmentMem struct {
+	route   path
+	poisson []workload.Source
+	rr      bus.RoundRobinArbiter
+	flow    flowStats
+	hists   *segmentHists // nil until a fabric collects quantiles
+}
+
+// segmentHists is the histogram memory of a segment collecting
+// quantiles: the per-hop wait and response histograms and the flow's
+// end-to-end response histogram.
+type segmentHists struct {
+	wait, resp, flow sim.Histogram
+}
+
+// segment is the runtime state of one arbitration point. Fabric.Init
+// rebuilds it in place; the slices, closures and memory it holds are
+// reused from the slot's previous occupant when their capacity allows.
 type segment struct {
 	idx       int
 	name      string
@@ -442,11 +465,11 @@ type segment struct {
 	eng       *sim.Engine
 	rng       *sim.RNG
 	nBuses    int
-	path      *path // nil for transit segments
-	sources   []workload.Source
+	path      *path             // &mem.route, or nil for transit segments
+	sources   []workload.Source // Config's, or mem.poisson
 	service   servdist.Dist
-	arbiter   bus.Arbiter
-	probe     Probe // the fabric's, copied here for the hot path
+	arbiter   bus.Arbiter // Config's, or &mem.rr
+	probe     Probe       // the fabric's, copied here for the hot path
 
 	// Claimant j < stations is local station j, whose queue holds issue
 	// times; claimant stations+i is inbound bridge i, whose queue holds
@@ -468,7 +491,7 @@ type segment struct {
 	qlen        sim.TimeWeighted // waiting requests, excluding those on a bus
 	wait        sim.Tally        // claimant-queue arrival → service start, per hop
 	resp        sim.Tally        // claimant-queue arrival → segment departure, per hop
-	waitHist    *sim.Histogram
+	waitHist    *sim.Histogram   // &mem.hists.wait, or nil without quantiles
 	respHist    *sim.Histogram
 	issued      uint64
 	completions uint64
@@ -479,8 +502,10 @@ type segment struct {
 	// flow ends here with no bridge feeding them: there every departure
 	// is one of the segment's own requests leaving the fabric, with
 	// enqueuedAt equal to issuedAt, so the hop collectors already are
-	// the flow's.
+	// the flow's. Otherwise it is &mem.flow.
 	flow *flowStats
+
+	mem *segmentMem
 }
 
 // Fabric is the simulated multi-segment system. It is not safe for
@@ -493,18 +518,60 @@ type Fabric struct {
 	stalls    uint64 // requests held at a full buffered-finite interface
 	crossings uint64 // requests handed through any bridge
 	blocks    uint64 // blocking-after-service events
+
+	links []link // the bridges, addressed through pointers elsewhere
 }
 
-// New builds a fabric on the given engine and RNG. Start must be called
-// to schedule the initial think completions.
+// New builds a fabric on the given engine and RNG: Init on a zero
+// Fabric. Start must be called to schedule the initial think
+// completions.
 func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
-	if err := cfg.Validate(); err != nil {
+	f := new(Fabric)
+	if err := f.Init(cfg, eng, rng); err != nil {
 		return nil, err
 	}
-	f := &Fabric{eng: eng, segs: make([]segment, len(cfg.Segments))}
+	return f, nil
+}
+
+// Init builds the fabric cfg describes into f, on the given engine and
+// RNG, exactly as New would: every statistic, counter and queue starts
+// empty, no probe is attached, and Start must be called next. It reuses
+// f's memory from any earlier fabric — segment and link arrays, claimant
+// queues, per-station and per-bus callbacks, histograms — wherever the
+// capacity suffices, whatever shape that fabric had, so a worker
+// running replication after replication stops allocating them. What cfg
+// supplies (Sources and its slice, Service, Arbiter, Route) serves this
+// run only: Init never writes into it, and no later Init reuses it. The
+// earlier fabric's run must be over, with its engine Reset or
+// discarded: a pending event would call into the new one. On error f
+// is unusable until the next successful Init.
+func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	segs := f.segs
+	if cap(segs) < len(cfg.Segments) {
+		// A segment's callbacks capture its address, so a grown array
+		// starts from zero segments rather than copying stale ones.
+		segs = make([]segment, len(cfg.Segments))
+	}
 	now := eng.Now()
+	*f = Fabric{
+		eng:        eng,
+		segs:       segs[:len(cfg.Segments)],
+		links:      reuse(f.links, len(cfg.Links)),
+		statsStart: now,
+	}
 	for k, sc := range cfg.Segments {
 		s := &f.segs[k]
+		prev := *s // the slot's previous occupant, for its memory
+		m := prev.mem
+		if m == nil {
+			m = new(segmentMem)
+		}
+		m.route = path{links: m.route.links[:0]}
+		m.rr = *bus.NewRoundRobin()
+		m.flow = flowStats{}
 		*s = segment{
 			idx:       k,
 			name:      sc.Name,
@@ -518,35 +585,50 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 			sources:   sc.Sources,
 			service:   sc.Service,
 			arbiter:   sc.Arbiter,
-			buses:     make([]busSlot, sc.buses()),
+			stationQ:  reuse(prev.stationQ, sc.Stations),
+			bridgeQ:   prev.bridgeQ,
+			inbound:   prev.inbound[:0],
+			pending:   prev.pending,
+			stalled:   reuse(prev.stalled, sc.Stations),
+			buses:     reuse(prev.buses, sc.buses()),
+			issueFn:   reuse(prev.issueFn, sc.Stations),
+			grants:    prev.grants,
+			mem:       m,
 		}
 		if s.sources == nil && sc.Stations > 0 {
 			// One stateless Poisson source serves every station with the
 			// same draw sequence as one instance each.
 			src, err := workload.Spec{}.NewSource(sc.ThinkRate)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			s.sources = make([]workload.Source, sc.Stations)
-			for i := range s.sources {
-				s.sources[i] = src
+			m.poisson = reuse(m.poisson, sc.Stations)
+			for i := range m.poisson {
+				m.poisson[i] = src
 			}
+			s.sources = m.poisson
 		}
 		if s.service == nil {
 			d, err := servdist.Spec{}.NewDist(sc.ServiceRate)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.service = d
 		}
 		if s.arbiter == nil {
-			s.arbiter = bus.NewRoundRobin()
+			s.arbiter = &m.rr
 		}
 		if cfg.Quantiles {
-			s.waitHist = new(sim.Histogram)
-			s.respHist = new(sim.Histogram)
+			if m.hists == nil {
+				m.hists = new(segmentHists)
+			}
+			m.hists.wait.Reset()
+			m.hists.resp.Reset()
+			s.waitHist, s.respHist = &m.hists.wait, &m.hists.resp
 		}
-		s.stationQ = make([]ring[float64], sc.Stations)
+		for i := range s.stationQ {
+			s.stationQ[i].reset()
+		}
 		switch {
 		case sc.Mode == bus.Unbuffered:
 			// A blocked station never has more than one request queued.
@@ -554,15 +636,19 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 		case sc.BufferCap != Infinite:
 			carve(s.stationQ, sc.BufferCap)
 		}
-		s.stalled = make([]float64, sc.Stations)
-		s.issueFn = make([]func(), sc.Stations)
 		for i := range s.issueFn {
 			s.stalled[i] = math.NaN()
-			s.issueFn[i] = func() { s.issue(i) }
+			if s.issueFn[i] == nil {
+				s.issueFn[i] = func() { s.issue(i) }
+			}
 		}
 		for b := range s.buses {
-			s.buses[b].complete = func() { s.complete(b) }
-			s.buses[b].util.Set(0, now)
+			slot := &s.buses[b]
+			*slot = busSlot{complete: slot.complete}
+			if slot.complete == nil {
+				slot.complete = func() { s.complete(b) }
+			}
+			slot.util.Set(0, now)
 		}
 		s.util.Set(0, now)
 		s.blockedTW.Set(0, now)
@@ -570,23 +656,26 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 	}
 	// Wire claimant queues: local stations first, then inbound bridges
 	// in link order — the indexing sized arbiters are validated against.
-	links := make([]link, len(cfg.Links))
 	for i, lc := range cfg.Links {
-		links[i] = link{cfg: lc, idx: i, from: &f.segs[lc.From], to: &f.segs[lc.To]}
+		l := &f.links[i]
+		*l = link{cfg: lc, idx: i, from: &f.segs[lc.From], to: &f.segs[lc.To], waiters: l.waiters[:0]}
 	}
 	for k := range f.segs {
 		s := &f.segs[k]
-		for i := range links {
-			if l := &links[i]; l.cfg.To == k {
+		for i := range f.links {
+			if l := &f.links[i]; l.cfg.To == k {
 				l.claimant = s.stations + len(s.inbound)
 				s.inbound = append(s.inbound, l)
 			}
 		}
 		n := s.stations + len(s.inbound)
-		s.pending = make([]bool, n)
-		s.grants = make([]uint64, n)
-		s.bridgeQ = make([]ring[request], len(s.inbound))
+		s.pending = reuse(s.pending, n)
+		clear(s.pending)
+		s.grants = reuse(s.grants, n)
+		clear(s.grants)
+		s.bridgeQ = reuse(s.bridgeQ, len(s.inbound))
 		for i, l := range s.inbound {
+			s.bridgeQ[i].reset()
 			if l.cfg.Depth != Infinite {
 				carve(s.bridgeQ[i:i+1], l.cfg.Depth)
 			}
@@ -596,23 +685,33 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 		}
 		// Precompute the segment's path once; every request of the
 		// segment shares it.
-		route := cfg.Segments[k].Route
-		p := &path{home: s}
+		p := &s.mem.route
+		p.home = s
 		prev := k
-		for _, hop := range route {
-			p.links = append(p.links, &links[cfg.link(prev, hop)])
+		for _, hop := range cfg.Segments[k].Route {
+			p.links = append(p.links, &f.links[cfg.link(prev, hop)])
 			prev = hop
 		}
 		s.path = p
-		if len(route) > 0 || len(s.inbound) > 0 {
-			s.flow = new(flowStats)
+		if len(p.links) > 0 || len(s.inbound) > 0 {
+			s.flow = &s.mem.flow
 			if cfg.Quantiles {
-				s.flow.respHist = new(sim.Histogram)
+				s.mem.hists.flow.Reset()
+				s.flow.respHist = &s.mem.hists.flow
 			}
 		}
 	}
-	f.statsStart = now
-	return f, nil
+	return nil
+}
+
+// reuse returns buf resliced to n elements when its capacity allows,
+// else a new slice. The elements keep whatever an earlier use left in
+// them; callers reinitialize every one.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Start schedules the first think completion for every station, in

@@ -114,8 +114,9 @@ type Results struct {
 type Prediction = analytic.Prediction
 
 // Network is a configured, runnable single-bus network. Each call to Run
-// builds fresh simulation state, so a Network is reusable — including
-// concurrently — and every run with the same config is identical.
+// starts from fresh logical state, built on memory recycled from
+// earlier runs, so a Network is reusable — including concurrently — and
+// every run with the same config is identical.
 type Network struct {
 	cfg Config
 }
@@ -179,8 +180,8 @@ func (n *Network) Config() Config { return n.cfg }
 // Run simulates the network from time 0 to the horizon and returns
 // statistics over [warmup, horizon]. It is deterministic: equal
 // configuration (including Seed and Stream) yields identical Results.
-// Run builds all state afresh, so concurrent Runs on one Network are
-// safe.
+// Run starts every run from fresh logical state on memory no other run
+// holds at the time, so concurrent Runs on one Network are safe.
 //
 // Deprecated: Run is Evaluate(n.Config(), BackendSim). New code should
 // call Evaluate and read Evaluation.Results; Run remains as a

@@ -1,6 +1,8 @@
 package busnet
 
 import (
+	"sync"
+
 	"github.com/busnet/busnet/internal/obs"
 	"github.com/busnet/busnet/internal/sim"
 	"github.com/busnet/busnet/internal/topo"
@@ -131,6 +133,7 @@ func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
 	if err != nil {
 		return Results{}, err
 	}
+	defer run.release()
 	m := run.fabric.SegmentSnapshot(0)
 	return Results{
 		Config:            cfg,
@@ -157,22 +160,58 @@ func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
 }
 
 // simRun is one finished simulation: the fabric at the horizon, the
-// events fired after warmup, and the whole run's counters.
+// events fired after warmup, and the whole run's counters. The fabric
+// lives on pooled memory: read it, then call release, and keep nothing
+// that points into it. Snapshots and the counters are copies.
 type simRun struct {
 	fabric *topo.Fabric
 	events uint64
 	diag   *Diagnostics
+	rep    *replication
+}
+
+// replication is the memory one simulation runs on: an engine, an RNG
+// and a fabric, recycled through replications so that a worker running
+// job after job reuses the previous job's event objects, wheel buckets
+// and fabric arrays instead of allocating and collecting them per job.
+type replication struct {
+	eng *sim.Engine
+	rng *sim.RNG
+	fab topo.Fabric
+}
+
+// replications pools replication memory across every BackendSim
+// evaluation in the process — CLI scenarios, sweep workers, optimizer
+// races and direct Evaluate calls alike. Each Get hands one goroutine
+// exclusive use until release puts it back.
+var replications = sync.Pool{New: func() any {
+	return &replication{eng: sim.NewEngine(), rng: sim.NewRNGStream(0, 0)}
+}}
+
+// release returns the run's memory to the pool. The engine is Reset
+// and the fabric's probe detached first, so no recorder is kept alive
+// or written to once its traced run has returned.
+func (r simRun) release() {
+	r.rep.eng.Reset()
+	r.rep.fab.SetProbe(nil)
+	replications.Put(r.rep)
 }
 
 // simulate is the one discrete-event runner behind every BackendSim
-// evaluation, flat or topology: a fresh engine and RNG substream, the
-// fabric cfg describes, statistics reset at warmup, and a run to the
+// evaluation, flat or topology: fresh logical state — an engine at time
+// zero, the RNG substream (seed, stream), the fabric cfg describes — on
+// recycled memory, statistics reset at warmup, and a run to the
 // horizon. A non-nil rec is attached to the engine's and fabric's probe
-// seams; attachment never changes the trajectory or the counters.
+// seams; attachment never changes the trajectory or the counters. The
+// caller releases the returned run once it has read it.
 func simulate(cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
-	eng := sim.NewEngine()
-	fab, err := topo.New(cfg, eng, sim.NewRNGStream(seed, stream))
-	if err != nil {
+	rep := replications.Get().(*replication)
+	// On error rep is dropped, not pooled: a failed Init or run leaves
+	// it in no state worth reasoning about.
+	eng := rep.eng
+	rep.rng.Reseed(seed, stream)
+	fab := &rep.fab
+	if err := fab.Init(cfg, eng, rep.rng); err != nil {
 		return simRun{}, err
 	}
 	if rec != nil {
@@ -204,5 +243,6 @@ func simulate(cfg topo.Config, seed int64, stream uint64, warmup, horizon float6
 			BridgeCrossings: fc.BridgeCrossings,
 			BridgeBlocks:    fc.BridgeBlocks,
 		},
+		rep: rep,
 	}, nil
 }

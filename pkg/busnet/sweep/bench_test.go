@@ -65,6 +65,41 @@ func BenchmarkMultiBus(b *testing.B) {
 	}
 }
 
+// BenchmarkShortReplications measures the optimizer's job shape: one op
+// is one single-worker sweep over the optimize problem's 8 candidates
+// (unbuffered, and buffered at depths 1, 2 and 4, each on 1 and 2
+// buses; N = 16, λ = 0.05), 10 replications of horizon 200 with warmup
+// 20 — 80 replications of a few hundred events each. Setup and garbage
+// per replication weigh as much as the events here, so B/op and
+// allocs/op gate what each replication leaves to the collector.
+func BenchmarkShortReplications(b *testing.B) {
+	base := busnet.DefaultConfig()
+	base.Seed = 42
+	base.Processors = 16
+	base.ThinkRate = 0.05
+	base.Horizon = 200
+	base.Warmup = 20
+	var points []busnet.Config
+	for _, m := range []int{1, 2} {
+		unbuffered := base
+		unbuffered.Buses = m
+		points = append(points, unbuffered)
+		for _, depth := range []int{1, 2, 4} {
+			buffered := unbuffered
+			buffered.Mode = busnet.ModeBuffered
+			buffered.BufferCap = depth
+			points = append(points, buffered)
+		}
+	}
+	spec := Spec{Points: points, Replications: 10, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSweepCached pins the cache-hit fast path: the same sweep as
 // BenchmarkSweepParallel's single-worker case, answered entirely from a
 // pre-warmed Cache. Every job is a map read — each point's config is

@@ -479,6 +479,7 @@ func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 	if err != nil {
 		return TopologyResults{}, err
 	}
+	defer run.release()
 	m := run.fabric.Snapshot()
 	return TopologyResults{
 		Topology:     t,
