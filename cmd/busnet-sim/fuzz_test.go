@@ -46,11 +46,7 @@ func FuzzScenarioConfigJSON(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			return // rejected cleanly
 		}
-		net, err := busnet.FromConfig(cfg)
-		if err != nil {
-			t.Fatalf("Validate accepted a config FromConfig rejects: %v\n%s", err, data)
-		}
-		canon := net.Config()
+		canon := cfg.Normalized()
 		blob, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatalf("canonical config does not marshal: %v\n%+v", err, canon)

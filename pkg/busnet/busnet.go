@@ -1,27 +1,21 @@
 // Package busnet is the stable public API for simulating multiplexed
 // single-bus multiprocessor networks with and without buffering, after
-// the source paper. The package is split into an immutable, validated
-// Config value type and a Network runner built from it: one Config can
-// fan out to many runs (parameter grids, replications) without sharing
-// any mutable state. Configure either with functional options or a
-// Config literal, run it, and get typed Results; Predict returns the
-// matching closed-form model for cross-checking.
-//
-//	net, err := busnet.New(
-//		busnet.WithProcessors(16),
-//		busnet.WithBuffer(4),
-//		busnet.WithArbiter(busnet.RoundRobin),
-//		busnet.WithSeed(42),
-//	)
-//	if err != nil { ... }
-//	res, err := net.Run()
-//
-// or, deriving runs from a config value:
+// the source paper. An operating point is a plain value: a flat Config
+// (DefaultConfig, AtHorizon, field assignment) or a multi-hop Topology
+// (a literal, JSON, or NewTopology's builder). Neither runs anything or
+// holds simulation state, so one value fans out to parameter grids and
+// replications by copy-and-tweak. Evaluate and EvaluateTopology answer
+// for any backend — the discrete-event simulator, the closed forms, or
+// the mean-field fluid model — with the same summary fields, so
+// simulation and prediction compare side by side (see ExampleEvaluate
+// and ExampleEvaluateTopology):
 //
 //	cfg := busnet.DefaultConfig()
 //	cfg.Processors = 16
 //	cfg.Stream = 3 // replication 3's independent RNG substream
-//	net, err := busnet.FromConfig(cfg)
+//	sim, err := busnet.Evaluate(cfg, busnet.BackendSim)
+//	if err != nil { ... }
+//	exact, err := busnet.Evaluate(cfg, busnet.BackendAnalytic)
 //
 // For whole parameter sweeps with replication statistics, see the
 // pkg/busnet/sweep subpackage.
@@ -96,8 +90,8 @@ type Results struct {
 	// distributions (p50/p90/p95/p99); the full streaming histograms they
 	// were read from ride along unserialized so sweeps can merge
 	// replications and re-query pooled quantiles. All four are nil unless
-	// Config.Quantiles (or WithQuantiles) enabled collection — absent
-	// from the JSON form rather than rendered as zero latencies.
+	// Config.Quantiles enabled collection — absent from the JSON form
+	// rather than rendered as zero latencies.
 	WaitQuantiles     *Quantiles `json:"wait_quantiles,omitempty"`
 	ResponseQuantiles *Quantiles `json:"response_quantiles,omitempty"`
 	WaitHistogram     *Histogram `json:"-"`
@@ -113,54 +107,17 @@ type Results struct {
 // callers never import internal packages.
 type Prediction = analytic.Prediction
 
-// Network is a configured, runnable single-bus network. Each call to Run
-// starts from fresh logical state, built on memory recycled from
-// earlier runs, so a Network is reusable — including concurrently — and
-// every run with the same config is identical.
-type Network struct {
-	cfg Config
-}
-
-// New validates the options and returns a runnable network. Warmup
-// defaults to 10% of the horizon unless set explicitly.
-func New(opts ...Option) (*Network, error) {
-	b := builder{cfg: DefaultConfig()}
-	for _, opt := range opts {
-		opt(&b)
-	}
-	switch b.warmup {
-	case warmupFraction:
-		b.cfg.Warmup = b.warmupFrac * b.cfg.Horizon
-	case warmupDefault:
-		b.cfg.Warmup = b.cfg.Horizon / 10
-	}
-	return FromConfig(b.cfg)
-}
-
 // MaxSimProcessors bounds the population the discrete-event backend
 // will simulate: beyond it, per-station state (queues, stall slots,
 // grant counters) plus an event rate proportional to N make a run an
 // out-of-memory or multi-hour mistake rather than an experiment.
-// FromConfig refuses larger configs and points at the fluid backend,
-// whose cost is O(1) in N; FluidPredict and sweep fluid grids have no
-// such bound.
+// Evaluate refuses larger configs on BackendSim and points at the fluid
+// backend, whose cost is O(1) in N; BackendFluid and sweep fluid grids
+// have no such bound.
 const MaxSimProcessors = 10_000_000
 
-// FromConfig validates cfg and returns a runnable network. The config is
-// copied in: later mutation of the caller's value cannot affect the
-// network. Unlike New, no warmup defaulting happens — the config is
-// taken literally (empty Mode/Arbiter strings normalize to the
-// defaults).
-func FromConfig(cfg Config) (*Network, error) {
-	cfg, err := cfg.resolved()
-	if err != nil {
-		return nil, err
-	}
-	return &Network{cfg: cfg}, nil
-}
-
-// resolved is FromConfig's check: the normalized config if it is valid
-// and within the discrete-event backend's station bound.
+// resolved is the simulator's config check: the normalized config if it
+// is valid and within the discrete-event backend's station bound.
 func (c Config) resolved() (Config, error) {
 	c = c.normalized()
 	if err := c.Validate(); err != nil {
@@ -168,34 +125,14 @@ func (c Config) resolved() (Config, error) {
 	}
 	if c.Processors > MaxSimProcessors {
 		return Config{}, fmt.Errorf(
-			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (FluidPredict, sweep Backend %q) for large-N curves",
+			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (Evaluate with %q) for large-N curves",
 			c.Processors, MaxSimProcessors, BackendFluid)
 	}
 	return c, nil
 }
 
-// Config returns the resolved configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Run simulates the network from time 0 to the horizon and returns
-// statistics over [warmup, horizon]. It is deterministic: equal
-// configuration (including Seed and Stream) yields identical Results.
-// Run starts every run from fresh logical state on memory no other run
-// holds at the time, so concurrent Runs on one Network are safe.
-//
-// Deprecated: Run is Evaluate(n.Config(), BackendSim). New code should
-// call Evaluate and read Evaluation.Results; Run remains as a
-// bit-identical shim.
-func (n *Network) Run() (Results, error) {
-	ev, err := Evaluate(n.cfg, BackendSim)
-	if err != nil {
-		return Results{}, err
-	}
-	return *ev.Results, nil
-}
-
-// Predict returns the closed-form steady-state prediction for cfg: the
-// exact machine-repairman model in unbuffered mode, M/M/1 for infinite
+// predict is the closed-form backend behind Evaluate: the exact
+// machine-repairman model in unbuffered mode, M/M/1 for infinite
 // buffers, and the M/M/1/K approximation for finite buffers; with
 // Buses > 1 the m-server generalizations — finite-source M/M/m//N,
 // Erlang-C M/M/m, and M/M/m/K respectively. It errors when the config
@@ -214,20 +151,6 @@ func (n *Network) Run() (Results, error) {
 // in the single-bus buffered-infinite regime; every other combination
 // is refused, since no exact closed form exists there. See
 // docs/service.md for the formula mapping.
-//
-// Deprecated: Predict is Evaluate(cfg, BackendAnalytic). New code
-// should call Evaluate and read Evaluation.Analytic; Predict remains
-// as an identical-output shim.
-func Predict(cfg Config) (Prediction, error) {
-	ev, err := Evaluate(cfg, BackendAnalytic)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return *ev.Analytic, nil
-}
-
-// predict is the closed-form backend behind Evaluate (and the Predict
-// shim); see Predict's doc for the exact model mapping.
 func predict(cfg Config) (Prediction, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -274,9 +197,3 @@ func predict(cfg Config) (Prediction, error) {
 	}
 	return analytic.BufferedFinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
 }
-
-// Predict returns the closed-form prediction for this network's
-// configuration; see the package-level Predict.
-//
-// Deprecated: use Evaluate(n.Config(), BackendAnalytic).
-func (n *Network) Predict() (Prediction, error) { return Predict(n.cfg) }

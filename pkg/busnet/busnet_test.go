@@ -12,35 +12,23 @@ import (
 // actually change the outcome.
 func TestRunDeterminism(t *testing.T) {
 	variants := []struct {
-		name string
-		opts []Option
+		name   string
+		mutate func(*Config)
 	}{
-		{"unbuffered/round-robin", []Option{WithUnbuffered(), WithArbiter(RoundRobin)}},
-		{"unbuffered/fixed-priority", []Option{WithUnbuffered(), WithArbiter(FixedPriority)}},
-		{"buffered-finite", []Option{WithBuffer(4)}},
-		{"buffered-infinite", []Option{WithBuffer(Infinite)}},
+		{"unbuffered/round-robin", func(c *Config) {}},
+		{"unbuffered/fixed-priority", func(c *Config) { c.Arbiter = FixedPriority.String() }},
+		{"buffered-finite", func(c *Config) { c.Mode, c.BufferCap = ModeBuffered, 4 }},
+		{"buffered-infinite", func(c *Config) { c.Mode, c.BufferCap = ModeBuffered, Infinite }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			opts := append([]Option{
-				WithProcessors(16),
-				WithThinkRate(0.05),
-				WithServiceRate(1),
-				WithSeed(42),
-				WithHorizon(5000),
-			}, v.opts...)
-			net, err := New(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			second, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := DefaultConfig()
+			cfg.Processors = 16
+			cfg.ThinkRate = 0.05
+			cfg.Seed = 42
+			cfg.Horizon, cfg.Warmup = 5000, 500
+			v.mutate(&cfg)
+			first, second := mustSim(t, cfg), mustSim(t, cfg)
 			if !reflect.DeepEqual(first, second) {
 				t.Fatalf("same seed, different Results:\n%+v\nvs\n%+v", first, second)
 			}
@@ -48,69 +36,12 @@ func TestRunDeterminism(t *testing.T) {
 				t.Fatal("run produced no completions")
 			}
 
-			other, err := New(append(opts, WithSeed(43))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reseeded, err := other.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg.Seed = 43
+			reseeded := mustSim(t, cfg)
 			if first.Completions == reseeded.Completions && first.MeanWait == reseeded.MeanWait {
 				t.Fatal("different seed reproduced the same trajectory; RNG not wired through")
 			}
 		})
-	}
-}
-
-// FromConfig and New are two doors into the same immutable Config →
-// Network split: equal configs must produce bit-identical Results no
-// matter how they were built.
-func TestFromConfigMatchesOptions(t *testing.T) {
-	net, err := New(
-		WithProcessors(16),
-		WithThinkRate(0.05),
-		WithServiceRate(1),
-		WithBuffer(4),
-		WithSeed(42),
-		WithHorizon(5000),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := FromConfig(net.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := other.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("FromConfig(net.Config()) diverged from the original network:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// The warmup options obey last-option-wins like every other option, so
-// a base option slice can be overridden by appending.
-func TestWarmupOptionsLastWins(t *testing.T) {
-	noWarm, err := New(WithHorizon(1000), WithWarmupFraction(0.1), WithWarmup(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := noWarm.Config().Warmup; got != 0 {
-		t.Fatalf("WithWarmup(0) after WithWarmupFraction: warmup = %v, want 0", got)
-	}
-	frac, err := New(WithHorizon(1000), WithWarmup(0), WithWarmupFraction(0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := frac.Config().Warmup; got != 200 {
-		t.Fatalf("WithWarmupFraction(0.2) after WithWarmup: warmup = %v, want 200", got)
 	}
 }
 
@@ -119,7 +50,7 @@ func TestAtHorizonPreservesWarmupFraction(t *testing.T) {
 	if cfg.Horizon != 5000 || cfg.Warmup != 500 {
 		t.Fatalf("AtHorizon(5000) = horizon %v warmup %v, want 5000/500", cfg.Horizon, cfg.Warmup)
 	}
-	if _, err := FromConfig(cfg); err != nil {
+	if _, err := cfg.resolved(); err != nil {
 		t.Fatalf("rescaled config must stay valid: %v", err)
 	}
 	zero := Config{}.AtHorizon(100)
@@ -128,27 +59,21 @@ func TestAtHorizonPreservesWarmupFraction(t *testing.T) {
 	}
 }
 
-// A Config is a value: mutating the caller's copy after construction must
-// not reach into the network, and empty mode/arbiter strings normalize.
+// A Config is a value: mutating the caller's copy after a run must not
+// reach into the Results it echoed, and empty mode/arbiter strings
+// normalize.
 func TestConfigIsImmutableValue(t *testing.T) {
 	cfg := DefaultConfig().AtHorizon(5000)
 	cfg.Warmup = 0
-	net, err := FromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSim(t, cfg)
 	cfg.Processors = 999
-	if net.Config().Processors == 999 {
-		t.Fatal("mutating the caller's Config leaked into the Network")
+	if res.Config.Processors == 999 {
+		t.Fatal("mutating the caller's Config leaked into the Results")
 	}
-	lit, err := FromConfig(Config{
+	lit := mustSim(t, Config{
 		Processors: 4, ThinkRate: 0.1, ServiceRate: 1, Horizon: 1000,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := lit.Config()
-	if got.Mode != ModeUnbuffered || got.Arbiter != RoundRobin.String() {
+	if got := lit.Config; got.Mode != ModeUnbuffered || got.Arbiter != RoundRobin.String() {
 		t.Fatalf("empty mode/arbiter not normalized: %+v", got)
 	}
 }
@@ -157,18 +82,11 @@ func TestConfigIsImmutableValue(t *testing.T) {
 // individually deterministic — the substructure replications build on.
 func TestStreamsAreIndependentReplications(t *testing.T) {
 	run := func(stream uint64) Results {
-		res, err := mustRun(t,
-			WithProcessors(8),
-			WithThinkRate(0.1),
-			WithServiceRate(1),
-			WithSeed(42),
-			WithStream(stream),
-			WithHorizon(5000),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		cfg := DefaultConfig()
+		cfg.Seed = 42
+		cfg.Stream = stream
+		cfg.Horizon, cfg.Warmup = 5000, 500
+		return mustSim(t, cfg)
 	}
 	s0, s1 := run(0), run(1)
 	if s0.MeanWait == s1.MeanWait && s0.Completions == s1.Completions {
@@ -182,108 +100,86 @@ func TestStreamsAreIndependentReplications(t *testing.T) {
 	}
 }
 
+// Every invalid field is refused before a simulation starts.
 func TestNewRejectsInvalidOptions(t *testing.T) {
 	tests := []struct {
-		name string
-		opts []Option
+		name   string
+		mutate func(*Config)
 	}{
-		{"zero processors", []Option{WithProcessors(0)}},
-		{"negative buses", []Option{WithBuses(-2)}},
-		{"negative think rate", []Option{WithThinkRate(-0.1)}},
-		{"zero service rate", []Option{WithServiceRate(0)}},
-		{"zero horizon", []Option{WithHorizon(0)}},
-		{"warmup past horizon", []Option{WithHorizon(100), WithWarmup(100)}},
-		{"negative warmup", []Option{WithWarmup(-1)}},
-		{"unknown arbiter", []Option{WithArbiter(ArbiterKind(99))}},
-		{"unknown traffic kind", []Option{WithTraffic(Traffic{Kind: "pareto"})}},
-		{"mmpp2 missing switches", []Option{WithTraffic(Traffic{Kind: TrafficMMPP2, Rate0: 1, Rate1: 2})}},
-		{"onoff duty out of range", []Option{WithTraffic(OnOffTraffic(1, 1.5, 10))}},
-		{"poisson with stray traffic params", []Option{WithTraffic(Traffic{Kind: TrafficPoisson, BurstRate: 2})}},
-		{"deterministic zero think rate", []Option{WithThinkRate(0), WithTraffic(DeterministicTraffic())}},
-		{"weight count mismatch", []Option{WithProcessors(4), WithWeights(1, 2)}},
-		{"zero weight", []Option{WithProcessors(2), WithWeights(1, 0)}},
-		{"warmup fraction ≥ 1", []Option{WithWarmupFraction(1)}},
-		{"negative warmup fraction", []Option{WithWarmupFraction(-0.5)}},
-		{"NaN warmup fraction", []Option{WithWarmupFraction(math.NaN())}},
-		{"NaN warmup", []Option{WithWarmup(math.NaN())}},
-		{"NaN horizon", []Option{WithHorizon(math.NaN())}},
-		{"infinite horizon", []Option{WithHorizon(math.Inf(1))}},
-		{"infinite think rate", []Option{WithThinkRate(math.Inf(1))}},
-		{"infinite service rate", []Option{WithServiceRate(math.Inf(1))}},
+		{"zero processors", func(c *Config) { c.Processors = 0 }},
+		{"negative buses", func(c *Config) { c.Buses = -2 }},
+		{"negative think rate", func(c *Config) { c.ThinkRate = -0.1 }},
+		{"zero service rate", func(c *Config) { c.ServiceRate = 0 }},
+		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
+		{"warmup past horizon", func(c *Config) { c.Horizon, c.Warmup = 100, 100 }},
+		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
+		{"unknown arbiter", func(c *Config) { c.Arbiter = ArbiterKind(99).String() }},
+		{"unknown traffic kind", func(c *Config) { c.Traffic = Traffic{Kind: "pareto"} }},
+		{"mmpp2 missing switches", func(c *Config) { c.Traffic = Traffic{Kind: TrafficMMPP2, Rate0: 1, Rate1: 2} }},
+		{"onoff duty out of range", func(c *Config) { c.Traffic = OnOffTraffic(1, 1.5, 10) }},
+		{"poisson with stray traffic params", func(c *Config) { c.Traffic = Traffic{Kind: TrafficPoisson, BurstRate: 2} }},
+		{"deterministic zero think rate", func(c *Config) { c.ThinkRate, c.Traffic = 0, DeterministicTraffic() }},
+		{"weight count mismatch", func(c *Config) {
+			c.Processors, c.Arbiter, c.Weights = 4, WeightedRoundRobin.String(), "1,2"
+		}},
+		{"zero weight", func(c *Config) {
+			c.Processors, c.Arbiter, c.Weights = 2, WeightedRoundRobin.String(), "1,0"
+		}},
+		{"NaN warmup", func(c *Config) { c.Warmup = math.NaN() }},
+		{"NaN horizon", func(c *Config) { c.Horizon = math.NaN() }},
+		{"infinite horizon", func(c *Config) { c.Horizon = math.Inf(1) }},
+		{"infinite think rate", func(c *Config) { c.ThinkRate = math.Inf(1) }},
+		{"infinite service rate", func(c *Config) { c.ServiceRate = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.opts...); err == nil {
-				t.Fatal("invalid options accepted")
+			cfg := DefaultConfig()
+			tt.mutate(&cfg)
+			if _, err := Evaluate(cfg, BackendSim); err == nil {
+				t.Fatal("invalid config accepted")
 			}
 		})
 	}
 }
 
 func TestConfigEchoAndDefaults(t *testing.T) {
-	net, err := New(WithProcessors(16), WithBuffer(4), WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultConfig().AtHorizon(2000)
+	cfg.Processors = 16
+	cfg.Mode, cfg.BufferCap = ModeBuffered, 4
+	cfg.Seed = 42
+	echo := mustSim(t, cfg).Config
+	if echo.Processors != 16 || echo.BufferCap != 4 || echo.Seed != 42 {
+		t.Fatalf("config echo mismatch: %+v", echo)
 	}
-	cfg := net.Config()
-	if cfg.Processors != 16 || cfg.BufferCap != 4 || cfg.Seed != 42 {
-		t.Fatalf("config echo mismatch: %+v", cfg)
+	if echo.Buses != 1 {
+		t.Fatalf("default buses = %d, want 1", echo.Buses)
 	}
-	if cfg.Buses != 1 {
-		t.Fatalf("default buses = %d, want 1", cfg.Buses)
+	cfg.Buses = 4
+	if got := mustSim(t, cfg).Config.Buses; got != 4 {
+		t.Fatalf("Buses = 4 echoed %d", got)
 	}
-	multi, err := New(WithBuses(4))
-	if err != nil {
-		t.Fatal(err)
+	if echo.Mode != "buffered" || echo.Arbiter != "round-robin" {
+		t.Fatalf("mode/arbiter = %q/%q, want buffered/round-robin", echo.Mode, echo.Arbiter)
 	}
-	if multi.Config().Buses != 4 {
-		t.Fatalf("WithBuses(4) echoed %d", multi.Config().Buses)
-	}
-	if cfg.Mode != "buffered" || cfg.Arbiter != "round-robin" {
-		t.Fatalf("mode/arbiter = %q/%q, want buffered/round-robin", cfg.Mode, cfg.Arbiter)
-	}
-	if cfg.Warmup != cfg.Horizon/10 {
-		t.Fatalf("default warmup = %v, want horizon/10 = %v", cfg.Warmup, cfg.Horizon/10)
-	}
-	// WithBuffer with a non-positive capacity normalizes to Infinite.
-	inf, err := New(WithBuffer(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inf.Config().BufferCap != Infinite {
-		t.Fatalf("WithBuffer(0) → cap %d, want Infinite", inf.Config().BufferCap)
+	if def := DefaultConfig(); def.Warmup != def.Horizon/10 {
+		t.Fatalf("default warmup = %v, want horizon/10 = %v", def.Warmup, def.Horizon/10)
 	}
 }
 
 func TestFixedPriorityStarvesUnderSaturation(t *testing.T) {
-	res, err := mustRun(t,
-		WithProcessors(8),
-		WithThinkRate(1), // offered load 8: the bus cannot keep up
-		WithServiceRate(1),
-		WithBuffer(2),
-		WithArbiter(FixedPriority),
-		WithSeed(7),
-		WithHorizon(5000),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cfg.ThinkRate = 1 // offered load 8: the bus cannot keep up
+	cfg.Mode, cfg.BufferCap = ModeBuffered, 2
+	cfg.Arbiter = FixedPriority.String()
+	cfg.Seed = 7
+	cfg.Horizon, cfg.Warmup = 5000, 500
+	res := mustSim(t, cfg)
 	if res.Grants[0] < 4*res.Grants[7] {
 		t.Fatalf("fixed priority under saturation: grants[0]=%d not ≫ grants[7]=%d",
 			res.Grants[0], res.Grants[7])
 	}
-	rr, err := mustRun(t,
-		WithProcessors(8),
-		WithThinkRate(1),
-		WithServiceRate(1),
-		WithBuffer(2),
-		WithArbiter(RoundRobin),
-		WithSeed(7),
-		WithHorizon(5000),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Arbiter = RoundRobin.String()
+	rr := mustSim(t, cfg)
 	min, max := rr.Grants[0], rr.Grants[0]
 	for _, g := range rr.Grants {
 		if g < min {
@@ -318,15 +214,7 @@ func TestTrafficAndWeightsJSONRoundTrip(t *testing.T) {
 	if back != cfg { // Config is comparable — shapes and weights included
 		t.Fatalf("round trip changed the config:\n%+v\nvs\n%+v", back, cfg)
 	}
-	a, err := runCfg(t, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runCfg(t, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
+	if a, b := mustSim(t, cfg), mustSim(t, back); !reflect.DeepEqual(a, b) {
 		t.Fatal("deserialized config ran a different trajectory")
 	}
 	// Old configs without the new fields keep working: the zero traffic
@@ -335,11 +223,7 @@ func TestTrafficAndWeightsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"processors":2,"think_rate":0.1,"service_rate":1,"horizon":1000}`), &legacy); err != nil {
 		t.Fatal(err)
 	}
-	net, err := FromConfig(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Config().Traffic.Kind; got != TrafficPoisson {
+	if got := mustSim(t, legacy).Config.Traffic.Kind; got != TrafficPoisson {
 		t.Fatalf("legacy config traffic normalized to %q, want %q", got, TrafficPoisson)
 	}
 }
@@ -352,14 +236,7 @@ func TestWeightsInertForOtherArbiters(t *testing.T) {
 	cfg.Seed = 42
 	with := cfg
 	with.Weights = "5,1,1,1,1,1,1,1"
-	a, err := runCfg(t, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runCfg(t, with)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := mustSim(t, cfg), mustSim(t, with)
 	a.Config, b.Config = Config{}, Config{}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("weights changed a round-robin run; they must be inert off the weighted arbiter")
@@ -367,7 +244,7 @@ func TestWeightsInertForOtherArbiters(t *testing.T) {
 	// But malformed weights are rejected even when inert.
 	bad := cfg
 	bad.Weights = "1,x,3"
-	if _, err := FromConfig(bad); err == nil {
+	if _, err := Evaluate(bad, BackendSim); err == nil {
 		t.Fatal("malformed weights accepted on a round-robin config")
 	}
 }
@@ -379,18 +256,14 @@ func TestWeightedRoundRobinFacade(t *testing.T) {
 	// Buffers deeper than the largest weight keep every interface
 	// supplied through its whole grant window; a shallower buffer would
 	// starve the heavy station mid-window and flatten the shares.
-	res, err := mustRun(t,
-		WithProcessors(4),
-		WithThinkRate(2), // saturating
-		WithServiceRate(1),
-		WithBuffer(8),
-		WithWeights(6, 2, 1, 1),
-		WithSeed(9),
-		WithHorizon(20_000),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cfg.Processors = 4
+	cfg.ThinkRate = 2 // saturating
+	cfg.Mode, cfg.BufferCap = ModeBuffered, 8
+	cfg.Arbiter, cfg.Weights = WeightedRoundRobin.String(), "6,2,1,1"
+	cfg.Seed = 9
+	cfg.Horizon, cfg.Warmup = 20_000, 2_000
+	res := mustSim(t, cfg)
 	total := uint64(0)
 	for _, g := range res.Grants {
 		total += g
@@ -409,14 +282,7 @@ func TestWeightedRoundRobinFacade(t *testing.T) {
 	base.Seed = 42
 	weighted := base
 	weighted.Arbiter = WeightedRoundRobin.String()
-	a, err := runCfg(t, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runCfg(t, weighted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := mustSim(t, base), mustSim(t, weighted)
 	a.Config, b.Config = Config{}, Config{}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("weighted round-robin with default weights diverged from round-robin")
@@ -426,30 +292,22 @@ func TestWeightedRoundRobinFacade(t *testing.T) {
 func TestPredictRejectsNonPoissonTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Traffic = MMPP2Traffic(0.1, 0.1, 0.01, 0.01)
-	if _, err := Predict(cfg); err == nil {
-		t.Fatal("Predict attached a Poisson closed form to MMPP2 traffic")
+	if _, err := Evaluate(cfg, BackendAnalytic); err == nil {
+		t.Fatal("the analytic backend attached a Poisson closed form to MMPP2 traffic")
 	}
 	cfg.Traffic = DeterministicTraffic()
-	if _, err := Predict(cfg); err == nil {
-		t.Fatal("Predict attached a Poisson closed form to deterministic traffic")
+	if _, err := Evaluate(cfg, BackendAnalytic); err == nil {
+		t.Fatal("the analytic backend attached a Poisson closed form to deterministic traffic")
 	}
 }
 
-func mustRun(t *testing.T, opts ...Option) (Results, error) {
+// mustSim simulates cfg with Evaluate's discrete-event backend, fatally
+// on error.
+func mustSim(t *testing.T, cfg Config) Results {
 	t.Helper()
-	net, err := New(opts...)
+	ev, err := Evaluate(cfg, BackendSim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.Run()
-}
-
-// runCfg runs a literal Config through FromConfig, fatally on error.
-func runCfg(t *testing.T, cfg Config) (Results, error) {
-	t.Helper()
-	net, err := FromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net.Run()
+	return *ev.Results
 }

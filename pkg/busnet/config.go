@@ -24,7 +24,7 @@ const (
 
 // Config is the complete, immutable description of one simulation
 // operating point. It is a plain comparable value type: copy it, tweak a
-// field, and hand the copy to FromConfig to fan one base configuration
+// field, and hand the copy to Evaluate to fan one base configuration
 // out into a parameter grid or a set of replications — the struct itself
 // never runs anything and holds no simulation state.
 //
@@ -199,9 +199,9 @@ func RareBurstMMPP2(mean, ratio, dwell, burstFrac float64) Traffic {
 	return MMPP2Traffic(rate0, ratio*rate0, switch01, 1/dwell)
 }
 
-// DefaultConfig returns the same baseline the functional options start
-// from: 8 processors, one bus, λ=0.1, μ=1, unbuffered, Poisson traffic,
-// round-robin, seed 1, horizon 100000 with a 10% warmup. Warmup is an
+// DefaultConfig returns the baseline operating point: 8 processors, one
+// bus, λ=0.1, μ=1, unbuffered, Poisson traffic, round-robin, seed 1,
+// horizon 100000 with a 10% warmup. Warmup is an
 // absolute time, not a fraction — when deriving configs with a different
 // horizon, use AtHorizon so the warmup rescales with it.
 func DefaultConfig() Config {
@@ -271,15 +271,6 @@ func ParseWeights(s string) ([]int, error) {
 	return ws, nil
 }
 
-// FormatWeights renders a weight vector as a Config.Weights string.
-func FormatWeights(ws []int) string {
-	parts := make([]string, len(ws))
-	for i, w := range ws {
-		parts[i] = strconv.Itoa(w)
-	}
-	return strings.Join(parts, ",")
-}
-
 // ParseMode maps a mode name to its canonical spelling — ModeUnbuffered
 // or ModeBuffered — mirroring ParseArbiter and ParseBackend. The empty
 // string parses as ModeUnbuffered, matching Config normalization.
@@ -307,7 +298,7 @@ func parseMode(s string) (bus.Mode, error) {
 }
 
 // normalized fills the empty-string Mode/Arbiter/Traffic.Kind and
-// zero-Buses defaults so every Network echoes canonical names.
+// zero-Buses defaults so every run echoes canonical names.
 func (c Config) normalized() Config {
 	if c.Mode == "" {
 		c.Mode = ModeUnbuffered
@@ -325,7 +316,7 @@ func (c Config) normalized() Config {
 
 // Normalized returns the config with empty Mode/Arbiter/Traffic/Service
 // strings and zero Buses filled with their canonical defaults — the
-// exact value a Network built from c would echo from Config(). Useful
+// exact value a simulation of c echoes in Results.Config. Useful
 // for comparing configs from different sources (literals, JSON, CLI
 // flags) that mean the same operating point.
 func (c Config) Normalized() Config { return c.normalized() }

@@ -21,54 +21,61 @@ func relErr(sim, pred float64) float64 {
 	return math.Abs(sim-pred) / math.Abs(pred)
 }
 
+// longRun is the cross-checks' base operating point: DefaultConfig at
+// seed 42, run to horizon 400000 with a 10% warmup.
+func longRun() Config {
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	cfg.Horizon, cfg.Warmup = 400_000, 40_000
+	return cfg
+}
+
+// buffered sets cfg's interfaces to buffered mode with depth capacity
+// (Infinite for unbounded).
+func buffered(capacity int) func(*Config) {
+	return func(c *Config) { c.Mode, c.BufferCap = ModeBuffered, capacity }
+}
+
+// mustPredict evaluates cfg with the analytic backend, fatally on error.
+func mustPredict(t *testing.T, cfg Config) Prediction {
+	t.Helper()
+	ev, err := Evaluate(cfg, BackendAnalytic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *ev.Analytic
+}
+
 func TestSimulationMatchesAnalytic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-horizon cross-validation")
 	}
 	tests := []struct {
 		name    string
-		opts    []Option
+		n       int
+		lambda  float64
+		mode    func(*Config)
 		utilTol float64
 		waitTol float64
 	}{
 		// Unbuffered: exact finite-source model.
-		{"unbuffered/n4/light", []Option{
-			WithProcessors(4), WithThinkRate(0.1), WithUnbuffered()}, 0.02, 0.05},
-		{"unbuffered/n8/moderate", []Option{
-			WithProcessors(8), WithThinkRate(0.1), WithUnbuffered()}, 0.02, 0.05},
-		{"unbuffered/n16/heavy", []Option{
-			WithProcessors(16), WithThinkRate(0.1), WithUnbuffered()}, 0.02, 0.05},
+		{"unbuffered/n4/light", 4, 0.1, func(*Config) {}, 0.02, 0.05},
+		{"unbuffered/n8/moderate", 8, 0.1, func(*Config) {}, 0.02, 0.05},
+		{"unbuffered/n16/heavy", 16, 0.1, func(*Config) {}, 0.02, 0.05},
 		// Buffered, unbounded: exact M/M/1.
-		{"buffered/n4/rho0.4", []Option{
-			WithProcessors(4), WithThinkRate(0.1), WithBuffer(Infinite)}, 0.02, 0.08},
-		{"buffered/n8/rho0.6", []Option{
-			WithProcessors(8), WithThinkRate(0.075), WithBuffer(Infinite)}, 0.02, 0.08},
-		{"buffered/n16/rho0.8", []Option{
-			WithProcessors(16), WithThinkRate(0.05), WithBuffer(Infinite)}, 0.02, 0.10},
+		{"buffered/n4/rho0.4", 4, 0.1, buffered(Infinite), 0.02, 0.08},
+		{"buffered/n8/rho0.6", 8, 0.075, buffered(Infinite), 0.02, 0.08},
+		{"buffered/n16/rho0.8", 16, 0.05, buffered(Infinite), 0.02, 0.10},
 		// Buffered, finite: M/M/1/K approximation, low-blocking regime.
-		{"buffered/n8/cap4", []Option{
-			WithProcessors(8), WithThinkRate(0.06), WithBuffer(4)}, 0.05, 0.15},
+		{"buffered/n8/cap4", 8, 0.06, buffered(4), 0.05, 0.15},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			opts := append([]Option{
-				WithServiceRate(1),
-				WithSeed(42),
-				WithHorizon(400_000),
-				WithWarmupFraction(0.1),
-			}, tt.opts...)
-			net, err := New(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pred, err := net.Predict()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := longRun()
+			cfg.Processors = tt.n
+			cfg.ThinkRate = tt.lambda
+			tt.mode(&cfg)
+			pred, res := mustPredict(t, cfg), mustSim(t, cfg)
 			if e := relErr(res.Utilization, pred.Utilization); e > tt.utilTol {
 				t.Errorf("utilization: sim %.4f vs analytic %.4f (rel err %.3f > %.3f)",
 					res.Utilization, pred.Utilization, e, tt.utilTol)
@@ -99,58 +106,34 @@ func TestMultiBusSimulationMatchesAnalytic(t *testing.T) {
 		t.Skip("long-horizon cross-validation")
 	}
 	tests := []struct {
-		name    string
-		opts    []Option
-		utilTol float64
-		waitTol float64
+		name       string
+		n, m       int
+		lambda, mu float64
+		mode       func(*Config)
+		utilTol    float64
+		waitTol    float64
 	}{
 		// Unbuffered: exact finite-source M/M/m//N.
-		{"unbuffered/n16/m2", []Option{
-			WithProcessors(16), WithThinkRate(0.1), WithServiceRate(1),
-			WithBuses(2), WithUnbuffered()}, 0.02, 0.05},
-		{"unbuffered/n32/m4/heavy", []Option{
-			WithProcessors(32), WithThinkRate(0.1), WithServiceRate(1),
-			WithBuses(4), WithUnbuffered()}, 0.02, 0.05},
-		{"unbuffered/n48/m8/loaded", []Option{
-			WithProcessors(48), WithThinkRate(0.15), WithServiceRate(1),
-			WithBuses(8), WithUnbuffered()}, 0.02, 0.05},
-		{"unbuffered/n8/m3/mu2", []Option{
-			WithProcessors(8), WithThinkRate(0.4), WithServiceRate(2),
-			WithBuses(3), WithUnbuffered()}, 0.02, 0.05},
+		{"unbuffered/n16/m2", 16, 2, 0.1, 1, func(*Config) {}, 0.02, 0.05},
+		{"unbuffered/n32/m4/heavy", 32, 4, 0.1, 1, func(*Config) {}, 0.02, 0.05},
+		{"unbuffered/n48/m8/loaded", 48, 8, 0.15, 1, func(*Config) {}, 0.02, 0.05},
+		{"unbuffered/n8/m3/mu2", 8, 3, 0.4, 2, func(*Config) {}, 0.02, 0.05},
 		// Buffered, unbounded: exact Erlang-C M/M/m.
-		{"buffered/n16/m2/rho0.8", []Option{
-			WithProcessors(16), WithThinkRate(0.1), WithServiceRate(1),
-			WithBuses(2), WithBuffer(Infinite)}, 0.02, 0.10},
-		{"buffered/n16/m4/rho0.6", []Option{
-			WithProcessors(16), WithThinkRate(0.15), WithServiceRate(1),
-			WithBuses(4), WithBuffer(Infinite)}, 0.02, 0.10},
-		{"buffered/n32/m8/mu0.5/rho0.8", []Option{
-			WithProcessors(32), WithThinkRate(0.05), WithServiceRate(0.5),
-			WithBuses(8), WithBuffer(Infinite)}, 0.02, 0.10},
+		{"buffered/n16/m2/rho0.8", 16, 2, 0.1, 1, buffered(Infinite), 0.02, 0.10},
+		{"buffered/n16/m4/rho0.6", 16, 4, 0.15, 1, buffered(Infinite), 0.02, 0.10},
+		{"buffered/n32/m8/mu0.5/rho0.8", 32, 8, 0.05, 0.5, buffered(Infinite), 0.02, 0.10},
 		// Buffered, finite: M/M/m/K approximation, low-blocking regime.
-		{"buffered/n16/m2/cap4", []Option{
-			WithProcessors(16), WithThinkRate(0.09), WithServiceRate(1),
-			WithBuses(2), WithBuffer(4)}, 0.05, 0.15},
+		{"buffered/n16/m2/cap4", 16, 2, 0.09, 1, buffered(4), 0.05, 0.15},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			opts := append([]Option{
-				WithSeed(42),
-				WithHorizon(400_000),
-				WithWarmupFraction(0.1),
-			}, tt.opts...)
-			net, err := New(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pred, err := net.Predict()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := longRun()
+			cfg.Processors = tt.n
+			cfg.Buses = tt.m
+			cfg.ThinkRate = tt.lambda
+			cfg.ServiceRate = tt.mu
+			tt.mode(&cfg)
+			pred, res := mustPredict(t, cfg), mustSim(t, cfg)
 			if e := relErr(res.Utilization, pred.Utilization); e > tt.utilTol {
 				t.Errorf("utilization: sim %.4f vs analytic %.4f (rel err %.3f > %.3f)",
 					res.Utilization, pred.Utilization, e, tt.utilTol)
@@ -169,7 +152,7 @@ func TestMultiBusSimulationMatchesAnalytic(t *testing.T) {
 			}
 			// The per-bus breakdown must be consistent with the aggregate:
 			// one entry per bus averaging to the reported utilization.
-			m := net.Config().Buses
+			m := tt.m
 			if len(res.BusUtilization) != m {
 				t.Fatalf("BusUtilization has %d entries, want %d", len(res.BusUtilization), m)
 			}
@@ -186,23 +169,14 @@ func TestMultiBusSimulationMatchesAnalytic(t *testing.T) {
 
 // The fabric's qualitative headline, simulated end to end: at a fixed
 // workload that saturates one bus, each doubling of the fabric raises
-// throughput and cuts the wait, and Predict's m-server overlay tracks
-// the whole curve.
+// throughput and cuts the wait.
 func TestMoreBusesRelieveContention(t *testing.T) {
 	run := func(m int) Results {
-		res, err := mustRun(t,
-			WithProcessors(32),
-			WithThinkRate(0.1),
-			WithServiceRate(1),
-			WithUnbuffered(),
-			WithBuses(m),
-			WithSeed(42),
-			WithHorizon(100_000),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		cfg := DefaultConfig()
+		cfg.Processors = 32
+		cfg.Buses = m
+		cfg.Seed = 42
+		return mustSim(t, cfg)
 	}
 	prev := run(1)
 	for _, m := range []int{2, 4, 8} {
@@ -217,14 +191,14 @@ func TestMoreBusesRelieveContention(t *testing.T) {
 	}
 }
 
-// Predict keeps refusing to overlay the Poisson closed forms on
-// non-Poisson traffic on a fabric too.
+// The analytic backend keeps refusing to overlay the Poisson closed
+// forms on non-Poisson traffic on a fabric too.
 func TestMultiBusPredictRejectsNonPoisson(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Buses = 4
 	cfg.Traffic = DeterministicTraffic()
-	if _, err := Predict(cfg); err == nil {
-		t.Fatal("Predict attached an m-server Poisson closed form to deterministic traffic")
+	if _, err := Evaluate(cfg, BackendAnalytic); err == nil {
+		t.Fatal("the analytic backend attached an m-server Poisson closed form to deterministic traffic")
 	}
 }
 
@@ -239,44 +213,29 @@ func TestMMPP2EqualRatesMatchesPoissonAnalytic(t *testing.T) {
 	}
 	tests := []struct {
 		name    string
-		opts    []Option
+		n       int
+		mode    func(*Config)
 		rate    float64
 		utilTol float64
 		waitTol float64
 	}{
-		{"unbuffered/n8", []Option{
-			WithProcessors(8), WithUnbuffered()}, 0.1, 0.02, 0.05},
-		{"buffered/n16/rho0.8", []Option{
-			WithProcessors(16), WithBuffer(Infinite)}, 0.05, 0.02, 0.10},
+		{"unbuffered/n8", 8, func(*Config) {}, 0.1, 0.02, 0.05},
+		{"buffered/n16/rho0.8", 16, buffered(Infinite), 0.05, 0.02, 0.10},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			opts := append([]Option{
-				WithServiceRate(1),
-				WithSeed(42),
-				WithHorizon(400_000),
-				WithWarmupFraction(0.1),
-				// ThinkRate is ignored by MMPP2 but echoed as provenance;
-				// setting it to the true rate keeps the echo honest.
-				WithThinkRate(tt.rate),
-				WithTraffic(MMPP2Traffic(tt.rate, tt.rate, 0.01, 0.01)),
-			}, tt.opts...)
-			net, err := New(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := longRun()
+			cfg.Processors = tt.n
+			// ThinkRate is ignored by MMPP2 but echoed as provenance;
+			// setting it to the true rate keeps the echo honest.
+			cfg.ThinkRate = tt.rate
+			cfg.Traffic = MMPP2Traffic(tt.rate, tt.rate, 0.01, 0.01)
+			tt.mode(&cfg)
 			// The closed form comes from the Poisson-equivalent config:
 			// same operating point, plain Poisson shape.
-			poisson := net.Config()
+			poisson := cfg
 			poisson.Traffic = PoissonTraffic()
-			pred, err := Predict(poisson)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
+			pred, res := mustPredict(t, poisson), mustSim(t, cfg)
 			if e := relErr(res.Utilization, pred.Utilization); e > tt.utilTol {
 				t.Errorf("utilization: sim %.4f vs analytic %.4f (rel err %.3f > %.3f)",
 					res.Utilization, pred.Utilization, e, tt.utilTol)
@@ -319,24 +278,13 @@ func TestBurstyThroughputMatchesMeanRate(t *testing.T) {
 	}
 	for _, tt := range shapes {
 		t.Run(tt.name, func(t *testing.T) {
-			net, err := New(
-				WithProcessors(n),
-				WithThinkRate(mean),
-				WithServiceRate(1),
-				WithBuffer(Infinite),
-				WithTraffic(tt.traffic),
-				WithSeed(42),
-				WithHorizon(400_000),
-				WithWarmupFraction(0.1),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := net.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := float64(n) * net.Config().MeanThinkRate()
+			cfg := longRun()
+			cfg.Processors = n
+			cfg.ThinkRate = mean
+			cfg.Mode, cfg.BufferCap = ModeBuffered, Infinite
+			cfg.Traffic = tt.traffic
+			res := mustSim(t, cfg)
+			want := float64(n) * cfg.MeanThinkRate()
 			if e := relErr(res.Throughput, want); e > 0.05 {
 				t.Errorf("throughput %.4f vs N·mean rate %.4f (rel err %.3f > 0.05)",
 					res.Throughput, want, e)
@@ -354,19 +302,14 @@ func TestBurstyThroughputMatchesMeanRate(t *testing.T) {
 // shape itself.
 func TestWaitOrderingAcrossShapes(t *testing.T) {
 	run := func(n int, rate float64, traffic Traffic) Results {
-		res, err := mustRun(t,
-			WithProcessors(n),
-			WithThinkRate(rate),
-			WithServiceRate(1),
-			WithBuffer(Infinite),
-			WithTraffic(traffic),
-			WithSeed(42),
-			WithHorizon(200_000),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		cfg := DefaultConfig()
+		cfg.Processors = n
+		cfg.ThinkRate = rate
+		cfg.Mode, cfg.BufferCap = ModeBuffered, Infinite
+		cfg.Traffic = traffic
+		cfg.Seed = 42
+		cfg.Horizon, cfg.Warmup = 200_000, 20_000
+		return mustSim(t, cfg)
 	}
 	poi := run(16, 0.0375, PoissonTraffic())
 	bursty := run(16, 0.0375, rareBurstMMPP2(0.0375, 16))
@@ -385,21 +328,13 @@ func TestWaitOrderingAcrossShapes(t *testing.T) {
 // (processors keep issuing while requests wait), and so does the wait a
 // request sees at the bus.
 func TestBufferingIncreasesUtilization(t *testing.T) {
-	common := []Option{
-		WithProcessors(8),
-		WithThinkRate(0.08),
-		WithServiceRate(1),
-		WithSeed(42),
-		WithHorizon(200_000),
-	}
-	unbuf, err := mustRun(t, append(common, WithUnbuffered())...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := mustRun(t, append(common, WithBuffer(Infinite))...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cfg.ThinkRate = 0.08
+	cfg.Seed = 42
+	cfg.Horizon, cfg.Warmup = 200_000, 20_000
+	unbuf := mustSim(t, cfg)
+	cfg.Mode, cfg.BufferCap = ModeBuffered, Infinite
+	buf := mustSim(t, cfg)
 	if buf.Utilization <= unbuf.Utilization {
 		t.Fatalf("buffered utilization %.4f not above unbuffered %.4f",
 			buf.Utilization, unbuf.Utilization)
@@ -453,18 +388,12 @@ func TestServiceShapesMatchPollaczekKhinchine(t *testing.T) {
 			cfg.ThinkRate = pt.lambda
 			cfg.ServiceRate = pt.mu
 			cfg.Service = pt.service
-			pred, err := Predict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pred := mustPredict(t, cfg)
 			var sum, sumSq float64
 			for r := 0; r < reps; r++ {
 				run := cfg
 				run.Stream = uint64(r)
-				res, err := runCfg(t, run)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := mustSim(t, run)
 				sum += res.MeanWait
 				sumSq += res.MeanWait * res.MeanWait
 			}

@@ -42,20 +42,23 @@ type Evaluation struct {
 }
 
 // Evaluate is the single entry point for evaluating a flat (one-bus-
-// segment) configuration with any backend. It subsumes the historical
-// trio — Network.Run is Evaluate(cfg, BackendSim), Predict is
-// Evaluate(cfg, BackendAnalytic), FluidPredict is
-// Evaluate(cfg, BackendFluid) — which survive as thin shims over this
-// function. The backend argument accepts the zero value ("" resolves
-// to BackendSim, matching ParseBackend) so callers can thread a
-// Backend straight from JSON or flags.
+// segment) configuration with any backend. The backend argument accepts
+// the zero value ("" resolves to BackendSim, matching ParseBackend) so
+// callers can thread a Backend straight from JSON or flags.
 //
-// Backend domains differ: the analytic backend refuses non-Poisson
-// traffic and most non-exponential-service regimes (see the Predict
-// shim's doc for the exact model mapping), and the fluid backend
-// refuses everything its symmetric mean-field balance cannot represent
-// (see FluidPredict). The simulator accepts any valid Config up to
-// MaxSimProcessors stations.
+// Backend domains differ. The simulator accepts any valid Config up to
+// MaxSimProcessors stations. The analytic backend maps the config onto
+// its closed form — the machine-repairman model (finite-source
+// M/M/m//N) when unbuffered, Erlang-C M/M/m for infinite buffers, the
+// M/M/m/K approximation for finite ones, and M/G/1 Pollaczek–Khinchine
+// for non-exponential service on a single buffered-infinite bus — and
+// refuses non-Poisson traffic, unstable infinite buffers and every
+// other non-exponential-service regime. The fluid backend is the
+// mean-field limit, O(1) in Processors and asymptotically exact as
+// N → ∞; it refuses what its symmetric balance cannot represent:
+// non-Poisson traffic, non-exponential service, the fixed-priority
+// arbiter, non-uniform weights, and infinite buffers. See docs/fluid.md
+// and docs/service.md.
 func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 	b, err := ParseBackend(string(backend))
 	if err != nil {

@@ -5,93 +5,45 @@ import (
 	"testing"
 )
 
-// The deprecation contract: every legacy entry point produces output
-// identical to Evaluate with the matching backend — payloads, summary
-// fields, and errors alike.
-func TestEvaluateSubsumesRun(t *testing.T) {
+// Every backend fills the shared summary from its own payload, and
+// exactly one payload pointer is set: Results (with Diagnostics) for
+// the simulator, Analytic or Fluid for the models.
+func TestEvaluatePayloadShapes(t *testing.T) {
 	cfg := DefaultConfig().AtHorizon(5000)
+	cfg.Processors = 4
 	cfg.Seed = 42
-	cfg.Quantiles = true
-	net, err := FromConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := net.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(cfg, BackendSim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Backend != BackendSim || ev.Results == nil || ev.Analytic != nil || ev.Fluid != nil {
-		t.Fatalf("sim evaluation payload shape: %+v", ev)
-	}
-	if !reflect.DeepEqual(*ev.Results, legacy) {
-		t.Fatalf("Evaluate sim results diverged from Network.Run:\n%+v\nvs\n%+v", *ev.Results, legacy)
-	}
-	if ev.Utilization != legacy.Utilization || ev.Throughput != legacy.Throughput ||
-		ev.MeanWait != legacy.MeanWait || ev.MeanResponse != legacy.MeanResponse ||
-		ev.MeanQueueLen != legacy.MeanQueueLen {
-		t.Errorf("summary fields diverged from Results: %+v", ev)
-	}
-}
-
-func TestEvaluateSubsumesPredict(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeBuffered
-	cfg.BufferCap = Infinite
-	legacy, err := Predict(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(cfg, BackendAnalytic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Backend != BackendAnalytic || ev.Analytic == nil || ev.Results != nil || ev.Fluid != nil {
-		t.Fatalf("analytic evaluation payload shape: %+v", ev)
-	}
-	if *ev.Analytic != legacy {
-		t.Fatalf("Evaluate analytic diverged from Predict: %+v vs %+v", *ev.Analytic, legacy)
-	}
-	if ev.MeanResponse != legacy.MeanResponse || ev.Utilization != legacy.Utilization {
-		t.Errorf("summary fields diverged: %+v", ev)
-	}
-	// Error cases must match too: same domain, same message.
-	bad := cfg
-	bad.Traffic = MMPP2Traffic(0.02, 0.3, 0.01, 0.05)
-	_, errLegacy := Predict(bad)
-	_, errEval := Evaluate(bad, BackendAnalytic)
-	if errLegacy == nil || errEval == nil || errLegacy.Error() != errEval.Error() {
-		t.Errorf("analytic error mismatch: %v vs %v", errLegacy, errEval)
-	}
-}
-
-func TestEvaluateSubsumesFluidPredict(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Processors = 64
-	legacy, err := FluidPredict(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(cfg, BackendFluid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Backend != BackendFluid || ev.Fluid == nil || ev.Results != nil || ev.Analytic != nil {
-		t.Fatalf("fluid evaluation payload shape: %+v", ev)
-	}
-	if *ev.Fluid != legacy {
-		t.Fatalf("Evaluate fluid diverged from FluidPredict: %+v vs %+v", *ev.Fluid, legacy)
-	}
-	bad := cfg
-	bad.Mode = ModeBuffered
-	bad.BufferCap = Infinite
-	_, errLegacy := FluidPredict(bad)
-	_, errEval := Evaluate(bad, BackendFluid)
-	if errLegacy == nil || errEval == nil || errLegacy.Error() != errEval.Error() {
-		t.Errorf("fluid error mismatch: %v vs %v", errLegacy, errEval)
+	for _, b := range []Backend{BackendSim, BackendAnalytic, BackendFluid} {
+		ev, err := Evaluate(cfg, b)
+		if err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		var payloads int
+		var u, x, w, r, q float64
+		if p := ev.Results; p != nil {
+			payloads++
+			u, x, w, r, q = p.Utilization, p.Throughput, p.MeanWait, p.MeanResponse, p.MeanQueueLen
+			if ev.Diagnostics == nil || ev.Diagnostics != p.Diagnostics {
+				t.Errorf("%s: Diagnostics %p not the Results' %p", b, ev.Diagnostics, p.Diagnostics)
+			}
+		}
+		if p := ev.Analytic; p != nil {
+			payloads++
+			u, x, w, r, q = p.Utilization, p.Throughput, p.MeanWait, p.MeanResponse, p.MeanQueueLen
+		}
+		if p := ev.Fluid; p != nil {
+			payloads++
+			u, x, w, r, q = p.Utilization, p.Throughput, p.MeanWait, p.MeanResponse, p.MeanQueueLen
+		}
+		if ev.Backend != b || payloads != 1 {
+			t.Fatalf("%s: backend %q with %d payloads: %+v", b, ev.Backend, payloads, ev)
+		}
+		if b != BackendSim && ev.Diagnostics != nil {
+			t.Errorf("%s: closed-form backend reported Diagnostics", b)
+		}
+		if ev.Utilization != u || ev.Throughput != x || ev.MeanWait != w ||
+			ev.MeanResponse != r || ev.MeanQueueLen != q {
+			t.Errorf("%s: summary fields diverged from the payload: %+v", b, ev)
+		}
 	}
 }
 

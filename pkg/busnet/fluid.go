@@ -10,20 +10,20 @@ import (
 // Backend names one of the three ways the repo can evaluate an
 // operating point: discrete-event simulation ("sim", the default —
 // exact dynamics, cost O(events)), the exact/approximate closed forms
-// ("analytic" — Predict's domain), or the mean-field fluid solver
-// ("fluid" — FluidPredict's domain, cost O(1) in the number of
-// processors, asymptotically exact as N → ∞). The sweep subpackage and
-// the CLI select backends by this name.
+// ("analytic"), or the mean-field fluid solver ("fluid" — cost O(1) in
+// the number of processors, asymptotically exact as N → ∞). Evaluate
+// documents each backend's domain. The sweep subpackage and the CLI
+// select backends by this name.
 type Backend string
 
 const (
 	// BackendSim is the discrete-event simulator — the ground truth at
 	// any N it can feasibly run (see MaxSimProcessors).
 	BackendSim Backend = "sim"
-	// BackendAnalytic evaluates Predict's closed forms, no simulation.
+	// BackendAnalytic evaluates the closed forms, no simulation.
 	BackendAnalytic Backend = "analytic"
-	// BackendFluid evaluates FluidPredict's mean-field model, no
-	// simulation — the only backend whose cost is O(1) in N.
+	// BackendFluid evaluates the mean-field model, no simulation — the
+	// only backend whose cost is O(1) in N.
 	BackendFluid Backend = "fluid"
 )
 
@@ -61,16 +61,17 @@ func ParseBackend(s string) (Backend, error) {
 // interface (buffered-finite).
 type FluidPrediction = fluid.Prediction
 
-// FluidPredict returns the mean-field (fluid-limit) steady-state
-// prediction for cfg: occupancy fractions of the station population
-// evolve by mass-balance ODEs whose cost is O(1) in Processors, so
-// curves at N = 10⁶ cost microseconds where simulation would cost
-// millions of events. The model is asymptotically exact as N → ∞ with
-// the per-station capacity m/N held fixed — errors shrink like O(1/N)
-// away from the critical load, O(1/√N) at it; see docs/fluid.md for the
-// derivation and a worked fluid-vs-DES example.
+// fluidPredict is the mean-field backend behind Evaluate: the
+// (fluid-limit) steady-state prediction for cfg, where occupancy
+// fractions of the station population evolve by mass-balance ODEs whose
+// cost is O(1) in Processors, so curves at N = 10⁶ cost microseconds
+// where simulation would cost millions of events. The model is
+// asymptotically exact as N → ∞ with the per-station capacity m/N held
+// fixed — errors shrink like O(1/N) away from the critical load,
+// O(1/√N) at it; see docs/fluid.md for the derivation and a worked
+// fluid-vs-DES example.
 //
-// Its domain is validated exactly like Predict's: the mean-field
+// Its domain is validated exactly like predict's: the mean-field
 // balance assumes Poisson arrivals and exponential service, and the
 // symmetric capacity-splitting drain term models an arbiter that treats
 // stations identically — so non-Poisson traffic, non-exponential
@@ -78,21 +79,7 @@ type FluidPrediction = fluid.Prediction
 // non-uniform weights are all refused rather than silently mismodeled.
 // Buffered mode requires a finite BufferCap: an infinite buffer has no
 // finite occupancy state space, and its stable regime is already
-// covered exactly by Predict's Erlang-C forms.
-//
-// Deprecated: FluidPredict is Evaluate(cfg, BackendFluid). New code
-// should call Evaluate and read Evaluation.Fluid; FluidPredict remains
-// as an identical-output shim.
-func FluidPredict(cfg Config) (FluidPrediction, error) {
-	ev, err := Evaluate(cfg, BackendFluid)
-	if err != nil {
-		return FluidPrediction{}, err
-	}
-	return *ev.Fluid, nil
-}
-
-// fluidPredict is the mean-field backend behind Evaluate (and the
-// FluidPredict shim); see FluidPredict's doc for the model's domain.
+// covered exactly by the analytic backend's Erlang-C forms.
 func fluidPredict(cfg Config) (FluidPrediction, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -115,7 +102,7 @@ func fluidPredict(cfg Config) (FluidPrediction, error) {
 	}
 	if cfg.Mode == ModeBuffered {
 		if cfg.BufferCap == Infinite {
-			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for infinite buffers — use Predict's M/M/m (Erlang-C) form, which is exact there")
+			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for infinite buffers — use the analytic backend's M/M/m (Erlang-C) form, which is exact there")
 		}
 		return fluid.BufferedFinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
 	}
@@ -133,9 +120,3 @@ func uniformWeights(ws []int) bool {
 	}
 	return true
 }
-
-// FluidPredict returns the mean-field prediction for this network's
-// configuration; see the package-level FluidPredict.
-//
-// Deprecated: use Evaluate(n.Config(), BackendFluid).
-func (n *Network) FluidPredict() (FluidPrediction, error) { return FluidPredict(n.cfg) }

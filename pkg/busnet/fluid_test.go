@@ -32,19 +32,8 @@ func TestFluidPredictDomainRefusals(t *testing.T) {
 	base.Buses = 4
 	base.ThinkRate = 0.1
 
-	if _, err := FluidPredict(base); err != nil {
+	if _, err := Evaluate(base, BackendFluid); err != nil {
 		t.Fatalf("in-domain config refused: %v", err)
-	}
-	// The method form answers for the network's canonical config.
-	net, err := FromConfig(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err1 := FluidPredict(net.Config())
-	viaNet, err2 := net.FluidPredict()
-	if err1 != nil || err2 != nil || direct != viaNet {
-		t.Fatalf("Network.FluidPredict diverged from FluidPredict: %+v vs %+v (%v, %v)",
-			viaNet, direct, err2, err1)
 	}
 
 	refusals := map[string]func(*Config){
@@ -64,8 +53,8 @@ func TestFluidPredictDomainRefusals(t *testing.T) {
 	for name, mutate := range refusals {
 		cfg := base
 		mutate(&cfg)
-		if _, err := FluidPredict(cfg); err == nil {
-			t.Errorf("%s: FluidPredict produced a number outside its domain", name)
+		if _, err := Evaluate(cfg, BackendFluid); err == nil {
+			t.Errorf("%s: the fluid backend produced a number outside its domain", name)
 		}
 	}
 
@@ -74,7 +63,7 @@ func TestFluidPredictDomainRefusals(t *testing.T) {
 	uni.Processors = 4
 	uni.Arbiter = WeightedRoundRobin.String()
 	uni.Weights = "2,2,2,2"
-	if _, err := FluidPredict(uni); err != nil {
+	if _, err := Evaluate(uni, BackendFluid); err != nil {
 		t.Errorf("uniform WRR weights refused: %v", err)
 	}
 }
@@ -106,14 +95,7 @@ func TestFluidMatchesExactClosedForms(t *testing.T) {
 			cfg.Buses = tc.m
 			cfg.ThinkRate = tc.thinkRate
 
-			exact, err := Predict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := FluidPredict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact, fl := mustPredict(t, cfg), mustFluid(t, cfg)
 			for metric, pair := range map[string][2]float64{
 				"utilization": {fl.Utilization, exact.Utilization},
 				"throughput":  {fl.Throughput, exact.Throughput},
@@ -153,14 +135,7 @@ func TestFluidMatchesBufferedFlowClosedForm(t *testing.T) {
 			cfg.Mode = ModeBuffered
 			cfg.BufferCap = tc.cap
 
-			exact, err := Predict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := FluidPredict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact, fl := mustPredict(t, cfg), mustFluid(t, cfg)
 			if e := relErr(fl.Throughput, exact.Throughput); e > 1e-2 {
 				t.Errorf("throughput: fluid %v vs exact %v (rel err %.2e)",
 					fl.Throughput, exact.Throughput, e)
@@ -188,14 +163,7 @@ func TestFluidGapClosesAsN(t *testing.T) {
 		cfg.Buses = n / 16 // c = 1/16 held fixed
 		cfg.ThinkRate = lambda
 
-		exact, err := Predict(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fl, err := FluidPredict(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact, fl := mustPredict(t, cfg), mustFluid(t, cfg)
 		gap := relErr(fl.MeanWait, exact.MeanWait)
 		gaps = append(gaps, gap)
 		if len(gaps) > 1 && gap >= prev {
@@ -248,19 +216,13 @@ func TestFluidWithinDESConfidenceIntervals(t *testing.T) {
 				cfg.Mode = ModeBuffered
 				cfg.BufferCap = tc.bufferCap
 			}
-			fl, err := FluidPredict(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fl := mustFluid(t, cfg)
 
 			var wait, util, tput [reps]float64
 			for rep := 0; rep < reps; rep++ {
 				c := cfg
 				c.Stream = uint64(rep)
-				res, err := runCfg(t, c)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := mustSim(t, c)
 				wait[rep], util[rep], tput[rep] = res.MeanWait, res.Utilization, res.Throughput
 			}
 			contain := func(metric string, pred float64, samples [reps]float64, modelSlack float64) float64 {
@@ -299,20 +261,30 @@ func TestFluidWithinDESConfidenceIntervals(t *testing.T) {
 }
 
 // Above MaxSimProcessors the event-driven engine would need more
-// memory than any sane host: FromConfig must point at the fluid
+// memory than any sane host: the simulator must point at the fluid
 // backend instead of trying.
 func TestFromConfigRejectsHugeN(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Processors = MaxSimProcessors + 1
-	_, err := FromConfig(cfg)
+	_, err := Evaluate(cfg, BackendSim)
 	if err == nil {
-		t.Fatal("FromConfig accepted a 10M+-station simulation")
+		t.Fatal("the simulator accepted a 10M+-station config")
 	}
 	if !strings.Contains(err.Error(), "fluid") {
 		t.Errorf("rejection does not name the fluid backend: %v", err)
 	}
 	// The same config is squarely inside the fluid domain.
-	if _, err := FluidPredict(cfg); err != nil {
-		t.Errorf("FluidPredict refused N just above the sim bound: %v", err)
+	if _, err := Evaluate(cfg, BackendFluid); err != nil {
+		t.Errorf("the fluid backend refused N just above the sim bound: %v", err)
 	}
+}
+
+// mustFluid evaluates cfg with the fluid backend, fatally on error.
+func mustFluid(t *testing.T, cfg Config) FluidPrediction {
+	t.Helper()
+	ev, err := Evaluate(cfg, BackendFluid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return *ev.Fluid
 }

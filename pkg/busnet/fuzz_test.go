@@ -9,8 +9,8 @@ import (
 // FuzzConfigValidate drives Config.Validate and the JSON round trip
 // with field-level inputs: Validate must never panic, and any config it
 // accepts must survive marshal → unmarshal unchanged, still validate,
-// and yield a Predict that either errors cleanly or returns a finite
-// prediction. Huge population/capacity values are skipped rather than
+// and yield analytic and fluid evaluations that either error cleanly or
+// return finite predictions. Huge population/capacity values are skipped rather than
 // validated — they are legal configs whose closed forms and source
 // allocation are deliberately O(N·cap), which a fuzzer would turn into
 // an out-of-memory, not a finding.
@@ -83,11 +83,10 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			return // rejected cleanly; nothing more to hold
 		}
-		net, err := FromConfig(cfg)
+		canon, err := cfg.resolved()
 		if err != nil {
-			t.Fatalf("Validate accepted a config FromConfig rejects: %v\n%+v", err, cfg)
+			t.Fatalf("Validate accepted a config the simulator rejects: %v\n%+v", err, cfg)
 		}
-		canon := net.Config()
 		blob, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatalf("canonical config does not marshal: %v\n%+v", err, canon)
@@ -102,26 +101,28 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := back.Validate(); err != nil {
 			t.Fatalf("round-tripped config no longer validates: %v\n%s", err, blob)
 		}
-		if pred, err := Predict(canon); err == nil {
+		if ev, err := Evaluate(canon, BackendAnalytic); err == nil {
+			pred := ev.Analytic
 			for name, v := range map[string]float64{
 				"utilization": pred.Utilization, "throughput": pred.Throughput,
 				"mean_wait": pred.MeanWait, "mean_queue_len": pred.MeanQueueLen,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("Predict returned non-finite %s = %v for valid config %+v", name, v, canon)
+					t.Fatalf("analytic backend returned non-finite %s = %v for valid config %+v", name, v, canon)
 				}
 			}
 		}
 		// The fluid backend holds to the same contract: refuse cleanly
 		// outside its domain, never emit a non-finite number inside it.
-		if fp, err := FluidPredict(canon); err == nil {
+		if ev, err := Evaluate(canon, BackendFluid); err == nil {
+			fp := ev.Fluid
 			for name, v := range map[string]float64{
 				"utilization": fp.Utilization, "throughput": fp.Throughput,
 				"mean_wait": fp.MeanWait, "mean_queue_len": fp.MeanQueueLen,
 				"blocked": fp.Blocked,
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("FluidPredict returned non-finite %s = %v for valid config %+v", name, v, canon)
+					t.Fatalf("fluid backend returned non-finite %s = %v for valid config %+v", name, v, canon)
 				}
 			}
 		}

@@ -163,10 +163,7 @@ func TestSingleBusBitIdenticalToPreFabricEngine(t *testing.T) {
 			cfg := DefaultConfig().AtHorizon(5000)
 			cfg.Seed = 42
 			g.mutate(&cfg)
-			res, err := runCfg(t, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustSim(t, cfg)
 			// Floats compared with ==: the contract is bit identity, not
 			// statistical agreement.
 			exact := []struct {
@@ -209,10 +206,7 @@ func TestSingleBusBitIdenticalToPreFabricEngine(t *testing.T) {
 			// normalize to the same single-bus run.
 			legacy := cfg
 			legacy.Buses = 0
-			again, err := runCfg(t, legacy)
-			if err != nil {
-				t.Fatal(err)
-			}
+			again := mustSim(t, legacy)
 			if again.Config.Buses != 1 {
 				t.Fatalf("Buses = 0 normalized to %d, want 1", again.Config.Buses)
 			}

@@ -57,8 +57,7 @@ func recycleTopologies(t *testing.T) []busnet.Topology {
 		TransitNode("mem", 0.9).
 		Bridge("cpu", "mem", 1).
 		Seed(11).
-		Horizon(3000).
-		Warmup(300).
+		Horizon(3000). // warmup rescales to 300
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +72,11 @@ func recycleTopologies(t *testing.T) []busnet.Topology {
 		Bridge("backbone", "mem", 1).
 		Seed(11).
 		Horizon(3000).
-		Warmup(300).
-		Quantiles(true).
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree.Quantiles = true
 	return []busnet.Topology{tandem, tree}
 }
 

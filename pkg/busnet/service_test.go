@@ -17,22 +17,13 @@ func TestExponentialServiceBitIdenticalToDefault(t *testing.T) {
 	base.Processors = 16
 	base.ThinkRate = 0.05
 
-	def, err := runCfg(t, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := mustSim(t, base)
 	explicit := base
 	explicit.Service = ExponentialService()
-	expl, err := runCfg(t, explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	expl := mustSim(t, explicit)
 	zero := base
 	zero.Service = Service{}
-	z, err := runCfg(t, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
+	z := mustSim(t, zero)
 	for name, got := range map[string]Results{"explicit": expl, "zero-value": z} {
 		if got.MeanWait != def.MeanWait || got.Completions != def.Completions ||
 			got.Utilization != def.Utilization || got.MaxWait != def.MaxWait {
@@ -55,11 +46,11 @@ func TestServiceJSONRoundTrip(t *testing.T) {
 		cfg.Mode = ModeBuffered
 		cfg.BufferCap = Infinite
 		cfg.Service = svc
-		net, err := FromConfig(cfg)
+		canon, err := cfg.resolved()
 		if err != nil {
 			t.Fatalf("%+v: %v", svc, err)
 		}
-		blob, err := json.Marshal(net.Config())
+		blob, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,27 +58,12 @@ func TestServiceJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(blob, &back); err != nil {
 			t.Fatal(err)
 		}
-		if back != net.Config() {
+		if back != canon {
 			t.Errorf("service %+v did not survive the JSON round trip:\n%s", svc, blob)
 		}
 		if back.Service != svc {
 			t.Errorf("service came back as %+v, want %+v", back.Service, svc)
 		}
-	}
-}
-
-func TestWithServiceOption(t *testing.T) {
-	net, err := New(
-		WithProcessors(16),
-		WithThinkRate(0.05),
-		WithBuffer(Infinite),
-		WithService(ErlangService(2)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Config().Service; got != ErlangService(2) {
-		t.Fatalf("Config.Service = %+v, want erlang-2", got)
 	}
 }
 
@@ -100,8 +76,8 @@ func TestInvalidServiceRejected(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		cfg.Service = svc
-		if _, err := FromConfig(cfg); err == nil {
-			t.Errorf("%s: FromConfig accepted %+v", name, svc)
+		if _, err := Evaluate(cfg, BackendSim); err == nil {
+			t.Errorf("%s: Evaluate accepted %+v", name, svc)
 		}
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, svc)
@@ -109,7 +85,7 @@ func TestInvalidServiceRejected(t *testing.T) {
 	}
 }
 
-// Predict dispatch for non-exponential service: M/G/1 Pollaczek–
+// Analytic dispatch for non-exponential service: M/G/1 Pollaczek–
 // Khinchine in the single-bus buffered-infinite regime, clean refusal
 // everywhere else.
 func TestPredictDispatchesToPK(t *testing.T) {
@@ -119,37 +95,25 @@ func TestPredictDispatchesToPK(t *testing.T) {
 	base.Processors = 16
 	base.ThinkRate = 0.05 // ρ = 0.8
 
-	mm1, err := Predict(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mm1 := mustPredict(t, base)
 
 	det := base
 	det.Service = DeterministicService()
-	md1, err := Predict(det)
-	if err != nil {
-		t.Fatal(err)
-	}
+	md1 := mustPredict(t, det)
 	if !almost(md1.MeanWait, mm1.MeanWait/2) {
 		t.Errorf("M/D/1 wait %v, want half of M/M/1's %v", md1.MeanWait, mm1.MeanWait)
 	}
 
 	erl := base
 	erl.Service = ErlangService(4)
-	e4, err := Predict(erl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e4 := mustPredict(t, erl)
 	if !almost(e4.MeanWait, mm1.MeanWait*(1+0.25)/2) {
 		t.Errorf("M/E4/1 wait %v, want (1+1/4)/2 of M/M/1's %v", e4.MeanWait, mm1.MeanWait)
 	}
 
 	h2 := base
 	h2.Service = HyperexpService(4)
-	mh2, err := Predict(h2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mh2 := mustPredict(t, h2)
 	if !almost(mh2.MeanWait, mm1.MeanWait*(1+4)/2) {
 		t.Errorf("M/H2/1 wait %v, want (1+4)/2 of M/M/1's %v", mh2.MeanWait, mm1.MeanWait)
 	}
@@ -166,8 +130,8 @@ func TestPredictDispatchesToPK(t *testing.T) {
 	for name, mutate := range refusals {
 		cfg := det
 		mutate(&cfg)
-		if _, err := Predict(cfg); err == nil {
-			t.Errorf("%s with deterministic service: Predict attached a closed form", name)
+		if _, err := Evaluate(cfg, BackendAnalytic); err == nil {
+			t.Errorf("%s with deterministic service: the analytic backend attached a closed form", name)
 		}
 	}
 }
@@ -186,10 +150,7 @@ func TestRunReportsLatencyQuantiles(t *testing.T) {
 	cfg.ThinkRate = 0.05
 	cfg.Service = DeterministicService()
 	cfg.Quantiles = true
-	res, err := runCfg(t, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSim(t, cfg)
 	w := res.WaitQuantiles
 	if !(w.P50 <= w.P90 && w.P90 <= w.P95 && w.P95 <= w.P99) {
 		t.Fatalf("wait quantiles not monotone: %+v", w)

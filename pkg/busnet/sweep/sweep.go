@@ -58,7 +58,7 @@ type Spec struct {
 	// Backend selects how points are evaluated. BackendSim (the default)
 	// simulates every (point, replication) job as always. BackendFluid
 	// and BackendAnalytic run no simulation at all: each point is
-	// evaluated by busnet.FluidPredict or busnet.Predict directly, its
+	// evaluated by busnet.Evaluate with that backend directly, its
 	// Stats carry the model's point estimates (CIUndefined, zero
 	// replications — there is no sampling variability to summarize), and
 	// a grid at N = 10⁶ reduces in milliseconds. A predictor refusing any
@@ -86,7 +86,7 @@ type PointResult struct {
 	Config   busnet.Config      `json:"config"`
 	Analytic *busnet.Prediction `json:"analytic,omitempty"`
 	// Fluid is the mean-field overlay next to the analytic one: attached
-	// to simulated points whenever busnet.FluidPredict accepts the
+	// to simulated points whenever the fluid backend accepts the
 	// config, and the primary output of BackendFluid sweeps. Nil outside
 	// the fluid model's domain.
 	Fluid        *busnet.FluidPrediction `json:"fluid,omitempty"`
@@ -137,7 +137,7 @@ type PointDelivery struct {
 
 // Run executes the spec through the plan → execute → reduce pipeline
 // and collects the streamed points back into grid order. Every
-// (point, replication) job is simulated on its own Network with an
+// (point, replication) job is its own simulation with an
 // independent RNG substream, and each job writes only its own slot —
 // so Run's output depends on the spec alone, never on scheduling. The
 // first failing job (in job order) aborts the sweep with its error.

@@ -43,7 +43,7 @@ type HopStat struct {
 // TopologyPointResult is one topology operating point reduced across
 // its replications: per-hop statistics plus the fabric-level summary —
 // total exit throughput and the flow-weighted mean end-to-end response.
-// Analytic carries the product-form overlay whenever PredictTopology
+// Analytic carries the product-form overlay whenever the analytic backend
 // accepts the point (buffered-infinite Poisson/exponential fabrics);
 // with finite bridges it is the optimistic no-blocking bound, so the
 // sim-minus-analytic gap is the measured blocking penalty.
@@ -244,8 +244,8 @@ func reduceTopology(t busnet.Topology, runs []busnet.TopologyEvaluation) Topolog
 		diag.Accumulate(*r.Diagnostics)
 	}
 	pr.Diagnostics = diag
-	if p, err := busnet.PredictTopology(t); err == nil {
-		pr.Analytic = &p
+	if ev, err := busnet.EvaluateTopology(t, busnet.BackendAnalytic); err == nil {
+		pr.Analytic = ev.Analytic
 	}
 	return pr
 }

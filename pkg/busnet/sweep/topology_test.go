@@ -145,10 +145,11 @@ func TestRunTopologyAnalyticBackend(t *testing.T) {
 		t.Errorf("analytic sweep reports %d replications", res.Replications)
 	}
 	pt := res.Points[0]
-	want, err := busnet.PredictTopology(top)
+	ev, err := busnet.EvaluateTopology(top, busnet.BackendAnalytic)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ev.Analytic
 	if pt.EndToEnd.Mean != want.MeanResponse || !pt.EndToEnd.CIUndefined {
 		t.Errorf("EndToEnd = %+v, want point estimate %v", pt.EndToEnd, want.MeanResponse)
 	}

@@ -1,12 +1,13 @@
 package busnet
 
-// TopologyBuilder assembles a Topology fluently — the graph analog of
-// the flat functional options. Methods return the builder for chaining
-// and never fail individually; Build validates the assembled topology
-// and reports the first error.
+// TopologyBuilder assembles a Topology fluently. Methods return the
+// builder for chaining and never fail individually; Build validates the
+// assembled topology and reports the first error. Fields the methods do
+// not cover (Stream, Quantiles, per-node traffic and service shapes)
+// are set on the built value, which is a plain Topology.
 //
 //	t, err := busnet.NewTopology().
-//		SourceNode("cpu", 16, 0.04, 1, "mem").
+//		BufferedSourceNode("cpu", 16, 0.04, 1, busnet.Infinite, "mem").
 //		TransitNode("mem", 1).
 //		Bridge("cpu", "mem", 4).
 //		Seed(42).
@@ -21,28 +22,18 @@ func NewTopology() *TopologyBuilder {
 	return &TopologyBuilder{t: Topology{Seed: 1, Horizon: 100_000, Warmup: 10_000}}
 }
 
-// AddNode appends a fully specified node.
-func (b *TopologyBuilder) AddNode(n Node) *TopologyBuilder {
+// addNode appends a fully specified node.
+func (b *TopologyBuilder) addNode(n Node) *TopologyBuilder {
 	b.t.Nodes = append(b.t.Nodes, n)
 	return b
-}
-
-// SourceNode appends an unbuffered processor-bearing node — the paper's
-// blocking regime, extended to multi-hop: each of its processors blocks
-// until its request exits the fabric. route names the nodes visited
-// after this one, in hop order.
-func (b *TopologyBuilder) SourceNode(name string, processors int, thinkRate, serviceRate float64, route ...string) *TopologyBuilder {
-	return b.AddNode(Node{
-		Name: name, Processors: processors, ThinkRate: thinkRate,
-		ServiceRate: serviceRate, Mode: ModeUnbuffered, Route: route,
-	})
 }
 
 // BufferedSourceNode appends a processor-bearing node whose interfaces
 // queue up to cap requests (Infinite for unbounded) so processors keep
 // computing — the open-network regime the product-form overlay models.
+// route names the nodes visited after this one, in hop order.
 func (b *TopologyBuilder) BufferedSourceNode(name string, processors int, thinkRate, serviceRate float64, cap int, route ...string) *TopologyBuilder {
-	return b.AddNode(Node{
+	return b.addNode(Node{
 		Name: name, Processors: processors, ThinkRate: thinkRate,
 		ServiceRate: serviceRate, Mode: ModeBuffered, BufferCap: cap, Route: route,
 	})
@@ -51,7 +42,7 @@ func (b *TopologyBuilder) BufferedSourceNode(name string, processors int, thinkR
 // TransitNode appends a node with no local processors: a pure bridged
 // hop that only serves through-traffic.
 func (b *TopologyBuilder) TransitNode(name string, serviceRate float64) *TopologyBuilder {
-	return b.AddNode(Node{Name: name, ServiceRate: serviceRate})
+	return b.addNode(Node{Name: name, ServiceRate: serviceRate})
 }
 
 // Bridge connects from → to with a buffer of depth slots (Infinite for
@@ -67,32 +58,13 @@ func (b *TopologyBuilder) Seed(seed int64) *TopologyBuilder {
 	return b
 }
 
-// Stream picks the replication substream within the seed's experiment.
-func (b *TopologyBuilder) Stream(stream uint64) *TopologyBuilder {
-	b.t.Stream = stream
-	return b
-}
-
 // Horizon sets the run length, rescaling the warmup to keep its
-// fraction of the run constant (like Config.AtHorizon). Call Warmup
-// after Horizon to set an absolute warmup instead.
+// fraction of the run constant (like Config.AtHorizon).
 func (b *TopologyBuilder) Horizon(h float64) *TopologyBuilder {
 	if b.t.Horizon > 0 {
 		b.t.Warmup = b.t.Warmup / b.t.Horizon * h
 	}
 	b.t.Horizon = h
-	return b
-}
-
-// Warmup sets the absolute warmup time truncated from statistics.
-func (b *TopologyBuilder) Warmup(w float64) *TopologyBuilder {
-	b.t.Warmup = w
-	return b
-}
-
-// Quantiles toggles per-hop and end-to-end latency histograms.
-func (b *TopologyBuilder) Quantiles(on bool) *TopologyBuilder {
-	b.t.Quantiles = on
 	return b
 }
 

@@ -384,11 +384,6 @@ type TopologyPrediction struct {
 	MeanResponse float64 `json:"mean_response"`
 }
 
-// TandemPrediction re-exports the exact open-tandem product form used
-// to cross-validate multi-hop simulations at low load; see
-// analytic.OpenTandem.
-type TandemPrediction = analytic.TandemPrediction
-
 // TopologyEvaluation is the backend-independent answer for a topology,
 // mirroring Evaluation: shared summary fields for every backend, and
 // exactly one non-nil payload pointer.
@@ -412,8 +407,16 @@ type TopologyEvaluation struct {
 // backend selected by name. BackendSim runs the discrete-event fabric —
 // deterministic in (Topology, Seed, Stream), warmup truncated exactly
 // like the flat path. BackendAnalytic evaluates the Jackson product-
-// form overlay (see PredictTopology for its domain). BackendFluid has
-// no topology model yet and is refused.
+// form overlay: each node an independent M/M/m queue at the aggregate
+// arrival rate its routes deliver, each flow's mean end-to-end response
+// the sum of its hops'. The overlay is exact when every interface and
+// bridge is unbounded — Poisson sources, buffered-infinite interfaces,
+// exponential service — and an optimistic bound otherwise, since
+// finite bridges can only hold requests longer. It refuses non-Poisson
+// traffic, non-exponential service, and unbuffered or finite-buffer
+// interfaces, but accepts any bridge depths: cross-check sweeps compare
+// it against finite-bridge simulations to measure the blocking penalty.
+// BackendFluid has no topology model yet and is refused.
 func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 	b, err := ParseBackend(string(backend))
 	if err != nil {
@@ -426,7 +429,7 @@ func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluation, error) {
 	switch b {
 	case BackendAnalytic:
-		p, err := PredictTopology(t)
+		p, err := predictTopology(t)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}
@@ -491,19 +494,12 @@ func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 	}, nil
 }
 
-// PredictTopology returns the Jackson product-form steady state of a
-// topology: each node behaves as an independent M/M/m queue at the
-// aggregate arrival rate its routes deliver, and each flow's mean
-// end-to-end response is the sum of its hops' mean responses. The form
-// is exact when every interface and bridge buffer is unbounded —
-// Poisson sources, buffered-infinite interfaces, exponential service —
-// and an optimistic bound otherwise, since finite bridges can only hold
-// requests longer (blocking after service), never shorter. To keep the
-// overlay honest it refuses non-Poisson traffic, non-exponential
-// service, and unbuffered or finite-buffer interfaces, but accepts any
-// bridge depths: cross-check sweeps deliberately compare it against
-// finite-bridge simulations to measure the blocking penalty.
-func PredictTopology(t Topology) (TopologyPrediction, error) {
+// predictTopology is the product-form backend behind EvaluateTopology:
+// the Jackson steady state of a topology, with the domain
+// EvaluateTopology documents. Finite bridges can only hold requests
+// longer (blocking after service), never shorter, which is why the
+// form is an optimistic bound wherever a bridge is finite.
+func predictTopology(t Topology) (TopologyPrediction, error) {
 	t = t.normalized()
 	if err := t.Validate(); err != nil {
 		return TopologyPrediction{}, err

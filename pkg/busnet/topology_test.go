@@ -12,7 +12,7 @@ import (
 
 // openTandemFor evaluates the exact open-tandem product form the chain
 // overlay must reproduce.
-func openTandemFor(lambda float64, mu []float64) (TandemPrediction, error) {
+func openTandemFor(lambda float64, mu []float64) (analytic.TandemPrediction, error) {
 	return analytic.OpenTandem(lambda, mu, nil)
 }
 
@@ -28,10 +28,7 @@ func TestOneNodeTopologyBitIdenticalToFlat(t *testing.T) {
 			cfg := DefaultConfig().AtHorizon(5000)
 			cfg.Seed = 42
 			g.mutate(&cfg)
-			flat, err := runCfg(t, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			flat := mustSim(t, cfg)
 			ev, err := EvaluateTopology(cfg.Topology(), BackendSim)
 			if err != nil {
 				t.Fatal(err)
@@ -87,10 +84,7 @@ func TestOneNodeTopologyQuantilesMatchFlat(t *testing.T) {
 	cfg := DefaultConfig().AtHorizon(5000)
 	cfg.Seed = 42
 	cfg.Quantiles = true
-	flat, err := runCfg(t, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := mustSim(t, cfg)
 	ev, err := EvaluateTopology(cfg.Topology(), BackendSim)
 	if err != nil {
 		t.Fatal(err)
@@ -224,27 +218,26 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// PredictTopology on a one-node buffered-infinite topology must agree
-// exactly with the flat Predict — the overlay may not fork the math.
+// The product-form overlay on a one-node buffered-infinite topology
+// must agree exactly with the flat closed form — the overlay may not
+// fork the math.
 func TestPredictTopologyOneNodeMatchesFlat(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeBuffered
 	cfg.BufferCap = Infinite
 	cfg.Processors = 16
 	cfg.ThinkRate = 0.05
-	flat, err := Predict(cfg)
+	flat := mustPredict(t, cfg)
+	ev, err := EvaluateTopology(cfg.Topology(), BackendAnalytic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := PredictTopology(cfg.Topology())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := ev.Analytic
 	if len(p.Nodes) != 1 || len(p.Flows) != 1 {
 		t.Fatalf("got %+v", p)
 	}
 	if p.Nodes[0].Prediction != flat {
-		t.Errorf("one-node overlay = %+v, want flat Predict %+v", p.Nodes[0].Prediction, flat)
+		t.Errorf("one-node overlay = %+v, want the flat closed form %+v", p.Nodes[0].Prediction, flat)
 	}
 	if p.Flows[0].MeanResponse != flat.MeanResponse || p.MeanResponse != flat.MeanResponse {
 		t.Errorf("flow response %v / %v, want %v", p.Flows[0].MeanResponse, p.MeanResponse, flat.MeanResponse)
@@ -258,10 +251,11 @@ func TestPredictTopologyOneNodeMatchesFlat(t *testing.T) {
 // end-to-end response must equal analytic.OpenTandem's exactly.
 func TestPredictTopologyChainIsOpenTandem(t *testing.T) {
 	top := chainTopology(12, 0.05, 1, 1.25, Infinite)
-	p, err := PredictTopology(top)
+	ev, err := EvaluateTopology(top, BackendAnalytic)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := *ev.Analytic
 	// The aggregate rate is computed the same way the overlay computes
 	// it (N·λ in floating point), so the comparison stays bit-exact.
 	want, err := openTandemFor(float64(12)*0.05, []float64{1, 1.25})
@@ -278,14 +272,6 @@ func TestPredictTopologyChainIsOpenTandem(t *testing.T) {
 	}
 	if p.Throughput != want.Throughput {
 		t.Errorf("throughput %v, want %v", p.Throughput, want.Throughput)
-	}
-	// The analytic backend routes through the same overlay.
-	ev, err := EvaluateTopology(top, BackendAnalytic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Analytic == nil || !reflect.DeepEqual(*ev.Analytic, p) {
-		t.Errorf("EvaluateTopology analytic payload diverged from PredictTopology")
 	}
 	if ev.MeanResponse != p.MeanResponse || ev.Throughput != p.Throughput {
 		t.Errorf("summary (%v, %v) != prediction (%v, %v)",
@@ -316,7 +302,7 @@ func TestPredictTopologyDomain(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			top := chainTopology(12, 0.05, 1, 1.25, Infinite)
 			tt.mutate(&top)
-			_, err := PredictTopology(top)
+			_, err := EvaluateTopology(top, BackendAnalytic)
 			if err == nil {
 				t.Fatal("accepted")
 			}
