@@ -22,55 +22,6 @@ type Prediction struct {
 	MeanQueueLen float64 `json:"mean_queue_len"`
 }
 
-// Unbuffered is the exact machine-repairman (M/M/1//N finite-source)
-// model of the unbuffered regime: each of the N processors thinks for an
-// exponential time with rate λ, then blocks on the bus, which serves one
-// request at a time at rate μ. The state probabilities are
-//
-//	p_k ∝ N!/(N-k)! · (λ/μ)^k,  k = 0..N,
-//
-// where k is the number of processors waiting at or using the bus.
-// The unnormalized terms grow like N!·ρ^N, so for large N they are
-// accumulated with periodic rescaling (the ratios, which are all that
-// survive normalization, are preserved); a load so extreme that a
-// single step outruns even that collapses to the exact saturation
-// limit instead of NaN.
-func Unbuffered(n int, lambda, mu float64) Prediction {
-	rho := lambda / mu
-	term := 1.0 // p_k unnormalized
-	sum := 1.0  // Σ terms
-	lSum := 0.0 // Σ k·term
-	for k := 1; k <= n; k++ {
-		term *= float64(n-k+1) * rho
-		sum += term
-		lSum += float64(k) * term
-		if term > 1e250 {
-			term /= 1e250
-			sum /= 1e250
-			lSum /= 1e250
-		}
-	}
-	var p0, l float64
-	if math.IsInf(sum, 1) || math.IsInf(lSum, 1) {
-		// All mass in the top state: every processor at the bus.
-		p0 = 0
-		l = float64(n)
-	} else {
-		p0 = 1 / sum
-		l = lSum / sum // mean number at the bus, including in service
-	}
-	u := 1 - p0
-	x := mu * u
-	w := l / x // Little's law: response per request at the bus
-	return Prediction{
-		Utilization:  u,
-		Throughput:   x,
-		MeanWait:     w - 1/mu,
-		MeanResponse: w,
-		MeanQueueLen: l - u,
-	}
-}
-
 // BufferedInfinite models the buffered regime with unbounded interface
 // queues as an open M/M/1 queue: processors never block, so requests
 // arrive Poisson at aggregate rate Nλ. It errors when the offered load
@@ -88,64 +39,6 @@ func BufferedInfinite(n int, lambda, mu float64) (Prediction, error) {
 		MeanWait:     rho / (mu - lam),
 		MeanResponse: 1 / (mu - lam),
 		MeanQueueLen: rho * rho / (1 - rho),
-	}, nil
-}
-
-// BufferedFinite approximates the buffered regime with per-processor
-// capacity c as an M/M/1/K queue with system capacity K = N·c + 1
-// (total buffer slots plus the request in service). Backpressure —
-// a processor stalling at a full interface — is approximated as loss,
-// so the model is accurate when blocking is rare and optimistic when the
-// buffers saturate. Wait and response are per admitted request.
-func BufferedFinite(n int, lambda, mu float64, capacity int) (Prediction, error) {
-	if capacity < 1 {
-		return Prediction{}, fmt.Errorf("analytic: capacity = %d, need ≥ 1", capacity)
-	}
-	lam := float64(n) * lambda
-	a := lam / mu
-	k := n*capacity + 1
-	// p_j = p0·a^j for j = 0..K; handle a == 1 with the uniform limit.
-	// Sums are always taken over powers of min(a, 1/a) ≤ 1 so a^K cannot
-	// overflow float64 for large K: for a > 1 substitute m = K−j, giving
-	// p_j ∝ (1/a)^(K−j).
-	var p0, l float64
-	switch {
-	case a == 1:
-		p0 = 1 / float64(k+1)
-		l = float64(k) / 2
-	case a < 1:
-		pow := 1.0 // a^j running power
-		sum := 0.0
-		lSum := 0.0
-		for j := 0; j <= k; j++ {
-			sum += pow
-			lSum += float64(j) * pow
-			pow *= a
-		}
-		p0 = 1 / sum
-		l = lSum / sum
-	default:
-		b := 1 / a
-		pow := 1.0 // b^m running power
-		sum := 0.0
-		mSum := 0.0
-		for m := 0; m <= k; m++ {
-			sum += pow
-			mSum += float64(m) * pow
-			pow *= b
-		}
-		p0 = math.Pow(b, float64(k)) / sum // underflows to 0 at extreme load: U → 1 exactly
-		l = float64(k) - mSum/sum
-	}
-	u := 1 - p0
-	x := mu * u // admitted throughput = service completions
-	w := l / x
-	return Prediction{
-		Utilization:  u,
-		Throughput:   x,
-		MeanWait:     w - 1/mu,
-		MeanResponse: w,
-		MeanQueueLen: l - u,
 	}, nil
 }
 
@@ -199,55 +92,69 @@ func MD1BufferedInfinite(n int, lambda, mu float64) (Prediction, error) {
 // fabric of m identical buses: each of the N processors thinks for an
 // exponential time with rate λ, then blocks until one of the m buses
 // (each serving at rate μ) has completed its request. The state
-// probabilities generalize the single-bus recurrence with a k-dependent
-// service term,
+// probabilities are
 //
 //	p_k ∝ N!/(N-k)! · (λ/μ)^k / Π_{j=1..k} min(j, m),  k = 0..N,
 //
-// where k is the number of processors waiting at or using the fabric.
-// Utilization is the mean fraction of busy buses E[min(k,m)]/m, so at
-// m = 1 every quantity degenerates to Unbuffered exactly. As there,
-// the unnormalized terms are accumulated with periodic rescaling so
-// large N cannot overflow float64 into NaN predictions.
+// where k is the number of processors waiting at or using the fabric;
+// m = 1 is the paper's single-bus machine-repairman model. Utilization
+// is the mean fraction of busy buses E[min(k,m)]/m. The busy and
+// waiting masses E[min(k,m)] and E[k − min(k,m)] are accumulated
+// directly, never as differences, so every quantity keeps full
+// relative precision down to vanishing load: W = Lq/X by Little's law
+// on the waiting room. The unnormalized terms grow like N!·ρ^N, so
+// they are accumulated with periodic rescaling (the ratios, which are
+// all that survive normalization, are preserved); a load so extreme
+// that a single step outruns even that collapses to the exact
+// saturation limit instead of NaN.
 func MultiUnbuffered(n, m int, lambda, mu float64) (Prediction, error) {
 	if m < 1 {
 		return Prediction{}, fmt.Errorf("analytic: buses = %d, need ≥ 1", m)
 	}
 	rho := lambda / mu
+	mf := float64(m)
 	term := 1.0 // p_k unnormalized
 	sum := 1.0  // Σ terms
-	lSum := 0.0 // Σ k·term
 	bSum := 0.0 // Σ min(k,m)·term: unnormalized mean busy buses
+	qSum := 0.0 // Σ (k−min(k,m))·term: unnormalized mean number waiting
 	for k := 1; k <= n; k++ {
-		term *= float64(n-k+1) * rho / math.Min(float64(k), float64(m))
+		busy := math.Min(float64(k), mf)
+		term *= float64(n-k+1) * rho / busy
 		sum += term
-		lSum += float64(k) * term
-		bSum += math.Min(float64(k), float64(m)) * term
+		bSum += busy * term
+		qSum += (float64(k) - busy) * term
 		if term > 1e250 {
 			term /= 1e250
 			sum /= 1e250
-			lSum /= 1e250
 			bSum /= 1e250
+			qSum /= 1e250
 		}
 	}
-	var l, busy float64
-	if math.IsInf(sum, 1) || math.IsInf(lSum, 1) {
+	if math.IsInf(sum, 1) || math.IsInf(qSum, 1) {
 		// All mass in the top state: every processor at the fabric.
-		l = float64(n)
-		busy = math.Min(float64(n), float64(m))
-	} else {
-		l = lSum / sum    // mean number at the fabric, including in service
-		busy = bSum / sum // mean number of busy buses
+		busy := math.Min(float64(n), mf)
+		return fromMasses(busy, float64(n)-busy, mf, mu), nil
 	}
+	return fromMasses(bSum/sum, qSum/sum, mf, mu), nil
+}
+
+// fromMasses completes a prediction from the mean number of busy buses
+// and the mean number waiting: Little's law on the waiting room gives
+// W = Lq/X with X = μ·busy. No traffic at all (busy = 0, so nothing
+// waits either) reads as zero wait.
+func fromMasses(busy, lq, m, mu float64) Prediction {
 	x := mu * busy
-	w := l / x // Little's law: response per request at the fabric
+	var w float64
+	if lq > 0 {
+		w = lq / x
+	}
 	return Prediction{
-		Utilization:  busy / float64(m),
+		Utilization:  busy / m,
 		Throughput:   x,
-		MeanWait:     w - 1/mu,
-		MeanResponse: w,
-		MeanQueueLen: l - busy,
-	}, nil
+		MeanWait:     w,
+		MeanResponse: w + 1/mu,
+		MeanQueueLen: lq,
+	}
 }
 
 // MultiBufferedInfinite models the buffered regime with unbounded
@@ -288,11 +195,13 @@ func MultiBufferedInfinite(n, m int, lambda, mu float64) (Prediction, error) {
 // MultiBufferedFinite approximates the buffered regime with
 // per-processor capacity c on m buses as an M/M/m/K queue with system
 // capacity K = N·c + m (total buffer slots plus the m requests in
-// service), the m-server generalization of BufferedFinite's M/M/1/K
-// (whose K = N·c + 1 it reproduces at m = 1). Backpressure is
-// approximated as loss, so the model is accurate when blocking is rare
-// and optimistic when the buffers saturate. Wait and response are per
-// admitted request.
+// service); m = 1 is the M/M/1/K form with K = N·c + 1. Backpressure —
+// a processor stalling at a full interface — is approximated as loss,
+// so the model is accurate when blocking is rare and optimistic when
+// the buffers saturate. Wait and response are per admitted request.
+// As in MultiUnbuffered, the busy and waiting masses are accumulated
+// directly, so the wait keeps full relative precision at vanishing
+// load.
 func MultiBufferedFinite(n, m int, lambda, mu float64, capacity int) (Prediction, error) {
 	if m < 1 {
 		return Prediction{}, fmt.Errorf("analytic: buses = %d, need ≥ 1", m)
@@ -302,6 +211,7 @@ func MultiBufferedFinite(n, m int, lambda, mu float64, capacity int) (Prediction
 	}
 	lam := float64(n) * lambda
 	a := lam / mu
+	mf := float64(m)
 	k := n*capacity + m
 	// p_j ∝ a^j/j! for j ≤ m and p_m·(a/m)^(j−m) beyond; accumulate the
 	// unnormalized terms with periodic rescaling so a supercritical load
@@ -309,37 +219,25 @@ func MultiBufferedFinite(n, m int, lambda, mu float64, capacity int) (Prediction
 	// which are all that survive the division by sum, are preserved.
 	term := 1.0
 	sum := 1.0
-	lSum := 0.0 // Σ j·term
 	bSum := 0.0 // Σ min(j,m)·term
+	qSum := 0.0 // Σ (j−min(j,m))·term
 	for j := 1; j <= k; j++ {
-		term *= a / math.Min(float64(j), float64(m))
+		busy := math.Min(float64(j), mf)
+		term *= a / busy
 		sum += term
-		lSum += float64(j) * term
-		bSum += math.Min(float64(j), float64(m)) * term
+		bSum += busy * term
+		qSum += (float64(j) - busy) * term
 		if term > 1e250 {
 			term /= 1e250
 			sum /= 1e250
-			lSum /= 1e250
 			bSum /= 1e250
+			qSum /= 1e250
 		}
 	}
-	var l, busy float64
-	if math.IsInf(sum, 1) || math.IsInf(lSum, 1) {
+	if math.IsInf(sum, 1) || math.IsInf(qSum, 1) {
 		// A single step outran the rescale (astronomical a): all mass sits
 		// in the top state — the exact saturation limit.
-		l = float64(k)
-		busy = float64(m)
-	} else {
-		l = lSum / sum
-		busy = bSum / sum
+		return fromMasses(mf, float64(k-m), mf, mu), nil
 	}
-	x := mu * busy // admitted throughput = service completions
-	w := l / x
-	return Prediction{
-		Utilization:  busy / float64(m),
-		Throughput:   x,
-		MeanWait:     w - 1/mu,
-		MeanResponse: w,
-		MeanQueueLen: l - busy,
-	}, nil
+	return fromMasses(bSum/sum, qSum/sum, mf, mu), nil
 }

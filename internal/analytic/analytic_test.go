@@ -1,7 +1,9 @@
 package analytic
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"testing"
 )
 
@@ -13,11 +15,14 @@ func close(a, b, relTol float64) bool {
 	return math.Abs(a-b)/denom <= relTol
 }
 
-// With one processor the machine-repairman model collapses to an
-// alternating renewal process: U = λ/(λ+μ), no queueing at all.
+// With one processor the single-bus machine-repairman model collapses
+// to an alternating renewal process: U = λ/(λ+μ), no queueing at all.
 func TestUnbufferedSingleProcessor(t *testing.T) {
 	lambda, mu := 0.3, 1.2
-	p := Unbuffered(1, lambda, mu)
+	p, err := MultiUnbuffered(1, 1, lambda, mu)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantU := lambda / (lambda + mu)
 	if !close(p.Utilization, wantU, 1e-12) {
 		t.Fatalf("U = %v, want %v", p.Utilization, wantU)
@@ -25,10 +30,10 @@ func TestUnbufferedSingleProcessor(t *testing.T) {
 	if !close(p.Throughput, mu*wantU, 1e-12) {
 		t.Fatalf("X = %v, want %v", p.Throughput, mu*wantU)
 	}
-	if math.Abs(p.MeanWait) > 1e-9 || math.Abs(p.MeanQueueLen) > 1e-9 {
+	if p.MeanWait != 0 || p.MeanQueueLen != 0 {
 		t.Fatalf("single processor cannot queue: wait=%v qlen=%v", p.MeanWait, p.MeanQueueLen)
 	}
-	if !close(p.MeanResponse, 1/mu, 1e-9) {
+	if p.MeanResponse != 1/mu {
 		t.Fatalf("response = %v, want pure service %v", p.MeanResponse, 1/mu)
 	}
 }
@@ -46,7 +51,10 @@ func TestUnbufferedProperties(t *testing.T) {
 	prevU := 0.0
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p := Unbuffered(tt.n, tt.lambda, tt.mu)
+			p, err := MultiUnbuffered(tt.n, 1, tt.lambda, tt.mu)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if p.Utilization <= 0 || p.Utilization > 1 {
 				t.Fatalf("U = %v outside (0, 1]", p.Utilization)
 			}
@@ -69,7 +77,10 @@ func TestUnbufferedProperties(t *testing.T) {
 	}
 	// Saturation limit: with overwhelming demand the bus is always busy
 	// and each processor cycles once per N service times.
-	p := Unbuffered(16, 100, 1)
+	p, err := MultiUnbuffered(16, 1, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Utilization < 0.9999 {
 		t.Fatalf("saturated U = %v, want → 1", p.Utilization)
 	}
@@ -77,12 +88,15 @@ func TestUnbufferedProperties(t *testing.T) {
 	// NaN: N!·ρ^N passes float64's range near N ≈ 180 at ρ = 1.
 	// Regression guard for the rescaled accumulation.
 	for _, n := range []int{200, 3000} {
-		big := Unbuffered(n, 1, 1)
-		if math.IsNaN(big.Utilization) || math.IsNaN(big.MeanWait) {
-			t.Fatalf("n=%d: prediction overflowed to NaN: %+v", n, big)
+		sat, err := MultiUnbuffered(n, 1, 1, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if big.Utilization < 0.999999 || big.Utilization > 1 {
-			t.Fatalf("n=%d: saturated U = %v, want → 1", n, big.Utilization)
+		if math.IsNaN(sat.Utilization) || math.IsNaN(sat.MeanWait) {
+			t.Fatalf("n=%d: prediction overflowed to NaN: %+v", n, sat)
+		}
+		if sat.Utilization < 0.999999 || sat.Utilization > 1 {
+			t.Fatalf("n=%d: saturated U = %v, want → 1", n, sat.Utilization)
 		}
 	}
 }
@@ -116,12 +130,13 @@ func TestBufferedInfiniteUnstable(t *testing.T) {
 	}
 }
 
+// The single-bus M/M/1/K form is MultiBufferedFinite at m = 1.
 func TestBufferedFinite(t *testing.T) {
-	if _, err := BufferedFinite(4, 0.1, 1, 0); err == nil {
+	if _, err := MultiBufferedFinite(4, 1, 0.1, 1, 0); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
 	// Large buffers converge to the M/M/1 result when stable.
-	big, err := BufferedFinite(8, 0.1, 1, 100)
+	big, err := MultiBufferedFinite(8, 1, 0.1, 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +149,7 @@ func TestBufferedFinite(t *testing.T) {
 	}
 	// A finite system has a steady state even above offered load 1, with
 	// utilization pinned below 1 and throughput capped at μU.
-	sat, err := BufferedFinite(8, 0.5, 1, 2)
+	sat, err := MultiBufferedFinite(8, 1, 0.5, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +162,7 @@ func TestBufferedFinite(t *testing.T) {
 	// Deep buffers at high offered load must not overflow the geometric
 	// sums: a^(N·cap+1) here is ~10^770, far past float64. Regression
 	// guard for the overflow-to-NaN bug.
-	deep, err := BufferedFinite(64, 1, 0.0625, 16)
+	deep, err := MultiBufferedFinite(64, 1, 1, 0.0625, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +175,13 @@ func TestBufferedFinite(t *testing.T) {
 	}
 	// Continuity across the a = 1 boundary: a slightly above vs slightly
 	// below must give nearly identical predictions.
-	lo, _ := BufferedFinite(8, 0.1249999, 1, 4)
-	hi, _ := BufferedFinite(8, 0.1250001, 1, 4)
+	lo, _ := MultiBufferedFinite(8, 1, 0.1249999, 1, 4)
+	hi, _ := MultiBufferedFinite(8, 1, 0.1250001, 1, 4)
 	if !close(lo.MeanWait, hi.MeanWait, 1e-4) || !close(lo.Utilization, hi.Utilization, 1e-4) {
 		t.Fatalf("discontinuity at a=1: below %+v above %+v", lo, hi)
 	}
 	// The a = 1 balanced case uses the closed-form limit.
-	bal, err := BufferedFinite(10, 0.1, 1, 1)
+	bal, err := MultiBufferedFinite(10, 1, 0.1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +212,10 @@ func predictionsClose(t *testing.T, got, want Prediction, relTol float64, contex
 	}
 }
 
-// The correctness spine of the multi-bus forms: at m = 1 each must
-// degenerate to its exact single-bus counterpart. MultiUnbuffered runs
-// the identical recurrence (the extra division is by 1.0, which is
-// exact); the buffered pair go through algebraically different but
-// equivalent routes, so they get a tight tolerance instead of bit
-// equality.
+// The correctness spine of the multi-bus forms at m = 1: the blocking
+// and finite-buffer forms against the big-float oracle of the same
+// single-bus chains, and Erlang C against its M/M/1 counterpart, which
+// goes through algebraically different but equivalent routes.
 func TestMultiFormsDegenerateToSingleBus(t *testing.T) {
 	operating := []struct {
 		n          int
@@ -219,7 +232,7 @@ func TestMultiFormsDegenerateToSingleBus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		predictionsClose(t, multi, Unbuffered(op.n, op.lambda, op.mu), 1e-12,
+		predictionsClose(t, multi, unbufferedOracle(op.n, 1, op.lambda, op.mu), 1e-12,
 			"multi-unbuffered m=1")
 
 		single, serr := BufferedInfinite(op.n, op.lambda, op.mu)
@@ -232,15 +245,110 @@ func TestMultiFormsDegenerateToSingleBus(t *testing.T) {
 		}
 
 		for _, capacity := range []int{1, 4, 16} {
-			fs, err := BufferedFinite(op.n, op.lambda, op.mu, capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
 			fm, err := MultiBufferedFinite(op.n, 1, op.lambda, op.mu, capacity)
 			if err != nil {
 				t.Fatal(err)
 			}
-			predictionsClose(t, fm, fs, 1e-9, "mmmk m=1")
+			predictionsClose(t, fm, bufferedFiniteOracle(op.n, 1, op.lambda, op.mu, capacity), 1e-12,
+				"mmmk m=1")
+		}
+	}
+}
+
+// oraclePrec is the oracle's working precision in bits: enough that
+// the textbook subtractions U = 1 − p0, Lq = L − busy and
+// W = L/X − 1/μ stay exact to double precision even at λ/μ = 1e-100,
+// where they cancel a few hundred bits.
+const oraclePrec = 2000
+
+// oracle evaluates the birth–death chain over states k = 0..top in
+// oraclePrec-bit arithmetic, with birth rate births(k)·λ out of state
+// k and service rate min(k, m)·μ in it, then reads every field off the
+// state probabilities by its textbook definition.
+func oracle(top, m int, births func(k int) int, lambda, mu float64) Prediction {
+	num := func(x float64) *big.Float { return new(big.Float).SetPrec(oraclePrec).SetFloat64(x) }
+	lam, bmu := num(lambda), num(mu)
+	term, sum, lSum, bSum := num(1), num(1), num(0), num(0)
+	for k := 1; k <= top; k++ {
+		busy := num(float64(min(k, m)))
+		term.Mul(term, num(float64(births(k-1))))
+		term.Mul(term, lam)
+		term.Quo(term, num(0).Mul(busy, bmu))
+		sum.Add(sum, term)
+		lSum.Add(lSum, num(0).Mul(num(float64(k)), term))
+		bSum.Add(bSum, num(0).Mul(busy, term))
+	}
+	l := num(0).Quo(lSum, sum)
+	busy := num(0).Quo(bSum, sum)
+	x := num(0).Mul(bmu, busy)
+	resp := num(0).Quo(l, x)
+	f := func(v *big.Float) float64 { r, _ := v.Float64(); return r }
+	return Prediction{
+		Utilization:  f(num(0).Quo(busy, num(float64(m)))),
+		Throughput:   f(x),
+		MeanWait:     f(num(0).Sub(resp, num(0).Quo(num(1), bmu))),
+		MeanResponse: f(resp),
+		MeanQueueLen: f(num(0).Sub(l, busy)),
+	}
+}
+
+// unbufferedOracle is the M/M/m//N chain: N − k thinking processors
+// each request at λ.
+func unbufferedOracle(n, m int, lambda, mu float64) Prediction {
+	return oracle(n, m, func(k int) int { return n - k }, lambda, mu)
+}
+
+// bufferedFiniteOracle is the M/M/m/K chain with K = N·c + m: arrivals
+// at Nλ in every state below K.
+func bufferedFiniteOracle(n, m int, lambda, mu float64, capacity int) Prediction {
+	return oracle(n*capacity+m, m, func(int) int { return n }, lambda, mu)
+}
+
+// Every field of both m-server forms within 1e-12 relative of the
+// big-float oracle, from deep saturation (λ/μ = 100) down to a load so
+// small (λ/μ = 1e-100) that subtracting from 1 or from 1/μ in double
+// precision would lose the answer entirely.
+func TestClosedFormsMatchBigOracle(t *testing.T) {
+	loads := []float64{100, 10, 1, 0.1, 1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-50, 1e-100}
+	for _, n := range []int{1, 8, 64, 512} {
+		for _, m := range []int{1, 2, 4} {
+			for _, rho := range loads {
+				// μ = 1 keeps λ/μ exact, so the oracle and the forms see
+				// the same chain to the last bit of its inputs.
+				name := fmt.Sprintf("N=%d/m=%d/rho=%g", n, m, rho)
+				got, err := MultiUnbuffered(n, m, rho, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracleClose(t, got, unbufferedOracle(n, m, rho, 1), "unbuffered/"+name)
+				for _, capacity := range []int{1, 4} {
+					got, err := MultiBufferedFinite(n, m, rho, 1, capacity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracleClose(t, got, bufferedFiniteOracle(n, m, rho, 1, capacity),
+						fmt.Sprintf("buffered-%d/%s", capacity, name))
+				}
+			}
+		}
+	}
+}
+
+// oracleClose requires every field within 1e-12 relative of the oracle's.
+func oracleClose(t *testing.T, got, want Prediction, context string) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"utilization", got.Utilization, want.Utilization},
+		{"throughput", got.Throughput, want.Throughput},
+		{"mean_wait", got.MeanWait, want.MeanWait},
+		{"mean_response", got.MeanResponse, want.MeanResponse},
+		{"mean_queue_len", got.MeanQueueLen, want.MeanQueueLen},
+	} {
+		if !(math.Abs(f.got-f.want) <= 1e-12*math.Abs(f.want)) {
+			t.Errorf("%s: %s = %v, oracle %v", context, f.name, f.got, f.want)
 		}
 	}
 }
@@ -274,8 +382,7 @@ func TestMultiUnbufferedMonotoneInBuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := Unbuffered(n, lambda, mu)
-	predictionsClose(t, prev, single, 1e-12, "m=1 vs single-bus form")
+	predictionsClose(t, prev, unbufferedOracle(n, 1, lambda, mu), 1e-12, "m=1 vs the oracle")
 	for _, m := range []int{2, 4, 8, 16} {
 		p, err := MultiUnbuffered(n, m, lambda, mu)
 		if err != nil {

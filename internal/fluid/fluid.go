@@ -77,19 +77,27 @@ func Unbuffered(n, m int, lambda, mu float64) (Prediction, error) {
 func unbufferedAt(y float64, n, m int, lambda, mu float64) Prediction {
 	nf := float64(n)
 	busy := math.Min(nf*y, float64(m)) // buses serving
+	return fromMasses(busy, nf*y-busy, m, mu, y)
+}
+
+// fromMasses completes a prediction from the mean number of busy buses
+// and the mean number of requests waiting: Little's law on the waiting
+// room gives W = Lq/X with X = μ·busy, so the wait never comes from
+// subtracting 1/μ off a response and stays ≥ 0 at any load. With no
+// waiting mass the wait is exactly zero.
+func fromMasses(busy, lq float64, m int, mu, blocked float64) Prediction {
 	x := mu * busy
-	l := nf * y // stations at the fabric
-	resp := 1 / mu
-	if x > 0 {
-		resp = l / x
+	var w float64
+	if lq > 0 {
+		w = lq / x
 	}
 	return Prediction{
 		Utilization:  busy / float64(m),
 		Throughput:   x,
-		MeanWait:     resp - 1/mu,
-		MeanResponse: resp,
-		MeanQueueLen: l - busy,
-		Blocked:      y,
+		MeanWait:     w,
+		MeanResponse: w + 1/mu,
+		MeanQueueLen: lq,
+		Blocked:      blocked,
 	}
 }
 
@@ -121,10 +129,12 @@ func UnbufferedODE(n, m int, lambda, mu float64) (ODE, []float64) {
 // drains back to level K.
 //
 // The stationary distribution is geometric, p_k = p_0·r^k with
-// r = λ/δ and p_s = p_0·r^{K+1}, self-consistent through δ(u); the
-// solver finds u* by bisection — closed-form per evaluation, so cost is
-// O(cap) and O(1) in N. BufferedODE exposes the full dynamics for
-// cross-checking against Relax.
+// r = λ/δ and p_s = p_0·r^{K+1}, self-consistent through δ(u). Below
+// capacity (u ≤ c) the drain is μ whatever u is, so the fixed point is
+// closed-form; above it the solver bisects for u* to relative
+// precision — closed-form per evaluation, so cost is O(cap) and O(1) in
+// N. BufferedODE exposes the full dynamics for cross-checking against
+// Relax.
 func BufferedFinite(n, m int, lambda, mu float64, capacity int) (Prediction, error) {
 	if err := validate(n, m, lambda, mu); err != nil {
 		return Prediction{}, err
@@ -142,22 +152,25 @@ func BufferedFinite(n, m int, lambda, mu float64, capacity int) (Prediction, err
 	// busyFraction(u) = 1 − p_0 for the geometric chain induced by u's
 	// drain rate: the fixed point u* satisfies busyFraction(u*) = u*.
 	busyFraction := func(u float64) float64 {
-		r := lambda / drain(mu, c, u)
-		return 1 - geomP0(r, k+2)
+		return geomBusy(lambda/drain(mu, c, u), k+2)
 	}
-	// busyFraction is continuous and nondecreasing in u with
-	// busyFraction(0) > 0 and busyFraction(1) ≤ 1, so g(u) =
-	// busyFraction(u) − u brackets a root on (0, 1].
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 200 && hi-lo > 1e-15; i++ {
-		mid := (lo + hi) / 2
-		if busyFraction(mid) > mid {
-			lo = mid
-		} else {
-			hi = mid
+	// busyFraction is constant on [0, c], where the drain is μ, and
+	// busyFraction(u)/u falls as u grows past c, so the root is unique:
+	// the constant itself when that is at most c, else the bisection
+	// root on (c, 1], where busyFraction(c) > c and busyFraction(1) ≤ 1.
+	u := busyFraction(0)
+	if u > c {
+		lo, hi := c, 1.0
+		for i := 0; i < 200 && hi-lo > 1e-15*hi; i++ {
+			mid := lo + (hi-lo)/2
+			if busyFraction(mid) > mid {
+				lo = mid
+			} else {
+				hi = mid
+			}
 		}
+		u = lo + (hi-lo)/2
 	}
-	u := (lo + hi) / 2
 	return bufferedAt(u, n, m, lambda, mu, k), nil
 }
 
@@ -171,15 +184,22 @@ func drain(mu, c, u float64) float64 {
 	return mu * c / u
 }
 
-// geomP0 returns the normalizing p_0 of a geometric chain p_j ∝ r^j
-// over j = 0..levels−1: (r−1)/(r^levels − 1), computed via Expm1/Log so
-// it is stable through r → 1 (limit 1/levels) and underflows cleanly to
-// 0 when r^levels overflows.
-func geomP0(r float64, levels int) float64 {
-	if math.Abs(r-1) < 1e-12 {
-		return 1 / float64(levels)
+// geomBusy returns 1 − p_0 of a geometric chain p_j ∝ r^j over
+// j = 0..levels−1 without subtracting from 1, which would cancel at
+// small r: r·(1 − r^(levels−1))/(1 − r^levels) for r < 1, and the same
+// ratio in powers of 1/r for r > 1 so nothing overflows, both via
+// Expm1/Log. It is ≈ r as r → 0, (levels−1)/levels at r = 1, and → 1
+// as r → ∞.
+func geomBusy(r float64, levels int) float64 {
+	l := float64(levels)
+	switch x := math.Log(r); {
+	case x < 0:
+		return r * math.Expm1((l-1)*x) / math.Expm1(l*x)
+	case x > 0:
+		return math.Expm1(-(l-1)*x) / math.Expm1(-l*x)
+	default:
+		return (l - 1) / l
 	}
-	return (r - 1) / math.Expm1(float64(levels)*math.Log(r))
 }
 
 // bufferedAt maps a backlogged fraction u onto the Metrics shape via
@@ -190,46 +210,36 @@ func bufferedAt(u float64, n, m int, lambda, mu float64, k int) Prediction {
 	r := lambda / drain(mu, c, u)
 
 	// Occupancy moments over p_j = p_0·r^j, j = 0..K+1 (j = K+1 is the
-	// stalled state, holding K+1 outstanding requests). Accumulated with
-	// periodic rescaling, as in internal/analytic, so supercritical r
-	// cannot overflow float64 over a deep buffer — only the ratios
-	// survive the final normalization.
-	term, sum, outSum := 1.0, 0.0, 0.0
+	// stalled state: a full interface of K plus the held request, so K
+	// of its K+1 outstanding requests wait). A backlogged station has
+	// one request at the head of its interface; the rest wait. qSum
+	// accumulates that waiting mass directly. Accumulated with periodic
+	// rescaling, as in internal/analytic, so supercritical r cannot
+	// overflow float64 over a deep buffer — only the ratios survive the
+	// final normalization.
+	term, sum, qSum := 1.0, 0.0, 0.0
 	var stallTerm float64
 	for j := 0; j <= k+1; j++ {
-		outstanding := float64(j)
 		if j == k+1 {
-			outstanding = float64(k + 1) // stalled: full interface + held request
 			stallTerm = term
 		}
 		sum += term
-		outSum += outstanding * term
+		if j > 1 {
+			qSum += float64(j-1) * term
+		}
 		if term > 1e250 {
 			term /= 1e250
 			sum /= 1e250
-			outSum /= 1e250
+			qSum /= 1e250
 			stallTerm /= 1e250
 		}
 		term *= r
 	}
-	outstanding := outSum / sum // mean outstanding requests per station
-	stalled := stallTerm / sum
 
+	// Heads of backlogged interfaces, N·u of them, occupy the buses up
+	// to m; the heads beyond that wait too.
 	busy := math.Min(nf*u, float64(m))
-	x := mu * busy
-	l := nf * outstanding
-	resp := 1 / mu
-	if x > 0 {
-		resp = l / x
-	}
-	return Prediction{
-		Utilization:  busy / float64(m),
-		Throughput:   x,
-		MeanWait:     resp - 1/mu,
-		MeanResponse: resp,
-		MeanQueueLen: l - busy,
-		Blocked:      stalled,
-	}
+	return fromMasses(busy, nf*(qSum/sum)+(nf*u-busy), m, mu, stallTerm/sum)
 }
 
 // BufferedODE returns the (cap+2)-dimensional buffered-finite mean-field

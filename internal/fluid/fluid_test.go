@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -171,6 +172,44 @@ func TestBufferedMonotoneInLoad(t *testing.T) {
 				a, p.Throughput, prevX, p.Blocked, prevB)
 		}
 		prevX, prevB = p.Throughput, p.Blocked
+	}
+}
+
+// Vanishing load: the buffered solver must keep full relative
+// precision where 1 − p_0 and response − 1/μ would cancel. Utilization
+// tends to the offered load Nλ/(mμ), and the wait to the one request
+// ahead with probability ≈ λ/μ, served in 1/μ: W ≈ λ/μ².
+func TestBufferedSmallLoad(t *testing.T) {
+	for _, rho := range []float64{1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-100} {
+		for _, n := range []int{8, 1000} {
+			for _, m := range []int{1, 4} {
+				for _, depth := range []int{1, 4} {
+					for _, mu := range []float64{1, 2} {
+						lambda := rho * mu
+						p, err := BufferedFinite(n, m, lambda, mu, depth)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("ρ=%g N=%d m=%d depth=%d μ=%g", rho, n, m, depth, mu)
+						for field, v := range map[string]float64{
+							"utilization": p.Utilization, "throughput": p.Throughput,
+							"mean_wait": p.MeanWait, "mean_response": p.MeanResponse,
+							"mean_queue_len": p.MeanQueueLen, "blocked": p.Blocked,
+						} {
+							if !(v >= 0) || math.IsInf(v, 0) {
+								t.Errorf("%s: %s = %v, want finite and ≥ 0", name, field, v)
+							}
+						}
+						if want := float64(n) * lambda / (float64(m) * mu); relErr(p.Utilization, want) > 1e-9 {
+							t.Errorf("%s: utilization %v, want Nλ/(mμ) = %v", name, p.Utilization, want)
+						}
+						if want := lambda / (mu * mu); rho <= 1e-9 && relErr(p.MeanWait, want) > 1e-6 {
+							t.Errorf("%s: wait %v, want λ/μ² = %v", name, p.MeanWait, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

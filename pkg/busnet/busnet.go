@@ -141,9 +141,10 @@ func (c Config) resolved() (Config, error) {
 // the closed forms assume exponential think times, and attaching them
 // to bursty or deterministic runs would be a silently wrong overlay.
 // (Cross-checks for the other shapes are limiting cases: MMPP2 with
-// equal state rates is Poisson; see docs/traffic.md.) A single-bus
-// config always dispatches to the original single-server forms, so
-// m = 1 predictions are bit-identical to the pre-fabric ones.
+// equal state rates is Poisson; see docs/traffic.md.) The blocking
+// and finite-buffer forms are the m-server ones at every m, m = 1
+// included: they read the wait off the waiting mass, so predictions
+// keep full relative precision down to vanishing load.
 //
 // Non-exponential service (Config.Service) dispatches to the M/G/1
 // Pollaczek–Khinchine form — exact M/D/1 for deterministic service and
@@ -181,19 +182,13 @@ func predict(cfg Config) (Prediction, error) {
 		return analytic.MG1BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate, svc.SquaredCV())
 	}
 	if mode == bus.Unbuffered {
-		if multi {
-			return analytic.MultiUnbuffered(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
-		}
-		return analytic.Unbuffered(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate), nil
+		return analytic.MultiUnbuffered(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
 	}
-	if cfg.BufferCap == Infinite {
-		if multi {
-			return analytic.MultiBufferedInfinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
-		}
-		return analytic.BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate)
-	}
-	if multi {
+	if cfg.BufferCap != Infinite {
 		return analytic.MultiBufferedFinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
 	}
-	return analytic.BufferedFinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
+	if multi {
+		return analytic.MultiBufferedInfinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
+	}
+	return analytic.BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate)
 }
