@@ -1,6 +1,7 @@
 package busnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
@@ -10,7 +11,8 @@ import (
 // with field-level inputs: Validate must never panic, and any config it
 // accepts must survive marshal → unmarshal unchanged, still validate,
 // and yield analytic and fluid evaluations that either error cleanly or
-// return finite predictions. Huge population/capacity values are skipped rather than
+// return finite, nonnegative summaries with a response of at least one
+// service time. Huge population/capacity values are skipped rather than
 // validated — they are legal configs whose closed forms and source
 // allocation are deliberately O(N·cap), which a fuzzer would turn into
 // an out-of-memory, not a finding.
@@ -52,6 +54,14 @@ func FuzzConfigValidate(f *testing.F) {
 	erl := DefaultConfig()
 	erl.Service = ErlangService(4)
 	seed(erl)
+	// Vanishing loads, where subtracting from 1 or from 1/μ cancels.
+	for _, lambda := range []float64{1e-12, 1e-20} {
+		light := DefaultConfig()
+		light.ThinkRate = lambda
+		seed(light)
+		light.Mode, light.BufferCap = ModeBuffered, 4
+		seed(light)
+	}
 
 	f.Fuzz(func(t *testing.T, processors, buses int, think, service float64,
 		mode string, bufferCap int, arbiter, weights, kind string,
@@ -101,30 +111,117 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := back.Validate(); err != nil {
 			t.Fatalf("round-tripped config no longer validates: %v\n%s", err, blob)
 		}
-		if ev, err := Evaluate(canon, BackendAnalytic); err == nil {
-			pred := ev.Analytic
-			for name, v := range map[string]float64{
-				"utilization": pred.Utilization, "throughput": pred.Throughput,
-				"mean_wait": pred.MeanWait, "mean_queue_len": pred.MeanQueueLen,
-			} {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("analytic backend returned non-finite %s = %v for valid config %+v", name, v, canon)
+		// The model backends refuse cleanly outside their domains and
+		// never emit a negative or non-finite number inside them.
+		for _, b := range []Backend{BackendAnalytic, BackendFluid} {
+			ev, err := Evaluate(canon, b)
+			if err != nil {
+				continue
+			}
+			fields := map[string]float64{
+				"utilization": ev.Utilization, "throughput": ev.Throughput,
+				"mean_wait": ev.MeanWait, "mean_response": ev.MeanResponse,
+				"mean_queue_len": ev.MeanQueueLen,
+			}
+			if ev.Fluid != nil {
+				fields["blocked"] = ev.Fluid.Blocked
+			}
+			for name, v := range fields {
+				if !(v >= 0) || math.IsInf(v, 0) {
+					t.Fatalf("%s backend returned %s = %v for valid config %+v", b, name, v, canon)
 				}
+			}
+			if ev.MeanResponse < 1/canon.ServiceRate {
+				t.Fatalf("%s backend returned response %v below one service time %v for valid config %+v",
+					b, ev.MeanResponse, 1/canon.ServiceRate, canon)
 			}
 		}
-		// The fluid backend holds to the same contract: refuse cleanly
-		// outside its domain, never emit a non-finite number inside it.
-		if ev, err := Evaluate(canon, BackendFluid); err == nil {
-			fp := ev.Fluid
-			for name, v := range map[string]float64{
-				"utilization": fp.Utilization, "throughput": fp.Throughput,
-				"mean_wait": fp.MeanWait, "mean_queue_len": fp.MeanQueueLen,
-				"blocked": fp.Blocked,
-			} {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("fluid backend returned non-finite %s = %v for valid config %+v", name, v, canon)
-				}
-			}
+	})
+}
+
+// FuzzTopologyValidate drives Topology.Validate with field-level inputs
+// over a cpu → mem fabric: both nodes' station fields (mem has no
+// processors unless the fuzzer gives it some), mem's arbitration and
+// the bridge depth. Validate must never panic, and any topology it
+// accepts must marshal, hash with CanonicalHash, and validate again
+// after a JSON round trip that re-encodes to the same bytes.
+// FuzzTopologyJSON cannot reach most of these inputs: JSON carries no
+// NaN, and the kind decoders reject unknown names before Validate runs.
+func FuzzTopologyValidate(f *testing.F) {
+	seed := func(mutate func(cpu, mem *Node, link *Link)) {
+		cpu := Node{Name: "cpu", Processors: 8, ThinkRate: 0.05, ServiceRate: 1,
+			Mode: ModeBuffered, BufferCap: 4}
+		mem := Node{Name: "mem", ServiceRate: 1}
+		link := Link{From: "cpu", To: "mem", Buffer: 2}
+		mutate(&cpu, &mem, &link)
+		f.Add(cpu.Processors, cpu.Buses, cpu.ThinkRate, cpu.ServiceRate, cpu.Mode, cpu.BufferCap,
+			string(cpu.Traffic.Kind), string(cpu.Service.Kind),
+			mem.Processors, mem.Buses, mem.ThinkRate, mem.ServiceRate, mem.Mode, mem.BufferCap,
+			string(mem.Traffic.Kind), string(mem.Service.Kind), mem.Arbiter, mem.Weights,
+			link.Buffer, 1000.0, 100.0)
+	}
+	seed(func(cpu, mem *Node, link *Link) {})
+	// A NaN think rate on the transit node: accepted, run, and then
+	// unencodable before Validate refused station fields there.
+	seed(func(cpu, mem *Node, link *Link) { mem.ThinkRate = math.NaN() })
+	seed(func(cpu, mem *Node, link *Link) { mem.Traffic.Kind = "pareto" })
+	seed(func(cpu, mem *Node, link *Link) { mem.Mode, mem.BufferCap = "garbage", -7 })
+	seed(func(cpu, mem *Node, link *Link) {
+		mem.Processors, mem.ThinkRate, mem.Mode, mem.BufferCap = 4, 0.05, ModeBuffered, Infinite
+	})
+	seed(func(cpu, mem *Node, link *Link) {
+		cpu.Mode, cpu.BufferCap, cpu.Traffic.Kind = ModeUnbuffered, 0, TrafficDeterministic
+		mem.Buses, mem.Service.Kind = 2, ServiceDeterministic
+		mem.Arbiter, mem.Weights = WeightedRoundRobin.String(), "3"
+		link.Buffer = Infinite
+	})
+
+	f.Fuzz(func(t *testing.T, cpuN, cpuBuses int, cpuThink, cpuService float64,
+		cpuMode string, cpuCap int, cpuTraffic, cpuSvc string,
+		memN, memBuses int, memThink, memService float64,
+		memMode string, memCap int, memTraffic, memSvc, memArbiter, memWeights string,
+		depth int, horizon, warmup float64) {
+		if cpuN > 1<<12 || memN > 1<<12 || cpuCap > 1<<12 || memCap > 1<<12 ||
+			cpuBuses > 1<<12 || memBuses > 1<<12 || depth > 1<<12 || len(memWeights) > 1<<12 {
+			t.Skip("legal but deliberately O(N·cap) — not a robustness finding")
+		}
+		top := Topology{
+			Nodes: []Node{
+				{Name: "cpu", Processors: cpuN, Buses: cpuBuses, ThinkRate: cpuThink,
+					ServiceRate: cpuService, Mode: cpuMode, BufferCap: cpuCap,
+					Traffic: Traffic{Kind: TrafficKind(cpuTraffic)},
+					Service: Service{Kind: ServiceKind(cpuSvc)}, Route: []string{"mem"}},
+				{Name: "mem", Processors: memN, Buses: memBuses, ThinkRate: memThink,
+					ServiceRate: memService, Mode: memMode, BufferCap: memCap,
+					Traffic: Traffic{Kind: TrafficKind(memTraffic)},
+					Service: Service{Kind: ServiceKind(memSvc)},
+					Arbiter: memArbiter, Weights: memWeights},
+			},
+			Links:   []Link{{From: "cpu", To: "mem", Buffer: depth}},
+			Seed:    1,
+			Horizon: horizon,
+			Warmup:  warmup,
+		}
+		if err := top.Validate(); err != nil {
+			return // rejected cleanly; nothing more to hold
+		}
+		blob, err := json.Marshal(top)
+		if err != nil {
+			t.Fatalf("accepted topology does not marshal: %v\n%+v", err, top)
+		}
+		if _, err := CanonicalHash(top); err != nil {
+			t.Fatalf("accepted topology does not hash: %v\n%+v", err, top)
+		}
+		var back Topology
+		if err := json.Unmarshal(blob, &back); err != nil {
+			t.Fatalf("marshaled topology does not unmarshal: %v\n%s", err, blob)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("round-tripped topology no longer validates: %v\n%s", err, blob)
+		}
+		again, err := json.Marshal(back)
+		if err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("JSON round trip changed the topology (%v):\n%s\nvs\n%s", err, again, blob)
 		}
 	})
 }

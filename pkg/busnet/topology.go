@@ -178,6 +178,11 @@ func (t Topology) Validate() error {
 			if err := n.Traffic.Validate(n.ThinkRate); err != nil {
 				return fmt.Errorf("busnet: node %q: %w", n.Name, err)
 			}
+		} else if f := n.stationField(); n.Processors == 0 && f != "" {
+			// Nothing reads these on a transit node, so nothing else would
+			// check them: a NaN or an unknown kind would run and then fail
+			// to encode.
+			return fmt.Errorf("busnet: node %q: %s is set, but the node has no processors to apply it to", n.Name, f)
 		}
 		kind, err := ParseArbiter(n.Arbiter)
 		if err != nil {
@@ -231,6 +236,22 @@ func (t Topology) Validate() error {
 		return err
 	}
 	return cfg.Validate()
+}
+
+// stationField names the first field set on n that only processors
+// use — ThinkRate, Traffic, Mode, BufferCap — or returns "".
+func (n Node) stationField() string {
+	switch {
+	case n.ThinkRate != 0:
+		return "think rate"
+	case n.Traffic != Traffic{}:
+		return "traffic"
+	case n.Mode != "":
+		return "mode"
+	case n.BufferCap != 0:
+		return "buffer cap"
+	}
+	return ""
 }
 
 // topoConfig lowers the public topology to the internal fabric config,

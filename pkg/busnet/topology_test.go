@@ -202,6 +202,11 @@ func TestTopologyValidate(t *testing.T) {
 			tp.Nodes[1].Route = []string{"cpu"}
 		}, "cycle"},
 		{"bad service", func(tp *Topology) { tp.Nodes[1].ServiceRate = -1 }, "service rate"},
+		// Station-only fields on a node with no processors.
+		{"transit think rate", func(tp *Topology) { tp.Nodes[1].ThinkRate = math.NaN() }, `node "mem": think rate`},
+		{"transit traffic", func(tp *Topology) { tp.Nodes[1].Traffic = Traffic{Kind: "pareto"} }, `node "mem": traffic`},
+		{"transit mode", func(tp *Topology) { tp.Nodes[1].Mode = "garbage" }, `node "mem": mode`},
+		{"transit buffer cap", func(tp *Topology) { tp.Nodes[1].BufferCap = -7 }, `node "mem": buffer cap`},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
