@@ -256,9 +256,9 @@ func TestMultiFormsDegenerateToSingleBus(t *testing.T) {
 }
 
 // oraclePrec is the oracle's working precision in bits: enough that
-// the textbook subtractions U = 1 − p0, Lq = L − busy and
-// W = L/X − 1/μ stay exact to double precision even at λ/μ = 1e-100,
-// where they cancel a few hundred bits.
+// the textbook subtractions Lq = L − busy and W = L/X − 1/μ stay exact
+// to double precision even at λ/μ = 1e-100, where each cancels a few
+// hundred bits.
 const oraclePrec = 2000
 
 // oracle evaluates the birth–death chain over states k = 0..top in
@@ -267,26 +267,31 @@ const oraclePrec = 2000
 // state probabilities by its textbook definition.
 func oracle(top, m int, births func(k int) int, lambda, mu float64) Prediction {
 	num := func(x float64) *big.Float { return new(big.Float).SetPrec(oraclePrec).SetFloat64(x) }
-	lam, bmu := num(lambda), num(mu)
+	// step[j] = λ/(j·μ): the service side of the ratio p_k/p_{k−1}
+	// with j = min(k, m) buses busy.
+	step := make([]*big.Float, m+1)
+	for j := 1; j <= m; j++ {
+		step[j] = num(0).Quo(num(lambda), num(0).Mul(num(float64(j)), num(mu)))
+	}
 	term, sum, lSum, bSum := num(1), num(1), num(0), num(0)
+	small, tmp := num(0), num(0) // reused across states
 	for k := 1; k <= top; k++ {
-		busy := num(float64(min(k, m)))
-		term.Mul(term, num(float64(births(k-1))))
-		term.Mul(term, lam)
-		term.Quo(term, num(0).Mul(busy, bmu))
+		busy := float64(min(k, m))
+		term.Mul(term, small.SetFloat64(float64(births(k-1))))
+		term.Mul(term, step[min(k, m)])
 		sum.Add(sum, term)
-		lSum.Add(lSum, num(0).Mul(num(float64(k)), term))
-		bSum.Add(bSum, num(0).Mul(busy, term))
+		lSum.Add(lSum, tmp.Mul(small.SetFloat64(float64(k)), term))
+		bSum.Add(bSum, tmp.Mul(small.SetFloat64(busy), term))
 	}
 	l := num(0).Quo(lSum, sum)
 	busy := num(0).Quo(bSum, sum)
-	x := num(0).Mul(bmu, busy)
+	x := num(0).Mul(num(mu), busy)
 	resp := num(0).Quo(l, x)
 	f := func(v *big.Float) float64 { r, _ := v.Float64(); return r }
 	return Prediction{
 		Utilization:  f(num(0).Quo(busy, num(float64(m)))),
 		Throughput:   f(x),
-		MeanWait:     f(num(0).Sub(resp, num(0).Quo(num(1), bmu))),
+		MeanWait:     f(num(0).Sub(resp, num(0).Quo(num(1), num(mu)))),
 		MeanResponse: f(resp),
 		MeanQueueLen: f(num(0).Sub(l, busy)),
 	}
