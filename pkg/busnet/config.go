@@ -201,9 +201,9 @@ func RareBurstMMPP2(mean, ratio, dwell, burstFrac float64) Traffic {
 
 // DefaultConfig returns the baseline operating point: 8 processors, one
 // bus, λ=0.1, μ=1, unbuffered, Poisson traffic, round-robin, seed 1,
-// horizon 100000 with a 10% warmup. Warmup is an
-// absolute time, not a fraction — when deriving configs with a different
-// horizon, use AtHorizon so the warmup rescales with it.
+// horizon 100000 with a 10% warmup. Warmup is an absolute time, not a
+// fraction — when deriving configs with a different horizon, use
+// AtHorizon so the warmup rescales with it.
 func DefaultConfig() Config {
 	return Config{
 		Processors:  8,

@@ -102,7 +102,7 @@ func fluidPredict(cfg Config) (FluidPrediction, error) {
 	}
 	if cfg.Mode == ModeBuffered {
 		if cfg.BufferCap == Infinite {
-			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for infinite buffers — use the analytic backend's M/M/m (Erlang-C) form, which is exact there")
+			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for infinite buffers — the analytic backend's M/M/m (Erlang-C) form is exact there")
 		}
 		return fluid.BufferedFinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
 	}
