@@ -4,11 +4,12 @@
 // (DefaultConfig, AtHorizon, field assignment) or a multi-hop Topology
 // (a literal, JSON, or NewTopology's builder). Neither runs anything or
 // holds simulation state, so one value fans out to parameter grids and
-// replications by copy-and-tweak. Evaluate and EvaluateTopology answer
-// for any backend — the discrete-event simulator, the closed forms, or
-// the mean-field fluid model — with the same summary fields, so
-// simulation and prediction compare side by side (see ExampleEvaluate
-// and ExampleEvaluateTopology):
+// replications by copy-and-tweak. Evaluate answers for any backend —
+// the discrete-event simulator, the closed forms, or the mean-field
+// fluid model — with the same summary fields, so simulation and
+// prediction compare side by side; EvaluateTopology does the same for
+// the simulator and the product-form overlay (see ExampleEvaluate and
+// ExampleEvaluateTopology):
 //
 //	cfg := busnet.DefaultConfig()
 //	cfg.Processors = 16
