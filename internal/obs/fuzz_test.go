@@ -38,8 +38,6 @@ func FuzzTraceExport(f *testing.F) {
 				r.EventScheduled(tm, tm)
 			case KindEventFired:
 				r.EventFired(tm)
-			case KindEventCancelled:
-				r.EventCancelled(tm, tm)
 			case KindHopGrant:
 				r.HopGrant(tm, n, n, n, tm)
 			case KindHopStall:

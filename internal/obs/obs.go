@@ -25,7 +25,6 @@ const (
 	// Engine lifecycle (sim.Probe).
 	KindEventScheduled Kind = iota
 	KindEventFired
-	KindEventCancelled
 	// Fabric hops and bridges (topo.Probe); a flat run is a fabric of
 	// one segment.
 	KindHopGrant
@@ -39,7 +38,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"event-scheduled", "event-fired", "event-cancelled",
+	"event-scheduled", "event-fired",
 	"hop-grant", "hop-stall", "hop-complete",
 	"bridge-enqueue", "bridge-block", "bridge-release",
 }
@@ -58,7 +57,6 @@ func (k Kind) String() string {
 //
 //	EventScheduled   D=fire time
 //	EventFired       —
-//	EventCancelled   D=would-have-fired time
 //	HopGrant         A=segment B=claimant C=bus D=wait
 //	HopStall         A=segment B=station
 //	HopComplete      A=segment B=bus          D=busyFor
@@ -184,11 +182,6 @@ func (r *Recorder) EventScheduled(t, now float64) {
 // EventFired implements sim.Probe.
 func (r *Recorder) EventFired(now float64) {
 	r.add(KindEventFired, now, 0, 0, 0, 0)
-}
-
-// EventCancelled implements sim.Probe.
-func (r *Recorder) EventCancelled(t, now float64) {
-	r.add(KindEventCancelled, now, 0, 0, 0, t)
 }
 
 // topo.Probe implementation.

@@ -166,7 +166,6 @@ func TestWriteTraceMapsEveryKind(t *testing.T) {
 	r := New(64)
 	r.EventScheduled(5, 1)
 	r.EventFired(2)
-	r.EventCancelled(9, 3)
 	r.HopGrant(4, 0, 7, 1, 0.5)
 	r.HopStall(5, 0, 3)
 	r.HopComplete(6, 0, 1, 2)

@@ -12,7 +12,7 @@ import (
 // viewer's timeline reads directly in simulated time.
 //
 // Track layout:
-//   - pid 0 is the engine: event-fired/scheduled/cancelled instants on
+//   - pid 0 is the engine: event-fired/scheduled instants on
 //     tid 0, and one counter track per bridge (queue length).
 //   - pid 1+seg is segment seg (a flat run is a one-segment fabric and
 //     exports as segment 0, pid 1): "serve" and "blocked" complete-spans
@@ -117,11 +117,10 @@ func (rec Record) traceEvent() (ev traceEvent, pid int, pidName string, ok bool)
 	const enginePid = 0
 	segPid := func(seg int) (int, string) { return 1 + seg, fmt.Sprintf("segment %d", seg) }
 	switch rec.Kind {
-	case KindEventScheduled, KindEventFired, KindEventCancelled:
-		names := map[Kind]string{
-			KindEventScheduled: "sched", KindEventFired: "fire", KindEventCancelled: "cancel",
-		}
-		return instant(names[rec.Kind], rec.Kind, rec.T, enginePid, 0), enginePid, "engine", true
+	case KindEventScheduled:
+		return instant("sched", rec.Kind, rec.T, enginePid, 0), enginePid, "engine", true
+	case KindEventFired:
+		return instant("fire", rec.Kind, rec.T, enginePid, 0), enginePid, "engine", true
 	case KindHopGrant:
 		p, n := segPid(rec.A)
 		return span("wait", rec.Kind, rec.T, rec.D, p, rec.B), p, n, true

@@ -32,24 +32,6 @@ func TestAllocsScheduleFire(t *testing.T) {
 	}
 }
 
-// TestAllocsScheduleCancel locks the cancellation path: a cancelled
-// event must recycle into the pool without garbage.
-func TestAllocsScheduleCancel(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	ev := e.Schedule(1, fn)
-	e.Cancel(ev)
-	avg := testing.AllocsPerRun(1000, func() {
-		ev := e.Schedule(1, fn)
-		if !e.Cancel(ev) {
-			t.Fatal("Cancel failed")
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("schedule+cancel cycle allocates %v per run, want 0", avg)
-	}
-}
-
 // TestAllocsStats locks every statistics collector the bus model calls
 // per event: the Welford tally, the time-weighted integrator, and the
 // streaming histogram.

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEventLoop measures the engine hot path: schedule one event,
 // fire it, schedule the next from inside the callback — the steady-state
@@ -26,49 +29,49 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkHeapPushPop measures raw heap throughput with a working set of
-// 1024 pending events, the regime a loaded bus simulation runs in.
-func BenchmarkHeapPushPop(b *testing.B) {
-	h := NewEventHeap(2048)
-	t := 0.0
-	for i := 0; i < 1024; i++ {
-		t += 1.0
-		h.Push(&Event{Time: t})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := h.Pop()
-		t += 1.0
-		ev.Time = t
-		h.Push(ev)
-	}
-}
-
-// BenchmarkWheelPushPop measures the timing wheel under the same
-// 1024-pending working set as BenchmarkHeapPushPop, so the two rows
-// compare the schedulers head to head.
-func BenchmarkWheelPushPop(b *testing.B) {
-	w := NewTimingWheel()
-	t := 0.0
-	for i := 0; i < 1024; i++ {
-		t += 1.0
-		w.Push(&Event{Time: t})
-	}
-	// Cycle once around the working set so the wheel's width and bucket
-	// count settle before measurement.
-	for i := 0; i < 4096; i++ {
-		ev := w.Pop()
-		t += 1.0
-		ev.Time = t
-		w.Push(ev)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := w.Pop()
-		t += 1.0
-		ev.Time = t
-		w.Push(ev)
+// BenchmarkEnginePending measures one schedule plus one fire at the
+// pending-set sizes the models run with: 8 to 32 events, where the
+// workloads' ladder measures 17–22 (stations plus buses). Each pending
+// event is one self-rescheduling callback cycling through gaps
+// pre-drawn into a ring, so the timing covers the engine alone: one
+// callback draws service-like gaps (exponential, mean 1), the rest
+// think-like gaps (mean 20). One op is one fired event.
+func BenchmarkEnginePending(b *testing.B) {
+	for _, pending := range []int{8, 20, 32} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			const ring = 256
+			rng := NewRNG(1)
+			e := NewEngine()
+			left := 0
+			for k := range pending {
+				rate := 1.0 / 20
+				if k == 0 {
+					rate = 1
+				}
+				gaps := make([]float64, ring)
+				for i := range gaps {
+					gaps[i] = rng.Exp(rate)
+				}
+				i := 0
+				var fn func()
+				fn = func() {
+					e.Schedule(gaps[i], fn)
+					i = (i + 1) % ring
+					if left--; left == 0 {
+						e.Stop()
+					}
+				}
+				e.Schedule(gaps[ring-1], fn)
+			}
+			// Cycle the rings so the wheel's width and bucket count
+			// settle before measurement.
+			left = 16 * ring
+			_ = e.Run() // always ErrStopped: the callbacks never drain the set
+			b.ReportAllocs()
+			b.ResetTimer()
+			left = b.N
+			_ = e.Run()
+		})
 	}
 }
 

@@ -1,3 +1,11 @@
+// Package sim provides a deterministic discrete-event simulation engine:
+// an event scheduler ordered by (time, insertion sequence), a simulation
+// clock, seeded random-variate generation, and statistics collectors.
+//
+// Determinism contract: given the same seed and the same sequence of
+// Schedule calls, an Engine processes events in exactly the same order and
+// produces bit-identical statistics. Ties in event time are broken by
+// insertion order, never by map iteration or pointer identity.
 package sim
 
 import (
@@ -10,16 +18,18 @@ import (
 // mutation happens inside event callbacks, which the engine fires in
 // nondecreasing time order.
 //
-// The engine owns a free list of Event objects: every fired or cancelled
-// event is recycled into the next Schedule call, so the steady-state
-// loop performs zero heap allocations per event (see the lifetime rule
-// on Event). Callbacks should likewise be long-lived values — a fresh
-// closure per Schedule call reintroduces one allocation per event.
-// Reset carries the events, and the scheduler's memory, over into the
-// next run on the same engine.
+// The engine stores its events by index in an arena it owns: a pending
+// event is a pointer-free record in the timing wheel's arena plus its
+// callback at the same index in fns. A fired event's index goes back on
+// a free list and is reused by the next Schedule call, so the
+// steady-state loop performs zero heap allocations per event.
+// Callbacks should be long-lived values — a fresh closure per Schedule
+// call reintroduces one allocation per event. Reset carries the arena,
+// and the wheel's memory, over into the next run on the same engine.
 type Engine struct {
-	sched     scheduler
-	free      []*Event
+	w         wheel
+	fns       []func() // fns[i] is pending event i's callback; nil once it fires
+	free      []int32  // pooled event indices, reused last in first out
 	now       float64
 	processed uint64
 	running   bool
@@ -29,37 +39,32 @@ type Engine struct {
 	// on the hot path, and they are what makes a run's Diagnostics
 	// bit-deterministic whether or not a probe is attached.
 	probe      Probe
-	cancelled  uint64
 	poolHits   uint64
 	poolMisses uint64
-
-	// spare holds the events a Reset took back: memory, not pool. A
-	// miss takes one before allocating, so a reset engine counts its
-	// pool hits and misses exactly as a fresh one does.
-	spare []*Event
 }
 
-// NewEngine returns an engine with the clock at zero, scheduling on the
-// timing wheel.
-func NewEngine() *Engine { return &Engine{sched: NewTimingWheel()} }
-
-// newEngineOn returns an engine driven by an explicit scheduler — the
-// seam the differential tests use to run the retained binary heap
-// against the wheel.
-func newEngineOn(s scheduler) *Engine { return &Engine{sched: s} }
+// NewEngine returns an engine with the clock at zero.
+func NewEngine() *Engine {
+	e := &Engine{fns: make([]func(), 1)}
+	e.w.ev = make([]event, 1)
+	e.w.heads = make([]int32, wheelMinBuckets)
+	e.w.bits = make([]uint64, wheelMinBuckets/64)
+	e.w.reset()
+	return e
+}
 
 // Reset returns the engine to the logical state NewEngine builds: the
 // clock at zero, no pending events, every counter cleared, no probe,
-// and the scheduler's geometry back to its defaults. It keeps the
-// memory: the wheel's bucket arrays, the overflow heap's slice and
-// every Event the engine ever minted. A run after Reset fires the same
-// events in the same order as on a fresh engine, with bit-identical
-// Counters, and allocates only what the previous runs never needed.
-// Handles from before the reset are stale (see Event).
+// and the wheel's geometry back to its defaults. It keeps the memory:
+// the arena, the free list, the bucket arrays and the overflow heap. A
+// run after Reset fires the same events in the same order as on a fresh
+// engine, with bit-identical Counters — an event index the previous
+// runs minted is not pooled, so taking it back counts as a pool miss —
+// and allocates only what the previous runs never needed.
 func (e *Engine) Reset() {
-	spare := e.sched.reset(append(e.spare, e.free...))
-	clear(e.free)
-	*e = Engine{sched: e.sched, free: e.free[:0], spare: spare}
+	e.w.reset()
+	clear(e.fns) // pending callbacks: retain none of their captures
+	*e = Engine{w: e.w, fns: e.fns[:1], free: e.free[:0]}
 }
 
 // Now returns the current simulation time.
@@ -68,83 +73,39 @@ func (e *Engine) Now() float64 { return e.now }
 // Processed returns the number of events fired so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return e.sched.Len() }
-
-// ScheduleAt schedules fn to fire at absolute time t. Scheduling in the
-// past panics: it is always a model bug and silently clamping it would
-// corrupt causality.
-func (e *Engine) ScheduleAt(t float64, fn func()) *Event {
-	if t < e.now || math.IsNaN(t) {
-		panic(fmt.Sprintf("sim: scheduled event at t=%v before now=%v", t, e.now))
-	}
-	return e.push(t, fn)
-}
-
-// Schedule schedules fn to fire delay time units from now.
-func (e *Engine) Schedule(delay float64, fn func()) *Event {
+// Schedule schedules fn to fire delay time units from now. A negative
+// or NaN delay panics: it is always a model bug, and silently clamping
+// it would corrupt causality.
+func (e *Engine) Schedule(delay float64, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	// delay ≥ 0 and non-NaN implies now+delay ≥ now: causality is already
-	// guaranteed, so skip ScheduleAt's re-validation on the hot path.
-	return e.push(e.now+delay, fn)
-}
-
-func (e *Engine) push(t float64, fn func()) *Event {
-	ev := e.alloc()
-	ev.Time = t
-	ev.Fn = fn
-	e.sched.Push(ev)
+	// delay ≥ 0 and non-NaN implies now+delay ≥ now: causality holds.
+	t := e.now + delay
+	i := e.alloc()
+	e.fns[i] = fn
+	e.w.push(i, t)
 	if e.probe != nil {
 		e.probe.EventScheduled(t, e.now)
 	}
-	return ev
 }
 
-// Cancel removes a pending event, recycling it into the engine's event
-// pool. It returns false when ev is not pending. Per the Event lifetime
-// rule, call it only on handles whose event is known not to have fired:
-// a handle goes stale — and may alias a newer event — once its event
-// fires or is cancelled.
-func (e *Engine) Cancel(ev *Event) bool {
-	if !e.sched.Remove(ev) {
-		return false
-	}
-	e.cancelled++
-	if e.probe != nil {
-		e.probe.EventCancelled(ev.Time, e.now)
-	}
-	e.release(ev)
-	return true
-}
-
-// alloc takes an Event from the free list, or mints one when empty. The
-// list's high-water mark is the peak concurrently-pending event count,
-// so a steady-state run stops allocating once the model's working set is
-// reached. A miss is minted from the spare events of earlier runs while
-// any remain.
-func (e *Engine) alloc() *Event {
+// alloc takes an event index from the free list, or appends a record to
+// the arena when the list is empty — a pool miss. The list's high-water
+// mark is the peak concurrently-pending event count, so a steady-state
+// run stops missing once the model's working set is reached; after a
+// Reset, the arena's capacity makes a miss allocation-free.
+func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
+		i := e.free[n-1]
 		e.free = e.free[:n-1]
 		e.poolHits++
-		return ev
+		return i
 	}
 	e.poolMisses++
-	if n := len(e.spare); n > 0 {
-		ev := e.spare[n-1]
-		e.spare = e.spare[:n-1]
-		return ev
-	}
-	return new(Event)
-}
-
-// release recycles a fired or cancelled event. Fn is cleared so the pool
-// never retains a callback's captures beyond the event's lifetime.
-func (e *Engine) release(ev *Event) {
-	ev.Fn = nil
-	e.free = append(e.free, ev)
+	e.w.ev = append(e.w.ev, event{})
+	e.fns = append(e.fns, nil)
+	return int32(len(e.fns) - 1)
 }
 
 // ErrStopped is returned by Run and RunUntil when — and only when — Stop
@@ -165,22 +126,7 @@ func (e *Engine) RunUntil(horizon float64) error {
 	if horizon < e.now || math.IsNaN(horizon) {
 		return fmt.Errorf("sim: horizon %v before now %v", horizon, e.now)
 	}
-	e.running = true
-	for e.running {
-		ev := e.sched.PopLE(horizon)
-		if ev == nil {
-			break
-		}
-		e.now = ev.Time
-		e.processed++
-		if e.probe != nil {
-			e.probe.EventFired(e.now)
-		}
-		fn := ev.Fn
-		e.release(ev)
-		fn()
-	}
-	if !e.running {
+	if e.loop(horizon) {
 		return ErrStopped
 	}
 	if e.now < horizon {
@@ -192,20 +138,34 @@ func (e *Engine) RunUntil(horizon float64) error {
 // Run fires events until the pending set is empty (returning nil) or
 // Stop is called (returning ErrStopped).
 func (e *Engine) Run() error {
+	if e.loop(math.Inf(1)) {
+		return ErrStopped
+	}
+	return nil
+}
+
+// loop fires the events due by horizon in order until none is left or
+// an event calls Stop, and reports whether one did. Each fire advances
+// the clock, recycles the event's index and runs its callback. The
+// callback is cleared first, so the arena never retains its captures
+// beyond the event's lifetime, and the index is free before the
+// callback runs, so a callback rescheduling itself reuses it.
+func (e *Engine) loop(horizon float64) (stopped bool) {
 	e.running = true
 	for e.running {
-		ev := e.sched.Pop()
-		if ev == nil {
-			return nil
+		i := e.w.popLE(horizon)
+		if i == 0 {
+			return false
 		}
-		e.now = ev.Time
+		e.now = e.w.ev[i].t
 		e.processed++
 		if e.probe != nil {
 			e.probe.EventFired(e.now)
 		}
-		fn := ev.Fn
-		e.release(ev)
+		fn := e.fns[i]
+		e.fns[i] = nil
+		e.free = append(e.free, i)
 		fn()
 	}
-	return ErrStopped
+	return true
 }

@@ -5,12 +5,15 @@ import (
 	"testing"
 )
 
+// pending returns the number of scheduled events not yet fired.
+func (e *Engine) pending() int { return e.w.count + len(e.w.over) }
+
 func TestEngineFiresInOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.ScheduleAt(3, func() { order = append(order, 3) })
-	e.ScheduleAt(1, func() { order = append(order, 1) })
-	e.ScheduleAt(2, func() { order = append(order, 2) })
+	e.Schedule(3, func() { order = append(order, 3) })
+	e.Schedule(1, func() { order = append(order, 1) })
+	e.Schedule(2, func() { order = append(order, 2) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +46,9 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntilHorizon(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.ScheduleAt(1, func() { fired++ })
-	e.ScheduleAt(5, func() { fired++ })
-	e.ScheduleAt(10, func() { fired++ })
+	e.Schedule(1, func() { fired++ })
+	e.Schedule(5, func() { fired++ })
+	e.Schedule(10, func() { fired++ })
 	if err := e.RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +58,8 @@ func TestEngineRunUntilHorizon(t *testing.T) {
 	if e.Now() != 6 {
 		t.Fatalf("clock advanced to %v, want horizon 6", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.pending())
 	}
 	// Resuming past the remaining event fires it.
 	if err := e.RunUntil(20); err != nil {
@@ -66,24 +69,24 @@ func TestEngineRunUntilHorizon(t *testing.T) {
 		t.Fatalf("fired = %d after second run, want 3", fired)
 	}
 	if e.Now() != 20 {
-		t.Fatalf("clock = %v, want 20 (empty heap advances to horizon)", e.Now())
+		t.Fatalf("clock = %v, want 20 (an empty engine advances to the horizon)", e.Now())
 	}
 	// A NaN horizon bounds nothing: it is refused like one before now,
 	// firing nothing and leaving the clock alone.
-	e.ScheduleAt(30, func() { fired++ })
+	e.Schedule(10, func() { fired++ })
 	if err := e.RunUntil(math.NaN()); err == nil {
 		t.Fatal("RunUntil(NaN) = nil, want the horizon-before-now error")
 	}
-	if fired != 3 || e.Now() != 20 || e.Pending() != 1 {
-		t.Fatalf("after RunUntil(NaN): fired %d, clock %v, pending %d; want 3, 20, 1", fired, e.Now(), e.Pending())
+	if fired != 3 || e.Now() != 20 || e.pending() != 1 {
+		t.Fatalf("after RunUntil(NaN): fired %d, clock %v, pending %d; want 3, 20, 1", fired, e.Now(), e.pending())
 	}
 }
 
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.ScheduleAt(1, func() { fired++; e.Stop() })
-	e.ScheduleAt(2, func() { fired++ })
+	e.Schedule(1, func() { fired++; e.Stop() })
+	e.Schedule(2, func() { fired++ })
 	err := e.RunUntil(10)
 	if err != ErrStopped {
 		t.Fatalf("err = %v, want ErrStopped", err)
@@ -93,33 +96,27 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.ScheduleAt(1, func() { fired = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
+// TestEngineSchedulePastPanics pins that an event can never be placed
+// before the clock: a negative or NaN delay panics.
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleAt(5, func() {})
+	e.Schedule(5, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling before now did not panic")
-		}
-	}()
-	e.ScheduleAt(1, func() {})
+	for _, d := range []float64{-4, math.Inf(-1), math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Schedule(%v) did not panic", d)
+				}
+			}()
+			e.Schedule(d, func() {})
+		}()
+	}
+	if e.pending() != 0 || e.Now() != 5 {
+		t.Fatalf("after the refused schedules: pending %d, clock %v; want 0, 5", e.pending(), e.Now())
+	}
 }
 
 // TestEngineReturnContract pins the Run/RunUntil error contract:
@@ -190,9 +187,9 @@ func TestEngineDeterministicTieOrder(t *testing.T) {
 	for run := 0; run < 10; run++ {
 		e := NewEngine()
 		var order []string
-		e.ScheduleAt(1, func() { order = append(order, "a") })
-		e.ScheduleAt(1, func() { order = append(order, "b") })
-		e.ScheduleAt(1, func() { order = append(order, "c") })
+		e.Schedule(1, func() { order = append(order, "a") })
+		e.Schedule(1, func() { order = append(order, "b") })
+		e.Schedule(1, func() { order = append(order, "c") })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

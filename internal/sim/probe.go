@@ -21,9 +21,6 @@ type Probe interface {
 	// EventFired fires before the event's callback runs, with the clock
 	// already advanced to its time.
 	EventFired(now float64)
-	// EventCancelled fires after a pending event is removed: its
-	// would-have-fired time and the current clock.
-	EventCancelled(t, now float64)
 }
 
 // EngineCounters is the engine's deterministic self-measurement: plain
@@ -33,48 +30,42 @@ type Probe interface {
 // the last Reset — they are not warmup-truncated, because they measure
 // the engine, not the model's steady state.
 type EngineCounters struct {
-	// Scheduled, Fired, and Cancelled count event lifecycle transitions;
-	// Scheduled = Fired + Cancelled + still-pending.
+	// Scheduled and Fired count event lifecycle transitions;
+	// Scheduled = Fired + still-pending. Cancelled is always 0: the
+	// engine cannot cancel an event. It stays in the output schema
+	// until the field's removal changes that schema on purpose.
 	Scheduled uint64 `json:"scheduled"`
 	Fired     uint64 `json:"fired"`
 	Cancelled uint64 `json:"cancelled"`
-	// PoolHits and PoolMisses split Scheduled by where the Event struct
-	// came from: the free list, or a fresh heap allocation. Misses stop
-	// once the pool reaches the model's peak pending count, so the
-	// steady-state hit rate approaches 1.
+	// PoolHits and PoolMisses split Scheduled by where the event's
+	// record came from: the free list, or a new slot in the arena.
+	// Misses stop once the pool reaches the model's peak pending count,
+	// so the steady-state hit rate approaches 1.
 	PoolHits   uint64 `json:"pool_hits"`
 	PoolMisses uint64 `json:"pool_misses"`
 	// WheelOverflow counts pushes that landed beyond the timing wheel's
 	// window (parked in the sorted overflow heap); WheelRebases counts
 	// window slides, and WheelResizes the rebases that also changed
-	// the bucket count. All zero when the engine runs on the oracle heap.
+	// the bucket count.
 	WheelOverflow uint64 `json:"wheel_overflow"`
 	WheelRebases  uint64 `json:"wheel_rebases"`
 	WheelResizes  uint64 `json:"wheel_resizes"`
 }
 
-// wheelCounters is the optional scheduler extension the engine queries
-// when assembling EngineCounters; the oracle heap doesn't implement it.
-type wheelCounters interface {
-	counters() (overflow, rebases, resizes uint64)
-}
-
-// SetProbe attaches p to the engine's schedule/fire/cancel hook points,
+// SetProbe attaches p to the engine's schedule and fire hook points,
 // or detaches with nil. Attach before Start/Run: swapping probes
 // mid-run is allowed but the record obviously starts at the swap.
 func (e *Engine) SetProbe(p Probe) { e.probe = p }
 
 // Counters returns the engine's deterministic counters as of now.
 func (e *Engine) Counters() EngineCounters {
-	c := EngineCounters{
-		Scheduled:  e.poolHits + e.poolMisses,
-		Fired:      e.processed,
-		Cancelled:  e.cancelled,
-		PoolHits:   e.poolHits,
-		PoolMisses: e.poolMisses,
+	return EngineCounters{
+		Scheduled:     e.poolHits + e.poolMisses,
+		Fired:         e.processed,
+		PoolHits:      e.poolHits,
+		PoolMisses:    e.poolMisses,
+		WheelOverflow: e.w.nOverflow,
+		WheelRebases:  e.w.nRebases,
+		WheelResizes:  e.w.nResizes,
 	}
-	if w, ok := e.sched.(wheelCounters); ok {
-		c.WheelOverflow, c.WheelRebases, c.WheelResizes = w.counters()
-	}
-	return c
 }

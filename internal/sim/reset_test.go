@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// firing is one fired event as a script run observes it.
+// firing is one fired event as a script run observes it: its schedule
+// order, which is its seq, and its time.
 type firing struct {
 	id   int
 	time float64
-	seq  uint64
 }
 
 // scriptRun is everything a script run can observe of an engine.
@@ -21,23 +21,23 @@ type scriptRun struct {
 	counters EngineCounters
 }
 
-// runScript drives e through script, decoded like FuzzWheelMatchesHeap's
-// operation scripts but through the engine's public surface. Each byte
-// pair is one operation: the first selects schedule / fire one / fire
-// one up to a limit / schedule a tie at now or cancel, the second
-// supplies the operand. Every callback records itself and stops the
-// engine, so each Run or RunUntil fires at most one event. With drain
-// set, the pending set is fired out at the end.
+// runScript drives e through script, decoded like
+// FuzzEngineMatchesReference's operation scripts but through the
+// engine's public surface. Each byte pair is one operation: the first
+// selects schedule / fire one / fire one up to a limit / schedule a tie
+// at now, the second supplies the operand. Every callback records
+// itself and stops the engine, so each Run or RunUntil fires at most
+// one event. With drain set, the pending set is fired out at the end.
 func runScript(e *Engine, script []byte, drain bool) scriptRun {
 	var r scriptRun
-	var handles []*Event // by id; nil once fired or cancelled
-	schedule := func(t float64) {
-		id := len(handles)
-		handles = append(handles, e.ScheduleAt(t, func() {
-			r.fired = append(r.fired, firing{id, e.Now(), handles[id].Seq()})
-			handles[id] = nil
+	scheduled := 0
+	schedule := func(d float64) {
+		id := scheduled
+		scheduled++
+		e.Schedule(d, func() {
+			r.fired = append(r.fired, firing{id, e.Now()})
 			e.Stop()
-		}))
+		})
 	}
 	for i := 0; i+1 < len(script); i += 2 {
 		op, arg := script[i], script[i+1]
@@ -47,27 +47,19 @@ func runScript(e *Engine, script []byte, drain bool) scriptRun {
 			if op&1 == 1 {
 				d = float64(arg) * 997 // beyond the window: the overflow level
 			}
-			schedule(e.Now() + d)
+			schedule(d)
 		case 1:
 			_ = e.Run()
 		case 2:
 			_ = e.RunUntil(e.Now() + float64(arg)/8)
 		default:
-			if op&1 == 0 {
-				schedule(e.Now())
-			} else if len(handles) > 0 {
-				id := int(arg) % len(handles)
-				if h := handles[id]; h != nil {
-					e.Cancel(h)
-					handles[id] = nil
-				}
-			}
+			schedule(0)
 		}
 	}
-	for drain && e.Pending() > 0 {
+	for drain && e.pending() > 0 {
 		_ = e.Run()
 	}
-	r.now, r.pending, r.counters = e.Now(), e.Pending(), e.Counters()
+	r.now, r.pending, r.counters = e.Now(), e.pending(), e.Counters()
 	return r
 }
 
@@ -76,18 +68,16 @@ type countingProbe struct{ calls int }
 
 func (p *countingProbe) EventScheduled(float64, float64) { p.calls++ }
 func (p *countingProbe) EventFired(float64)              { p.calls++ }
-func (p *countingProbe) EventCancelled(float64, float64) { p.calls++ }
 
 // checkResetReplay runs dirty on an engine with a probe attached,
 // leaving whatever it left pending, Resets it, and requires script to
 // then fire exactly what it fires on a fresh engine — same events, same
-// times, same sequence numbers — with the same clock, pending count and
-// Counters, pool hits and misses included, and no callback reaching the
-// old probe.
-func checkResetReplay(t *testing.T, newSched func() scheduler, dirty, script []byte) {
+// times — with the same clock, pending count and Counters, pool hits
+// and misses included, and no callback reaching the old probe.
+func checkResetReplay(t *testing.T, dirty, script []byte) {
 	t.Helper()
-	want := runScript(newEngineOn(newSched()), script, true)
-	e := newEngineOn(newSched())
+	want := runScript(NewEngine(), script, true)
+	e := NewEngine()
 	p := new(countingProbe)
 	e.SetProbe(p)
 	runScript(e, dirty, false)
@@ -112,14 +102,6 @@ func checkResetReplay(t *testing.T, newSched func() scheduler, dirty, script []b
 	}
 }
 
-var schedulers = []struct {
-	name string
-	new  func() scheduler
-}{
-	{"wheel", func() scheduler { return NewTimingWheel() }},
-	{"heap", func() scheduler { return NewEventHeap(0) }},
-}
-
 // randomScript draws an operation script weighted like
 // TestWheelMatchesHeapRandom's generator: mostly schedules, so the
 // pending set, the wheel's bucket count and the overflow level grow.
@@ -134,10 +116,8 @@ func randomScript(r *rand.Rand, ops int) []byte {
 			op = 1 << 6
 		case k < 7:
 			op = 2 << 6
-		case k < 8:
-			op = 3 << 6 // tie at now
 		default:
-			op = 3<<6 | 1 // cancel
+			op = 3 << 6 // tie at now
 		}
 		script = append(script, op, byte(r.Intn(256)))
 	}
@@ -145,18 +125,13 @@ func randomScript(r *rand.Rand, ops int) []byte {
 }
 
 // TestEngineResetReplay checks Reset against a fresh engine over random
-// scripts on both schedulers, after dirty runs of every size — none, a
-// few operations, and long ones that grow the wheel and park events in
-// the overflow level.
+// scripts, after dirty runs of every size — none, a few operations, and
+// long ones that grow the wheel and park events in the overflow level.
 func TestEngineResetReplay(t *testing.T) {
-	for _, s := range schedulers {
-		t.Run(s.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 20; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				dirty := randomScript(r, []int{0, 5, 500, 4000}[seed%4])
-				checkResetReplay(t, s.new, dirty, randomScript(r, 2000))
-			}
-		})
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		dirty := randomScript(r, []int{0, 5, 500, 4000}[seed%4])
+		checkResetReplay(t, dirty, randomScript(r, 2000))
 	}
 }
 
@@ -166,11 +141,7 @@ func FuzzEngineResetReplay(f *testing.F) {
 	f.Add([]byte{}, []byte{0x00, 0x05, 0x40, 0x00})
 	f.Add([]byte{0x01, 0xFF, 0x00, 0x03, 0x01, 0x80}, []byte{0x00, 0x01, 0x01, 0x02, 0x40, 0x00, 0xC1, 0x00})
 	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0xC0, 0x00, 0x80, 0x02}, []byte{0x01, 0x10, 0x00, 0x00, 0xC0, 0x00, 0x40, 0x00})
-	f.Fuzz(func(t *testing.T, dirty, script []byte) {
-		for _, s := range schedulers {
-			checkResetReplay(t, s.new, dirty, script)
-		}
-	})
+	f.Fuzz(checkResetReplay)
 }
 
 // TestEngineResetKeepsMemory locks what Reset is for: once a run has

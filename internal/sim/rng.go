@@ -8,9 +8,15 @@ import "math/rand/v2"
 // substreams of a shared seed (NewRNGStream) instead of ad-hoc reseeding,
 // which keeps replications statistically independent while the whole
 // experiment stays reproducible from a single seed.
+//
+// The hot draws, Exp and Uniform, run on the concrete PCG, so its Uint64
+// inlines; Intn goes through a rand.Rand over the same generator. Every
+// draw equals the same draw of rand.New(rand.NewPCG(...)) on the same
+// state. An RNG is used through its pointer and never copied: r points
+// into it.
 type RNG struct {
-	r   *rand.Rand
-	pcg *rand.PCG // r's source, for Reseed
+	pcg rand.PCG
+	r   *rand.Rand // over &pcg, for Intn
 }
 
 // NewRNG returns a source seeded deterministically from seed; it is
@@ -25,8 +31,10 @@ func NewRNG(seed int64) *RNG { return NewRNGStream(seed, 0) }
 // so distinct (seed, stream) pairs always map to distinct PCG states —
 // no seed/stream aliasing. Equal pairs yield identical draw sequences.
 func NewRNGStream(seed int64, stream uint64) *RNG {
-	pcg := rand.NewPCG(streamState(seed, stream))
-	return &RNG{r: rand.New(pcg), pcg: pcg}
+	g := new(RNG)
+	g.pcg.Seed(streamState(seed, stream))
+	g.r = rand.New(&g.pcg)
+	return g
 }
 
 // Reseed moves g to substream stream of seed in place: every later draw
@@ -54,11 +62,12 @@ func (g *RNG) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("sim: Exp rate must be positive")
 	}
-	return g.r.ExpFloat64() / rate
+	return g.expFloat64() / rate
 }
 
-// Uniform draws from [0, 1).
-func (g *RNG) Uniform() float64 { return g.r.Float64() }
+// Uniform draws from [0, 1): Rand.Float64's formula, the top 53 bits of
+// one word over 2⁵³.
+func (g *RNG) Uniform() float64 { return float64(g.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // Intn draws a uniform integer in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.IntN(n) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -108,4 +109,58 @@ func TestRNGStreamZeroMatchesNewRNG(t *testing.T) {
 			t.Fatalf("NewRNG(seed) must equal stream 0: draw %d %v vs %v", i, x, y)
 		}
 	}
+}
+
+// TestRNGMatchesRand pins the direct draws to the standard library's:
+// an interleaved script of Exp, Uniform and Intn must equal
+// rand.New(rand.NewPCG(...)) on the same state draw for draw, over 10⁷
+// calls on several substreams (10⁶ with -short). It also requires the
+// ziggurat's two slow branches to have been taken — the base layer's
+// tail and a wedge test — reading each Exp's first word off a copy of
+// the generator, so the rare paths are compared too.
+func TestRNGMatchesRand(t *testing.T) {
+	calls := 3_000_000
+	if testing.Short() {
+		calls = 300_000
+	}
+	// Intn bounds: powers of two take the mask path; the largest makes
+	// uint64n's rejection loop run on about a third of its draws.
+	bounds := []int{1, 2, 7, 1000, 1 << 20, 1<<20 + 1, math.MaxInt64/3*2 + 1}
+	tails, wedges := 0, 0
+	for _, p := range []struct {
+		seed   int64
+		stream uint64
+	}{{42, 0}, {42, 1}, {7919, 3}, {-5, 1 << 40}} {
+		g := NewRNGStream(p.seed, p.stream)
+		ref := rand.New(rand.NewPCG(streamState(p.seed, p.stream)))
+		for i := range calls {
+			var x, y float64
+			switch i % 3 {
+			case 0:
+				peek := g.pcg
+				u := peek.Uint64()
+				if j, l := uint32(u), uint8(u>>32); j >= ke[l] {
+					if l == 0 {
+						tails++
+					} else {
+						wedges++
+					}
+				}
+				rate := float64(1 + i%5)
+				x, y = g.Exp(rate), ref.ExpFloat64()/rate
+			case 1:
+				x, y = g.Uniform(), ref.Float64()
+			default:
+				n := bounds[i/3%len(bounds)]
+				x, y = float64(g.Intn(n)), float64(ref.IntN(n))
+			}
+			if x != y {
+				t.Fatalf("seed %d stream %d: call %d draws %v, math/rand/v2 %v", p.seed, p.stream, i, x, y)
+			}
+		}
+	}
+	if tails == 0 || wedges == 0 {
+		t.Fatalf("slow branches not exercised: %d tail draws, %d wedge tests", tails, wedges)
+	}
+	t.Logf("%d tail draws, %d wedge tests", tails, wedges)
 }

@@ -5,54 +5,62 @@ import (
 	"math/bits"
 )
 
-// Event.slot sentinels. Non-negative slots are timing-wheel bucket
-// indices.
-const (
-	slotNone     = -1 // not held by a timing wheel
-	slotOverflow = -2 // parked in the wheel's sorted overflow level
-)
+// event is one record of the engine's arena: a pending event's fire
+// time, its insertion sequence number, and the index of the next event
+// in its bucket chain (0 ends the chain). It holds no pointers, so
+// linking and unlinking events stores no pointers either. Its callback
+// lives at the same index in Engine.fns.
+type event struct {
+	t    float64
+	seq  uint64
+	next int32
+}
 
-// TimingWheel is a calendar-queue scheduler: an array of time buckets of
-// adaptive width covering a sliding window [base, base+len(buckets)·width),
-// an occupancy bitmap locating the next non-empty bucket in a few word
-// operations, plus a sorted overflow level (a binary heap) for events
-// beyond the window. Buckets are intrusive doubly-linked lists through
-// the engine's pooled Event structs, so scheduling into the window is a
-// handful of stores into cache-hot memory and cancellation is an O(1)
-// unlink. Firing is O(1) amortized — the scan frontier `cur` only moves
-// forward within a window, resizing keeps the bucket count proportional
-// to the pending-event count, and the bucket width tracks the observed
-// mean inter-fire gap so expected bucket occupancy stays O(1).
-// Far-future events pay one O(log n) overflow insertion and one
-// O(log n) migration when the window reaches them; the window spans
-// ~16× the pending set's expected spread, so only deep think-time
-// outliers ever take that path.
+// wheel is the engine's pending-event set, a calendar-queue scheduler:
+// an array of time buckets of adaptive width covering a sliding window
+// [base, base+len(heads)·width), an occupancy bitmap locating the next
+// non-empty bucket in a few word operations, plus a sorted overflow
+// level (a binary heap) for events beyond the window. Events are
+// indices into the arena ev, whose record 0 is a sentinel, so index 0
+// means none; a bucket is a singly linked chain through the records.
+// Firing is O(1) amortized — the scan frontier cur only moves forward
+// within a window, resizing keeps the bucket count proportional to the
+// pending-event count, and the bucket width tracks the observed mean
+// inter-fire gap so expected bucket occupancy stays O(1). Far-future
+// events pay one O(log n) overflow insertion and one O(log n) migration
+// when the window reaches them; the window spans ~16× the pending
+// set's expected spread, so only deep think-time outliers ever take
+// that path.
 //
-// Ordering contract: identical to EventHeap — strict (Time, seq) order
-// with seq assigned in Push call order. The argument is monotonicity:
-// bucketIdx is a weakly monotone pure function of Time (subtraction,
-// multiplication by a positive constant, truncation), so an event in a
-// lower bucket never has a later Time than one in a higher bucket, equal
-// Times always share a bucket, and the per-bucket minimum scan compares
-// exact (Time, seq) keys — intra-bucket list order is irrelevant. Events
-// that map below the scan frontier are clamped up to it, which preserves
-// the invariant: their Time is provably no later than every event in
-// higher buckets. The overflow level only holds events that map beyond
-// the window, which by the same monotonicity are no earlier than every
-// bucketed event.
-type TimingWheel struct {
-	buckets []*Event // bucket list heads
-	bits    []uint64 // occupancy bitmap: bit b set iff buckets[b] is non-nil
-	cur     int      // scan frontier: buckets below cur are empty
-	base    float64  // time at the left edge of buckets[0]
-	width   float64  // bucket span in simulated time
-	invW    float64  // 1/width
-	nbuckF  float64  // float64(len(buckets)), for the bucketIdx range check
-	count   int      // events held in buckets (excludes overflow)
+// Ordering contract: strict (t, seq) order with seq assigned in push
+// call order. The argument is monotonicity: the bucket index is a
+// weakly monotone pure function of t (subtraction, multiplication by a
+// positive constant, truncation), so an event in a lower bucket never
+// has a later t than one in a higher bucket, equal times always share
+// a bucket, and the per-bucket minimum scan compares exact (t, seq)
+// keys — chain order is irrelevant. Events that map below the scan
+// frontier are clamped up to it, which preserves the invariant: their
+// t is provably no later than every event in higher buckets. The
+// overflow level only holds events that map beyond the window, which by
+// the same monotonicity are no earlier than every bucketed event.
+type wheel struct {
+	ev     []event  // the arena; ev[0] is the sentinel
+	heads  []int32  // bucket chain heads; 0 for an empty bucket
+	bits   []uint64 // occupancy bitmap: bit b set iff heads[b] is non-zero
+	cur    int      // scan frontier: buckets below cur are empty
+	base   float64  // time at the left edge of bucket 0
+	width  float64  // bucket span in simulated time
+	invW   float64  // 1/width
+	nbuckF float64  // float64(len(heads)), for the bucket range check
+	count  int      // events held in buckets (excludes overflow)
 
-	overflow EventHeap // far-future events, keyed (Time, seq)
-	nextSeq  uint64
-	peeked   *Event // cached Peek result; nil when invalid
+	over    []int32 // far-future events: a binary heap keyed (t, seq)
+	nextSeq uint64
+	// peeked caches peek's result, 0 when invalid; before is its
+	// predecessor in bucket cur's chain, 0 when it is the head, so the
+	// pop unlinks it in O(1).
+	peeked int32
+	before int32
 
 	// Mean inter-fire gap (EWMA over popped event times), the width
 	// estimate applied at the next rebase.
@@ -83,79 +91,65 @@ const (
 	wheelMinWidth = 1e-300
 )
 
-// NewTimingWheel returns an empty wheel with the default bucket count
-// and unit bucket width; both adapt to the workload at each rebase.
-func NewTimingWheel() *TimingWheel {
-	w := &TimingWheel{
-		buckets: make([]*Event, wheelMinBuckets),
-		bits:    make([]uint64, wheelMinBuckets/64),
-	}
-	w.reset(nil)
-	return w
-}
-
-// Len reports the number of pending events.
-func (w *TimingWheel) Len() int { return w.count + w.overflow.Len() }
-
-// Push inserts an event and assigns its insertion sequence number.
-func (w *TimingWheel) Push(e *Event) {
+// push inserts event i, firing at t, and assigns its insertion
+// sequence number.
+func (w *wheel) push(i int32, t float64) {
+	e := &w.ev[i]
+	e.t = t
 	e.seq = w.nextSeq
 	w.nextSeq++
-	w.peeked = nil
-	f := (e.Time - w.base) * w.invW
+	w.peeked = 0
+	f := (t - w.base) * w.invW
 	if !(f < w.nbuckF) {
 		// Beyond the window (or NaN arithmetic from an infinite base):
 		// park in the sorted overflow level.
-		e.slot = slotOverflow
 		w.nOverflow++
-		w.overflow.pushKeyed(e)
+		w.overPush(i)
 		return
 	}
-	i := 0
+	b := 0
 	if f > 0 {
-		i = int(f)
+		b = int(f)
 	}
-	if i < w.cur {
-		// Clamp early times up to the scan frontier; exact (Time, seq)
+	if b < w.cur {
+		// Clamp early times up to the scan frontier; exact (t, seq)
 		// comparison inside the bucket keeps the pop order right.
-		i = w.cur
+		b = w.cur
 	}
-	w.place(e, i)
+	w.place(i, b)
 }
 
-func (w *TimingWheel) place(e *Event, i int) {
-	e.slot = i
-	e.prev = nil
-	head := w.buckets[i]
-	e.next = head
-	if head != nil {
-		head.prev = e
-	} else {
-		w.bits[i>>6] |= 1 << (i & 63)
-	}
-	w.buckets[i] = e
+// place links event i at the head of bucket b's chain. Setting the
+// occupancy bit unconditionally saves a branch on whether the bucket
+// was empty.
+func (w *wheel) place(i int32, b int) {
+	w.bits[b>>6] |= 1 << (b & 63)
+	w.ev[i].next = w.heads[b]
+	w.heads[b] = i
 	w.count++
 }
 
-// Peek returns the earliest event without removing it, or nil when empty.
-func (w *TimingWheel) Peek() *Event {
-	if w.peeked != nil {
+// peek returns the earliest event without removing it, or 0 when the
+// wheel is empty.
+func (w *wheel) peek() int32 {
+	if w.peeked != 0 {
 		return w.peeked
 	}
 	for {
-		if i := w.nextBucket(); i >= 0 {
-			w.cur = i
-			best := w.buckets[i]
-			for e := best.next; e != nil; e = e.next {
-				if e.Time < best.Time || (e.Time == best.Time && e.seq < best.seq) {
-					best = e
+		if b := w.nextBucket(); b >= 0 {
+			w.cur = b
+			best, before := w.heads[b], int32(0)
+			bt, bs := w.ev[best].t, w.ev[best].seq
+			for prev, i := best, w.ev[best].next; i != 0; prev, i = i, w.ev[i].next {
+				if e := &w.ev[i]; e.t < bt || (e.t == bt && e.seq < bs) {
+					best, before, bt, bs = i, prev, e.t, e.seq
 				}
 			}
-			w.peeked = best
+			w.peeked, w.before = best, before
 			return best
 		}
-		if w.overflow.Len() == 0 {
-			return nil
+		if len(w.over) == 0 {
+			return 0
 		}
 		w.rebase()
 	}
@@ -164,8 +158,8 @@ func (w *TimingWheel) Peek() *Event {
 // nextBucket returns the index of the first non-empty bucket at or after
 // the scan frontier, or -1 when the rest of the window is empty — a
 // bitmap sweep, so skipping a run of empty buckets costs one word
-// operation per 64 of them rather than a pointer load each.
-func (w *TimingWheel) nextBucket() int {
+// operation per 64 of them rather than a load each.
+func (w *wheel) nextBucket() int {
 	wi := w.cur >> 6
 	if wi >= len(w.bits) {
 		return -1
@@ -181,75 +175,34 @@ func (w *TimingWheel) nextBucket() int {
 	return -1
 }
 
-// Pop removes and returns the earliest event, or nil when empty.
-func (w *TimingWheel) Pop() *Event {
-	return w.PopLE(math.Inf(1))
-}
-
-// PopLE removes and returns the earliest event whose time is ≤ limit,
-// or nil when the wheel is empty or the earliest event lies beyond the
-// limit — the engine's fused peek-and-pop, saving a dispatch per fired
-// event on the hot loop.
-func (w *TimingWheel) PopLE(limit float64) *Event {
-	e := w.Peek()
-	if e == nil || e.Time > limit {
-		return nil
+// popLE removes and returns the earliest event whose time is ≤ limit,
+// or 0 when the wheel is empty or the earliest event lies beyond the
+// limit — the engine's fused peek-and-pop.
+func (w *wheel) popLE(limit float64) int32 {
+	i := w.peek()
+	if i == 0 {
+		return 0
 	}
-	w.unbucket(e)
-	w.peeked = nil
-	e.slot = slotNone
+	e := &w.ev[i]
+	if e.t > limit {
+		return 0
+	}
+	// Unlink from bucket cur, where peek found it.
+	if w.before != 0 {
+		w.ev[w.before].next = e.next
+	} else if w.heads[w.cur] = e.next; e.next == 0 {
+		w.bits[w.cur>>6] &^= 1 << (w.cur & 63)
+	}
+	w.count--
+	w.peeked = 0
 	if w.popped {
-		if gap := e.Time - w.lastPop; gap >= 0 && gap < math.MaxFloat64 {
+		if gap := e.t - w.lastPop; gap >= 0 && gap < math.MaxFloat64 {
 			w.gapEWMA += (gap - w.gapEWMA) * 0.125
 		}
 	}
-	w.lastPop = e.Time
+	w.lastPop = e.t
 	w.popped = true
-	return e
-}
-
-// Remove cancels a pending event by identity. It returns false when the
-// event is not held by the wheel (already fired or cancelled).
-func (w *TimingWheel) Remove(e *Event) bool {
-	switch {
-	case e.slot >= 0:
-		if e.slot >= len(w.buckets) {
-			return false
-		}
-		if w.peeked == e {
-			w.peeked = nil
-		}
-		w.unbucket(e)
-		e.slot = slotNone
-		return true
-	case e.slot == slotOverflow:
-		if !w.overflow.Remove(e) {
-			return false
-		}
-		e.slot = slotNone
-		return true
-	default:
-		return false
-	}
-}
-
-// unbucket unlinks e from its bucket list in O(1), clearing the
-// occupancy bit when the bucket empties. The stale next/prev pointers
-// left on e retain nothing: events are pooled per engine and outlive
-// every run on it.
-func (w *TimingWheel) unbucket(e *Event) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		w.buckets[e.slot] = e.next
-		if e.next == nil {
-			w.bits[e.slot>>6] &^= 1 << (e.slot & 63)
-		}
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	w.count--
+	return i
 }
 
 // rebase slides the window forward once every bucket has drained:
@@ -258,7 +211,7 @@ func (w *TimingWheel) unbucket(e *Event) {
 // window at the overflow minimum, and migrates every overflow event that
 // now maps inside the window. Each event migrates at most once, so the
 // O(log n) heap pops amortize to a constant per far-future event.
-func (w *TimingWheel) rebase() {
+func (w *wheel) rebase() {
 	w.nRebases++
 	if w.gapEWMA > 0 && w.gapEWMA < math.MaxFloat64 {
 		// Half the mean inter-fire gap: the bitmap makes empty buckets
@@ -268,33 +221,30 @@ func (w *TimingWheel) rebase() {
 		w.invW = 1 / w.width
 	}
 	w.resize()
-	w.base = w.overflow.Peek().Time
+	w.base = w.ev[w.over[0]].t
 	w.cur = 0
-	n := len(w.buckets)
-	for {
-		e := w.overflow.Peek()
-		if e == nil {
-			return
-		}
-		f := (e.Time - w.base) * w.invW
-		i := 0
+	n := len(w.heads)
+	for len(w.over) > 0 {
+		i := w.over[0]
+		f := (w.ev[i].t - w.base) * w.invW
+		b := 0
 		switch {
 		case f < float64(n):
 			if f > 0 {
-				i = int(f)
+				b = int(f)
 			}
 		case w.count > 0:
 			// Still beyond the window: it and everything after it (the
-			// overflow pops in (Time, seq) order) stay parked.
+			// overflow pops in (t, seq) order) stay parked.
 			return
 		default:
 			// The window head itself maps nowhere (NaN from an infinite
-			// base). Force it into bucket 0 so Peek always progresses;
-			// exact (Time, seq) comparison inside the bucket keeps the
+			// base). Force it into bucket 0 so peek always progresses;
+			// exact (t, seq) comparison inside the bucket keeps the
 			// order right.
 		}
-		w.overflow.Pop()
-		w.place(e, i)
+		w.overPop()
+		w.place(i, b)
 	}
 }
 
@@ -306,56 +256,90 @@ func (w *TimingWheel) rebase() {
 // empty, so no event moves and the bitmap is all zero — and so is the
 // array beyond the current count, which a later resize or reset
 // reslices into instead of allocating while the capacity suffices.
-func (w *TimingWheel) resize() {
-	total := w.overflow.Len()
+func (w *wheel) resize() {
+	total := len(w.over)
 	target := wheelMinBuckets
 	for target < wheelSpread*total && target < wheelMaxBuckets {
 		target <<= 1
 	}
-	if target > len(w.buckets) || target*4 <= len(w.buckets) {
+	if target > len(w.heads) || target*4 <= len(w.heads) {
 		w.nResizes++
-		if target <= cap(w.buckets) {
-			w.buckets = w.buckets[:target]
+		if target <= cap(w.heads) {
+			w.heads = w.heads[:target]
 			w.bits = w.bits[:target/64]
 		} else {
-			w.buckets = make([]*Event, target)
+			w.heads = make([]int32, target)
 			w.bits = make([]uint64, target/64)
 		}
 	}
-	w.nbuckF = float64(len(w.buckets))
+	w.nbuckF = float64(len(w.heads))
 }
 
-// reset drops every pending event into spare and returns the wheel to
-// NewTimingWheel's geometry, keeping the bucket arrays' and the
-// overflow heap's capacity. It walks the occupancy bitmap, so its cost
-// is the pending events plus one word per 64 buckets.
-func (w *TimingWheel) reset(spare []*Event) []*Event {
+// reset drops every pending event and returns the wheel to its initial
+// geometry — wheelMinBuckets buckets of unit width — keeping the
+// capacity of the arena, the bucket arrays and the overflow heap. It
+// walks the occupancy bitmap, so its cost is one word per 64 buckets
+// plus one store per occupied bucket.
+func (w *wheel) reset() {
 	for wi, word := range w.bits {
 		for ; word != 0; word &= word - 1 {
-			b := wi<<6 + bits.TrailingZeros64(word)
-			for e := w.buckets[b]; e != nil; {
-				next := e.next
-				spare = detach(spare, e)
-				e = next
-			}
-			w.buckets[b] = nil
+			w.heads[wi<<6+bits.TrailingZeros64(word)] = 0
 		}
 		w.bits[wi] = 0
 	}
-	spare = w.overflow.reset(spare)
-	*w = TimingWheel{
-		buckets:  w.buckets[:wheelMinBuckets],
-		bits:     w.bits[:wheelMinBuckets/64],
-		width:    1,
-		invW:     1,
-		nbuckF:   wheelMinBuckets,
-		overflow: w.overflow,
+	*w = wheel{
+		ev:     w.ev[:1],
+		heads:  w.heads[:wheelMinBuckets],
+		bits:   w.bits[:wheelMinBuckets/64],
+		width:  1,
+		invW:   1,
+		nbuckF: wheelMinBuckets,
+		over:   w.over[:0],
 	}
-	return spare
 }
 
-// counters reports the wheel's self-measurement totals; the seam
-// Engine.Counters reads through the scheduler interface.
-func (w *TimingWheel) counters() (overflow, rebases, resizes uint64) {
-	return w.nOverflow, w.nRebases, w.nResizes
+// less orders events a and b by time, then by insertion sequence.
+func (w *wheel) less(a, b int32) bool {
+	x, y := &w.ev[a], &w.ev[b]
+	if x.t != y.t {
+		return x.t < y.t
+	}
+	return x.seq < y.seq
+}
+
+// overPush adds event i to the overflow heap.
+func (w *wheel) overPush(i int32) {
+	w.over = append(w.over, i)
+	h := w.over
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if !w.less(h[c], h[p]) {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		c = p
+	}
+}
+
+// overPop removes the overflow heap's minimum, over[0].
+func (w *wheel) overPop() {
+	h := w.over
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	w.over = h
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			return
+		}
+		if r := c + 1; r < last && w.less(h[r], h[c]) {
+			c = r
+		}
+		if !w.less(h[c], h[p]) {
+			return
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
 }

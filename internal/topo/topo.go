@@ -413,13 +413,17 @@ func (l *link) admitBlocked(now float64) {
 }
 
 // busSlot is one bus of a segment: the request occupying it (serving,
-// or blocked after service), its dispatch time, its busy indicator, and
-// its completion callback, built once so the dispatch hot path
-// schedules without allocating a closure per grant.
+// or blocked after service), its dispatch time, its busy time, and its
+// completion callback, built once so the dispatch hot path schedules
+// without allocating a closure per grant. The bus is busy from a grant
+// until its request departs; busy adds up those intervals over the
+// measured window, and since is where the open one started counting:
+// the grant, or the ResetStats time for a bus busy at warmup.
 type busSlot struct {
 	req      request
 	start    float64
-	util     sim.TimeWeighted
+	since    float64
+	busy     float64
 	complete func()
 }
 
@@ -486,7 +490,6 @@ type segment struct {
 	issueFn  []func() // per-station issue callbacks, built once
 	live     int      // requests issued here and not yet exited
 
-	util        sim.TimeWeighted // fraction of occupied buses
 	blockedTW   sim.TimeWeighted // fraction of buses blocked after service
 	qlen        sim.TimeWeighted // waiting requests, excluding those on a bus
 	wait        sim.Tally        // claimant-queue arrival → service start, per hop
@@ -648,9 +651,7 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 			if slot.complete == nil {
 				slot.complete = func() { s.complete(b) }
 			}
-			slot.util.Set(0, now)
 		}
-		s.util.Set(0, now)
 		s.blockedTW.Set(0, now)
 		s.qlen.Set(0, now)
 	}
@@ -840,9 +841,8 @@ func (s *segment) tryDispatch() {
 		slot := &s.buses[b]
 		slot.req = r
 		slot.start = now
+		slot.since = now
 		s.busy++
-		s.util.Set(float64(s.busy)/float64(s.nBuses), now)
-		slot.util.Set(1, now)
 		if p := s.probe; p != nil {
 			p.HopGrant(now, s.idx, j, b, now-r.enqueuedAt)
 		}
@@ -862,9 +862,8 @@ func (s *segment) depart(b int, enqueuedAt, now float64) {
 	s.completions++
 	slot := &s.buses[b]
 	slot.req.path = nil // frees the bus; the stale fields are never read
+	slot.busy += now - slot.since
 	s.busy--
-	s.util.Set(float64(s.busy)/float64(s.nBuses), now)
-	slot.util.Set(0, now)
 	if p := s.probe; p != nil {
 		p.HopComplete(now, s.idx, b, now-slot.start)
 	}
@@ -900,9 +899,8 @@ func (s *segment) complete(b int) {
 	}
 	s.completions++
 	slot.req.path = nil
+	slot.busy += now - slot.since
 	s.busy--
-	s.util.Set(float64(s.busy)/float64(s.nBuses), now)
-	slot.util.Set(0, now)
 	if p := s.probe; p != nil {
 		p.HopComplete(now, s.idx, b, now-slot.start)
 	}
@@ -932,9 +930,9 @@ func (s *segment) complete(b int) {
 // ResetStats discards accumulated statistics on every segment and flow
 // and restarts collection at the current time, preserving fabric state
 // — the warmup-truncation hook. The collectors keep their live values
-// (busy-bus fraction, per-bus indicators, current queue depth) and
-// restart integration at now, so the state carries across the
-// truncation point while its history is dropped.
+// (occupied buses, blocked fraction, current queue depth) and restart
+// integration at now, so the state carries across the truncation point
+// while its history is dropped.
 func (f *Fabric) ResetStats() {
 	now := f.eng.Now()
 	f.statsStart = now
@@ -958,10 +956,11 @@ func (f *Fabric) ResetStats() {
 		for i := range s.grants {
 			s.grants[i] = 0
 		}
-		s.util.ResetAt(now)
 		s.blockedTW.ResetAt(now)
 		for b := range s.buses {
-			s.buses[b].util.ResetAt(now)
+			slot := &s.buses[b]
+			slot.busy = 0
+			slot.since = now
 		}
 		s.qlen.ResetAt(now)
 	}
@@ -970,7 +969,8 @@ func (f *Fabric) ResetStats() {
 // SegmentMetrics summarizes one segment over the measured interval.
 // Utilization is the time-averaged fraction of occupied buses (the busy
 // indicator of the single bus when Buses is 1); BusUtilization breaks
-// it down per bus, so its mean equals Utilization. Blocked is the
+// it down per bus — each bus's busy time over the interval — and
+// Utilization is exactly their mean. Blocked is the
 // time-averaged fraction of buses held by blocking-after-service (a
 // subset of Utilization: a blocked bus is occupied but doing no work).
 type SegmentMetrics struct {
@@ -1026,17 +1026,22 @@ func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
 	s := &f.segs[k]
 	now := f.eng.Now()
 	elapsed := f.Elapsed()
-	util := s.util
-	util.Finish(now)
 	blocked := s.blockedTW
 	blocked.Finish(now)
 	qlen := s.qlen
 	qlen.Finish(now)
 	perBus := make([]float64, s.nBuses)
+	util := 0.0
 	for b := range perBus {
-		bu := s.buses[b].util
-		bu.Finish(now)
-		perBus[b] = bu.Average(elapsed)
+		slot := &s.buses[b]
+		busy := slot.busy
+		if slot.req.path != nil {
+			busy += now - slot.since
+		}
+		if elapsed > 0 {
+			perBus[b] = busy / elapsed
+		}
+		util += perBus[b]
 	}
 	var waitHist, respHist *sim.Histogram
 	if s.waitHist != nil {
@@ -1046,7 +1051,7 @@ func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
 	}
 	m := SegmentMetrics{
 		Name:           s.name,
-		Utilization:    util.Average(elapsed),
+		Utilization:    util / float64(s.nBuses),
 		Blocked:        blocked.Average(elapsed),
 		BusUtilization: perBus,
 		MeanQueueLen:   qlen.Average(elapsed),

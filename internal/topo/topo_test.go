@@ -71,7 +71,7 @@ func TestSingleSegmentMatchesBusNetwork(t *testing.T) {
 			busUtil: []float64{0.9965473766059257},
 		}},
 		{"multibus-unbuffered", bus.Unbuffered, 0, 3, want{
-			util: 0.3401810382849016, meanQ: 0.015473591781409812, maxQ: 3,
+			util: 0.3401810382849015, meanQ: 0.015473591781409812, maxQ: 3,
 			meanWait: 0.015275016566051153, waitSD: 0.10101806100268858, maxWait: 1.6079428977881491,
 			meanResp: 1.0227213293545054, thr: 1.013,
 			issued: 2026, completions: 2026, waitHist: 2026, respHist: 2026, events: 4052,
@@ -388,4 +388,64 @@ func TestResetStats(t *testing.T) {
 			t.Errorf("segment %s issued %d but completed none post-reset", s.Name, s.Issued)
 		}
 	}
+}
+
+// Utilization is exactly the mean of BusUtilization, as SegmentMetrics
+// promises: on flat segments at m ∈ {1, 2, 3, 8} across populations and
+// both modes, and on every hop of a bridged fabric with several buses
+// per segment — each with a warmup cut that lands while buses are busy,
+// and read mid-run, while some still are.
+func TestUtilizationIsMeanOfBusUtilization(t *testing.T) {
+	check := func(t *testing.T, cfg Config) {
+		t.Helper()
+		eng := sim.NewEngine()
+		f, err := New(cfg, eng, sim.NewRNGStream(5, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		for _, stop := range []float64{300, 2000} {
+			if err := eng.RunUntil(stop); err != nil {
+				t.Fatal(err)
+			}
+			if stop == 300 {
+				f.ResetStats()
+				continue
+			}
+			for _, s := range f.Snapshot().Segments {
+				sum := 0.0
+				for _, u := range s.BusUtilization {
+					sum += u
+				}
+				if mean := sum / float64(len(s.BusUtilization)); s.Utilization != mean {
+					t.Errorf("segment %q: Utilization %v, mean of BusUtilization %v %v", s.Name, s.Utilization, mean, s.BusUtilization)
+				}
+			}
+		}
+	}
+	for _, m := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, 2, 5, 16} {
+			for _, mode := range []bus.Mode{bus.Unbuffered, bus.Buffered} {
+				check(t, Config{Segments: []SegmentConfig{{
+					Name: "bus", Buses: m, ServiceRate: 1, Stations: n, ThinkRate: 0.3,
+					Mode: mode, BufferCap: 3,
+				}}})
+			}
+		}
+	}
+	check(t, Config{
+		Segments: []SegmentConfig{
+			{Name: "cpuA", Buses: 3, ServiceRate: 1, Stations: 6, ThinkRate: 0.2,
+				Mode: bus.Buffered, BufferCap: Infinite, Route: []int{2, 3}},
+			{Name: "cpuB", Buses: 2, ServiceRate: 1, Stations: 5, ThinkRate: 0.15,
+				Mode: bus.Unbuffered, Route: []int{2, 3}},
+			{Name: "backbone", Buses: 8, ServiceRate: 0.4},
+			{Name: "mem", Buses: 3, ServiceRate: 0.7},
+		},
+		Links: []LinkConfig{
+			{From: 0, To: 2, Depth: 1},
+			{From: 1, To: 2, Depth: 2},
+			{From: 2, To: 3, Depth: 1},
+		},
+	})
 }

@@ -71,7 +71,8 @@ func QuantilesFrom(h *Histogram) *Quantiles {
 // the interfaces, excluding those in service. Utilization is the
 // time-averaged fraction of busy buses (the plain busy fraction of the
 // single bus when Config.Buses is 1); BusUtilization breaks it down per
-// bus, skewed toward bus 0 by the lowest-free-bus dispatch.
+// bus, skewed toward bus 0 by the lowest-free-bus dispatch, and
+// Utilization is exactly its mean.
 type Results struct {
 	Config         Config    `json:"config"`
 	MeasuredTime   float64   `json:"measured_time"`

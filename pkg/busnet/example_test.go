@@ -8,7 +8,9 @@ import (
 
 // A flat operating point is a Config value; Evaluate runs it on any
 // backend and reports the same summary fields, so the simulation and
-// its closed-form counterpart compare side by side.
+// its closed-form counterpart compare side by side. At depth 4 that
+// counterpart is the M/M/1/K loss approximation of the finite
+// interface buffers, not an exact solution.
 func ExampleEvaluate() {
 	cfg := busnet.DefaultConfig()
 	cfg.Processors = 16
@@ -22,12 +24,12 @@ func ExampleEvaluate() {
 	if err != nil {
 		panic(err)
 	}
-	exact, err := busnet.Evaluate(cfg, busnet.BackendAnalytic) // closed-form counterpart
+	model, err := busnet.Evaluate(cfg, busnet.BackendAnalytic) // M/M/1/K approximation at depth 4
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("sim U=%.3f Wq=%.3f   analytic U=%.3f Wq=%.3f\n",
-		sim.Utilization, sim.MeanWait, exact.Utilization, exact.MeanWait)
+		sim.Utilization, sim.MeanWait, model.Utilization, model.MeanWait)
 	// Output:
 	// sim U=0.798 Wq=3.874   analytic U=0.800 Wq=4.000
 }

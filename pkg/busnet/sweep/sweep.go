@@ -111,7 +111,9 @@ type PointResult struct {
 	Grants []uint64 `json:"grants"`
 	// BusUtilization is each bus's busy fraction averaged across the
 	// point's replications (one entry per bus, skewed toward bus 0 by
-	// the lowest-free-bus dispatch); its mean is Utilization's.
+	// the lowest-free-bus dispatch); its mean is Utilization's up to
+	// rounding, since the two average over buses and runs in different
+	// orders.
 	BusUtilization []float64        `json:"bus_utilization"`
 	Runs           []busnet.Results `json:"runs,omitempty"`
 	// Diagnostics is the engine/model counter block summed across the
