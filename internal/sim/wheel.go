@@ -323,11 +323,10 @@ func (w *wheel) overPush(i int32) {
 
 // overPop removes the overflow heap's minimum, over[0].
 func (w *wheel) overPop() {
+	last := len(w.over) - 1
+	w.over[0] = w.over[last]
+	w.over = w.over[:last]
 	h := w.over
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	w.over = h
 	for p := 0; ; {
 		c := 2*p + 1
 		if c >= last {
