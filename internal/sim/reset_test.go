@@ -127,12 +127,15 @@ func randomScript(r *rand.Rand, ops int) []byte {
 // TestEngineResetReplay checks Reset against a fresh engine over random
 // scripts, after dirty runs of every size — none, a few operations, and
 // long ones that grow the wheel and park events in the overflow level.
+// The subtest is named for the engine's scheduler, the timing wheel.
 func TestEngineResetReplay(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		dirty := randomScript(r, []int{0, 5, 500, 4000}[seed%4])
-		checkResetReplay(t, dirty, randomScript(r, 2000))
-	}
+	t.Run("wheel", func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			dirty := randomScript(r, []int{0, 5, 500, 4000}[seed%4])
+			checkResetReplay(t, dirty, randomScript(r, 2000))
+		}
+	})
 }
 
 // FuzzEngineResetReplay is TestEngineResetReplay's fuzz form: a dirty
