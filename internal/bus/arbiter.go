@@ -1,36 +1,90 @@
 package bus
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Arbiter decides which processor is granted the bus next. Select is
-// called only when at least one processor has a pending request; pending
-// is indexed by processor and true where a request waits. Implementations
-// must be deterministic — the same pending pattern and internal state must
-// always yield the same grant — so simulation runs are reproducible.
+// Arbiter decides which claimant is granted the bus next. Pick is called
+// only when at least one claimant has a pending request. Implementations
+// must be deterministic — the same pending pattern and internal state
+// must always yield the same grant — so simulation runs are reproducible.
 type Arbiter interface {
-	// Select returns the index of the processor to grant. It must return
-	// an index i with pending[i] == true.
-	Select(pending []bool) int
+	// Pick returns the index of the claimant to grant among n claimants.
+	// pending is a bitset of at least (n+63)/64 words: claimant j waits
+	// when bit j&63 of pending[j>>6] is set. Bits at or above n must be
+	// clear, and at least one bit must be set. Pick returns a set bit.
+	Pick(pending []uint64, n int) int
 	// Name identifies the policy in results and logs.
 	Name() string
+	// ScanSlots reports the claimant slots a one-by-one cyclic scan
+	// would have probed across every Pick so far. Pick computes it from
+	// each grant's distance rather than walking the slots, so the count
+	// is a measure of the policy, not of the work done. It feeds
+	// topo.Counters.ArbScanSlots.
+	ScanSlots() uint64
+}
+
+// next returns the lowest pending claimant at index from or above, or
+// -1 when there is none.
+func next(pending []uint64, from int) int {
+	w := from >> 6
+	if w >= len(pending) {
+		return -1
+	}
+	word := pending[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if w++; w == len(pending) {
+			return -1
+		}
+		word = pending[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
+
+// wrap returns the lowest pending claimant, where a cyclic scan that
+// found nothing from after+1 to n-1 lands, and the slots it probes:
+// n-1-after before the wrap, i+1 after it. The cyclic arbiters inline
+// the scan up to n-1 and call wrap only past it, so a grant that does
+// not wrap costs no call.
+func wrap(pending []uint64, after, n int) (int, uint64) {
+	i := next(pending, 0)
+	if i < 0 {
+		panic("bus: Pick called with no pending request")
+	}
+	return i, uint64(n - after + i)
 }
 
 // RoundRobinArbiter grants the bus in cyclic order starting just past the
 // last grantee, so every processor is at most n-1 grants away from
 // service regardless of load pattern.
 type RoundRobinArbiter struct {
-	last    int    // index of the last grantee; start scanning at last+1
-	scanned uint64 // total slots probed across all Select calls
+	last    int    // index of the last grantee; the scan starts at last+1
+	scanned uint64 // slots a one-by-one scan would have probed
 }
 
 // NewRoundRobin returns a round-robin arbiter for any processor count.
 // The first grant goes to the lowest pending index.
 func NewRoundRobin() *RoundRobinArbiter { return &RoundRobinArbiter{last: -1} }
 
-// Select scans cyclically from the slot after the last grantee. The
-// cycle is two straight array sweeps rather than a modular walk: this
-// sits on the dispatch hot path, and the per-probe integer division of
-// `(last+off) % n` costs more than the probe itself.
+// Pick grants the first pending claimant after the last grantee,
+// wrapping past n-1.
+func (a *RoundRobinArbiter) Pick(pending []uint64, n int) int {
+	i := next(pending, a.last+1)
+	probed := uint64(i - a.last)
+	if i < 0 {
+		i, probed = wrap(pending, a.last, n)
+	}
+	a.last = i
+	a.scanned += probed
+	return i
+}
+
+// Select is Pick walked slot by slot over a claimant vector, where
+// pending[i] is true while claimant i waits: it shares Pick's state and
+// makes the same grants and scan counts. The simulator calls Pick;
+// Select remains for the benchmark's arbitration probe (bench/ladder.go)
+// and as the reference the tests hold Pick to.
 func (a *RoundRobinArbiter) Select(pending []bool) int {
 	for i := a.last + 1; i < len(pending); i++ {
 		a.scanned++
@@ -52,7 +106,7 @@ func (a *RoundRobinArbiter) Select(pending []bool) int {
 // Name implements Arbiter.
 func (a *RoundRobinArbiter) Name() string { return "round-robin" }
 
-// ScanSlots reports the total slots probed, feeding Counters.ArbScanSlots.
+// ScanSlots implements Arbiter.
 func (a *RoundRobinArbiter) ScanSlots() uint64 { return a.scanned }
 
 // WeightedRoundRobinArbiter generalizes round-robin with per-processor
@@ -67,7 +121,7 @@ type WeightedRoundRobinArbiter struct {
 	weights []int
 	current int    // processor holding the grant window; -1 before the first grant
 	left    int    // grants remaining in current's window
-	scanned uint64 // total slots probed across all Select calls
+	scanned uint64 // slots a one-by-one scan would have probed
 }
 
 // NewWeightedRoundRobin returns a weighted round-robin arbiter. It
@@ -87,39 +141,31 @@ func NewWeightedRoundRobin(weights []int) (*WeightedRoundRobinArbiter, error) {
 	}, nil
 }
 
-// Select continues the current processor's window while it has credit
-// and a pending request, and otherwise scans cyclically — exactly like
-// round-robin — for the next pending processor, opening a fresh window
-// of its weight.
-func (a *WeightedRoundRobinArbiter) Select(pending []bool) int {
-	if a.current >= 0 && a.left > 0 && pending[a.current] {
+// Pick continues the current processor's window while it has credit and
+// a pending request, one probed slot, and otherwise picks — exactly like
+// round-robin — the next pending processor after it, opening a fresh
+// window of its weight.
+func (a *WeightedRoundRobinArbiter) Pick(pending []uint64, n int) int {
+	if c := a.current; c >= 0 && a.left > 0 && pending[c>>6]&(1<<(c&63)) != 0 {
 		a.scanned++
 		a.left--
-		return a.current
+		return c
 	}
-	for i := a.current + 1; i < len(pending); i++ {
-		a.scanned++
-		if pending[i] {
-			a.current = i
-			a.left = a.weights[i] - 1
-			return i
-		}
+	i := next(pending, a.current+1)
+	probed := uint64(i - a.current)
+	if i < 0 {
+		i, probed = wrap(pending, a.current, n)
 	}
-	for i := 0; i <= a.current; i++ {
-		a.scanned++
-		if pending[i] {
-			a.current = i
-			a.left = a.weights[i] - 1
-			return i
-		}
-	}
-	panic("bus: Select called with no pending request")
+	a.current = i
+	a.left = a.weights[i] - 1
+	a.scanned += probed
+	return i
 }
 
 // Name implements Arbiter.
 func (a *WeightedRoundRobinArbiter) Name() string { return "weighted-round-robin" }
 
-// ScanSlots reports the total slots probed, feeding Counters.ArbScanSlots.
+// ScanSlots implements Arbiter.
 func (a *WeightedRoundRobinArbiter) ScanSlots() uint64 { return a.scanned }
 
 // Stations returns the number of claimants the weight vector covers;
@@ -130,25 +176,24 @@ func (a *WeightedRoundRobinArbiter) Stations() int { return len(a.weights) }
 // modeling a daisy-chained priority line: processor 0 can starve the rest
 // under saturation, which is exactly the behavior worth simulating.
 type FixedPriorityArbiter struct {
-	scanned uint64 // total slots probed across all Select calls
+	scanned uint64 // slots a one-by-one scan would have probed
 }
 
 // NewFixedPriority returns the fixed-priority arbiter.
 func NewFixedPriority() *FixedPriorityArbiter { return &FixedPriorityArbiter{} }
 
-// Select returns the lowest pending index.
-func (a *FixedPriorityArbiter) Select(pending []bool) int {
-	for i, p := range pending {
-		a.scanned++
-		if p {
-			return i
-		}
+// Pick returns the lowest pending index i, i+1 probed slots.
+func (a *FixedPriorityArbiter) Pick(pending []uint64, _ int) int {
+	i := next(pending, 0)
+	if i < 0 {
+		panic("bus: Pick called with no pending request")
 	}
-	panic("bus: Select called with no pending request")
+	a.scanned += uint64(i + 1)
+	return i
 }
 
 // Name implements Arbiter.
 func (a *FixedPriorityArbiter) Name() string { return "fixed-priority" }
 
-// ScanSlots reports the total slots probed, feeding Counters.ArbScanSlots.
+// ScanSlots implements Arbiter.
 func (a *FixedPriorityArbiter) ScanSlots() uint64 { return a.scanned }

@@ -50,16 +50,11 @@ type Counters struct {
 	// BridgeBlocks counts blocking-after-service events: a bus finishing
 	// into a full bridge and holding its request.
 	BridgeBlocks uint64 `json:"bridge_blocks"`
-	// ArbScanSlots is the total claimant slots probed across every
-	// segment's arbiter (reported by the built-in arbiters; arbiters
-	// that don't count contribute zero).
+	// ArbScanSlots sums every segment arbiter's ScanSlots: the claimant
+	// slots a one-by-one cyclic scan would have probed to reach each
+	// grant. The arbiters compute it from each grant's distance rather
+	// than walking the slots.
 	ArbScanSlots uint64 `json:"arb_scan_slots"`
-}
-
-// scanCounting is the optional arbiter extension behind
-// Counters.ArbScanSlots; all built-in bus arbiters implement it.
-type scanCounting interface {
-	ScanSlots() uint64
 }
 
 // SetProbe attaches p to the fabric's hook points, or detaches with
@@ -78,9 +73,7 @@ func (f *Fabric) Counters() Counters {
 		BridgeBlocks:    f.blocks,
 	}
 	for k := range f.segs {
-		if sc, ok := f.segs[k].arbiter.(scanCounting); ok {
-			c.ArbScanSlots += sc.ScanSlots()
-		}
+		c.ArbScanSlots += f.segs[k].arbiter.ScanSlots()
 	}
 	return c
 }

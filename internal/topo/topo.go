@@ -481,7 +481,7 @@ type segment struct {
 	stationQ []ring[float64]
 	bridgeQ  []ring[request]
 	inbound  []*link   // inbound[i] feeds claimant stations+i
-	pending  []bool    // claimant j's queue is nonempty
+	pending  []uint64  // bit j&63 of word j>>6 is set while claimant j's queue is nonempty; len(grants) claimants
 	stalled  []float64 // Buffered finite: issue time of the request held at a full interface; NaN when none
 	queued   int       // waiting requests across all claimant queues
 	busy     int       // buses occupied: serving or blocked-after-service
@@ -670,7 +670,7 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 			}
 		}
 		n := s.stations + len(s.inbound)
-		s.pending = reuse(s.pending, n)
+		s.pending = reuse(s.pending, (n+63)>>6)
 		clear(s.pending)
 		s.grants = reuse(s.grants, n)
 		clear(s.grants)
@@ -779,7 +779,7 @@ func (s *segment) enqueue(i int, issuedAt, now float64) {
 
 // arrive accounts for one request joining claimant j's queue.
 func (s *segment) arrive(j int, now float64) {
-	s.pending[j] = true
+	s.pending[j>>6] |= 1 << (j & 63)
 	s.queued++
 	s.qlen.Set(float64(s.queued), now)
 }
@@ -807,17 +807,21 @@ func (s *segment) freeBus() int {
 func (s *segment) tryDispatch() {
 	for s.busy < s.nBuses && s.queued > 0 {
 		now := s.eng.Now()
-		j := s.arbiter.Select(s.pending)
+		j := s.arbiter.Pick(s.pending, len(s.grants))
 		var r request
+		var empty bool
 		if j < s.stations {
 			q := &s.stationQ[j]
 			t := q.pop()
-			s.pending[j] = q.len() > 0
+			empty = q.len() == 0
 			r = request{path: s.path, local: int32(j), issuedAt: t, enqueuedAt: t}
 		} else {
 			q := &s.bridgeQ[j-s.stations]
 			r = q.pop()
-			s.pending[j] = q.len() > 0
+			empty = q.len() == 0
+		}
+		if empty {
+			s.pending[j>>6] &^= 1 << (j & 63)
 		}
 		s.queued--
 		s.qlen.Set(float64(s.queued), now)

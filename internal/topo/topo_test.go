@@ -263,6 +263,59 @@ func TestUnbufferedSingleOutstanding(t *testing.T) {
 	}
 }
 
+// A segment's pending bitset tracks its claimant queues word for word:
+// bit j is set exactly while claimant j's queue is nonempty, and no bit
+// at or above the claimant count is set. The large fabric spans three
+// words at its 130-station segment and puts the memory segment's
+// inbound bridge at claimant 70, in its second word; Init takes it over
+// from a one-word fabric and hands its memory back to one.
+func TestPendingBitsetTracksQueues(t *testing.T) {
+	small := twoHopChain(8, 0.1, 1, 1.25, 2)
+	big := twoHopChain(130, 0.006, 1, 1.25, 2)
+	big.Segments[1] = SegmentConfig{Name: "mem", ServiceRate: 1.25, Stations: 70,
+		ThinkRate: 0.004, Mode: bus.Buffered, BufferCap: 2}
+	eng := sim.NewEngine()
+	var f Fabric
+	for _, cfg := range []Config{small, big, small} {
+		eng.Reset()
+		if err := f.Init(cfg, eng, sim.NewRNGStream(5, 0)); err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		high := make([]bool, len(f.segs)) // a bit above claimant 63 was seen set
+		for stop := 1.0; stop <= 3000; stop++ {
+			if err := eng.RunUntil(stop); err != nil {
+				t.Fatal(err)
+			}
+			for k := range f.segs {
+				s := &f.segs[k]
+				n := len(s.grants)
+				if len(s.pending) != (n+63)/64 {
+					t.Fatalf("segment %d: %d words for %d claimants", k, len(s.pending), n)
+				}
+				for j := range 64 * len(s.pending) {
+					set := s.pending[j>>6]&(1<<(j&63)) != 0
+					want := false
+					switch {
+					case j < s.stations:
+						want = s.stationQ[j].len() > 0
+					case j < n:
+						want = s.bridgeQ[j-s.stations].len() > 0
+					}
+					if set != want {
+						t.Fatalf("%d claimants, segment %d, t = %v: claimant %d's bit is %v, its queue nonempty %v",
+							n, k, stop, j, set, want)
+					}
+					high[k] = high[k] || set && j >= 64
+				}
+			}
+		}
+		if cfg.Segments[0].Stations > 64 && !(high[0] && high[1]) {
+			t.Fatalf("no bit past the first word was set (%v); the run did not exercise them", high)
+		}
+	}
+}
+
 // A three-hop chain and a two-source tree exercise transit segments and
 // merge points; throughput must be conserved end to end.
 func TestTreeMergeConservation(t *testing.T) {

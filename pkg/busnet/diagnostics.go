@@ -38,8 +38,10 @@ type Diagnostics struct {
 	Engine EngineCounters `json:"engine"`
 	// Stalls counts requests held at a full buffered-finite interface.
 	Stalls uint64 `json:"stalls"`
-	// ArbScanSlots is the total claimant slots the arbiters probed;
-	// divide by grants for the mean arbitration scan length.
+	// ArbScanSlots is the total claimant slots a one-by-one cyclic scan
+	// would probe to reach every grant (the arbiters compute it from
+	// each grant's distance); divide by grants for the mean arbitration
+	// scan length.
 	ArbScanSlots uint64 `json:"arb_scan_slots"`
 	// BridgeCrossings and BridgeBlocks count bridge traffic and
 	// blocking-after-service events; always zero on flat (one-segment)
