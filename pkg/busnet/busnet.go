@@ -93,7 +93,10 @@ type Results struct {
 	// were read from ride along unserialized so sweeps can merge
 	// replications and re-query pooled quantiles. All four are nil unless
 	// Config.Quantiles enabled collection — absent from the JSON form
-	// rather than rendered as zero latencies.
+	// rather than rendered as zero latencies. Once the run has finished
+	// the histograms are read-only snapshots: a sweep's Cache shares them
+	// with every copy it hands out, so merge them into a histogram of
+	// your own rather than adding to them.
 	WaitQuantiles     *Quantiles `json:"wait_quantiles,omitempty"`
 	ResponseQuantiles *Quantiles `json:"response_quantiles,omitempty"`
 	WaitHistogram     *Histogram `json:"-"`

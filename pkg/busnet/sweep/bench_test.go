@@ -47,7 +47,10 @@ func BenchmarkSweepParallel(b *testing.B) {
 // with 2 replications per point. Against BenchmarkSweepParallel this
 // isolates what the fabric adds per event — the free-bus scan, per-bus
 // collectors, and the multi-grant dispatch loop; BENCH_baseline.txt
-// gates it alongside the other sweeps.
+// gates it alongside the other sweeps. It runs on one worker, so its
+// time and B/op measure per-event cost rather than a second CPU or how
+// many workers' replication pools warm up; BenchmarkSweepParallel is
+// the scaling benchmark.
 func BenchmarkMultiBus(b *testing.B) {
 	base := busnet.DefaultConfig().AtHorizon(20_000)
 	base.Seed = 42
@@ -56,6 +59,7 @@ func BenchmarkMultiBus(b *testing.B) {
 	spec := Spec{
 		Grid:         Grid{Base: base, Buses: []int{1, 2, 4, 8}},
 		Replications: 2,
+		Workers:      1,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -67,12 +71,47 @@ func BenchmarkMultiBus(b *testing.B) {
 
 // BenchmarkShortReplications measures the optimizer's job shape: one op
 // is one single-worker sweep over the optimize problem's 8 candidates
-// (unbuffered, and buffered at depths 1, 2 and 4, each on 1 and 2
-// buses; N = 16, λ = 0.05), 10 replications of horizon 200 with warmup
-// 20 — 80 replications of a few hundred events each. Setup and garbage
-// per replication weigh as much as the events here, so B/op and
-// allocs/op gate what each replication leaves to the collector.
+// (shortCandidates), 10 replications of horizon 200 with warmup 20 — 80
+// replications of a few hundred events each. Setup and garbage per
+// replication weigh as much as the events here, so B/op and allocs/op
+// gate what each replication leaves to the collector.
 func BenchmarkShortReplications(b *testing.B) {
+	spec := Spec{Points: shortCandidates(), Replications: 10, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCachedEscalation measures the optimizer's escalation path:
+// one op races shortCandidates through one fresh Cache at 10, then 20,
+// then 40 replications, on one worker, as the optimizer's schedule
+// does. Each escalation serves the replications it has seen from the
+// cache and simulates the rest, so B/op gates what a cache entry and a
+// hit cost on top of the simulations themselves.
+func BenchmarkCachedEscalation(b *testing.B) {
+	points := shortCandidates()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cache := NewCache()
+		for _, reps := range []int{10, 20, 40} {
+			spec := Spec{Points: points, Replications: reps, Workers: 1, Cache: cache}
+			if _, err := Run(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if got, want := cache.Misses(), uint64(8*40); got != want {
+			b.Fatalf("escalation simulated %d jobs, want %d", got, want)
+		}
+	}
+}
+
+// shortCandidates is the optimize problem's candidate set: unbuffered,
+// and buffered at depths 1, 2 and 4, each on 1 and 2 buses; N = 16,
+// λ = 0.05, horizon 200 with warmup 20, seed 42.
+func shortCandidates() []busnet.Config {
 	base := busnet.DefaultConfig()
 	base.Seed = 42
 	base.Processors = 16
@@ -91,13 +130,7 @@ func BenchmarkShortReplications(b *testing.B) {
 			points = append(points, buffered)
 		}
 	}
-	spec := Spec{Points: points, Replications: 10, Workers: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return points
 }
 
 // BenchmarkSweepCached pins the cache-hit fast path: the same sweep as
@@ -142,7 +175,8 @@ func BenchmarkSweepCached(b *testing.B) {
 // replications per point. Against BenchmarkSweepParallel this isolates
 // the cost the workload subsystem adds per event (modulated sources
 // draw 2–3 variates per request instead of 1); BENCH_baseline.txt
-// gates it alongside the other sweeps.
+// gates it alongside the other sweeps. Like BenchmarkMultiBus it runs on
+// one worker, to measure per-event cost.
 func BenchmarkBurstySweep(b *testing.B) {
 	base := busnet.DefaultConfig().AtHorizon(20_000)
 	base.Seed = 42
@@ -157,6 +191,7 @@ func BenchmarkBurstySweep(b *testing.B) {
 	spec := Spec{
 		Grid:         Grid{Base: base, Traffics: traffics},
 		Replications: 2,
+		Workers:      1,
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

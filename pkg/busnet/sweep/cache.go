@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,8 +46,16 @@ func KeyFor(cfg busnet.Config) (Key, error) {
 // of a simulation, with bit-identical output either way (warm and cold
 // runs reduce the same Results values).
 //
-// Entries are never evicted: a Results value is a few hundred bytes
-// plus optional histograms, and the intended lifetime is one process.
+// A sweep stores the Results its job simulated by pointer and its
+// reductions read that entry in place, so an entry costs one pointer
+// beyond the Results the job allocated anyway. Results cross the
+// cache's edge only as copies: Get returns, and Put stores, a copy
+// whose Grants, BusUtilization, Diagnostics and quantile blocks are its
+// own, so no caller edit changes what a later sweep returns. The two
+// histograms are not copied: the entry and every copy share them, as
+// read-only snapshots.
+//
+// Entries are never evicted: the intended lifetime is one process.
 // Hits and Misses expose the running effectiveness counts; Misses is
 // also the number of simulations actually executed through the cache,
 // which the optimizer reports as its DES-job spend.
@@ -55,20 +64,32 @@ func KeyFor(cfg busnet.Config) (Key, error) {
 // so execution paths consult the cache unconditionally.
 type Cache struct {
 	mu     sync.RWMutex
-	m      map[Key]busnet.Results
+	m      map[Key]*busnet.Results
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[Key]busnet.Results)}
+	return &Cache{m: make(map[Key]*busnet.Results)}
 }
 
-// Get returns the cached Results for k, counting a hit or miss.
+// Get returns a copy of the cached Results for k, counting a hit or
+// miss. The copy is the caller's own except for its histograms, which
+// are shared read-only snapshots.
 func (c *Cache) Get(k Key) (busnet.Results, bool) {
-	if c == nil {
+	res, ok := c.get(k)
+	if !ok {
 		return busnet.Results{}, false
+	}
+	return detach(res), true
+}
+
+// get is Get without the copy: the sweep's jobs read the entry in
+// place and never write through it.
+func (c *Cache) get(k Key) (*busnet.Results, bool) {
+	if c == nil {
+		return nil, false
 	}
 	c.mu.RLock()
 	res, ok := c.m[k]
@@ -81,17 +102,48 @@ func (c *Cache) Get(k Key) (busnet.Results, bool) {
 	return res, ok
 }
 
-// Put stores a finished job's Results under k. The value is stored as
-// given — callers warming a cache from an external source (a persisted
-// result store, a peer shard) may insert Results without Diagnostics or
-// histograms, and reductions honor their absence.
+// Put stores a copy of a finished job's Results under k, so later
+// edits to res do not reach the cache (its histograms stay shared, as
+// read-only snapshots). Callers warming a cache from an external source
+// (a persisted result store, a peer shard) may insert Results without
+// Diagnostics or histograms, and reductions honor their absence.
 func (c *Cache) Put(k Key, res busnet.Results) {
 	if c == nil {
 		return
 	}
+	own := detach(&res)
+	c.put(k, &own)
+}
+
+// put stores res itself: the sweep hands over the Results its job just
+// simulated, which nothing outside the sweep can reach.
+func (c *Cache) put(k Key, res *busnet.Results) {
 	c.mu.Lock()
 	c.m[k] = res
 	c.mu.Unlock()
+}
+
+// detach returns a copy of r that shares no mutable part with it:
+// Grants, BusUtilization, Diagnostics and the quantile blocks are
+// copied, nil staying nil. The histograms stay shared; they are
+// read-only snapshots once a run has finished.
+func detach(r *busnet.Results) busnet.Results {
+	c := *r
+	c.Grants = slices.Clone(r.Grants)
+	c.BusUtilization = slices.Clone(r.BusUtilization)
+	c.Diagnostics = clonePtr(r.Diagnostics)
+	c.WaitQuantiles = clonePtr(r.WaitQuantiles)
+	c.ResponseQuantiles = clonePtr(r.ResponseQuantiles)
+	return c
+}
+
+// clonePtr returns a pointer to a copy of *p, or nil for nil.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // Len returns the number of cached jobs.

@@ -58,7 +58,6 @@ func (pl *pipeline[P, R]) execute() error {
 		pl.progress.begin(len(pl.points), pl.reps, workers)
 	}
 	runs := make([]R, nJobs)
-	errs := make([]error, nJobs)
 	remaining := make([]atomic.Int64, len(pl.points))
 	failed := make([]atomic.Bool, len(pl.points))
 	for i := range remaining {
@@ -68,6 +67,14 @@ func (pl *pipeline[P, R]) execute() error {
 	// locking; the atomic countdown guarantees exactly one worker — the
 	// one finishing the point's last replication — attempts delivery.
 	var deliverMu sync.Mutex
+	// failMu guards the lowest failing job seen so far and its error;
+	// every job runs, so the lowest index wins whatever order the
+	// failures land in.
+	var (
+		failMu  sync.Mutex
+		failJob = nJobs
+		failErr error
+	)
 	var cursor atomic.Int64
 	work := func() {
 		for {
@@ -77,11 +84,17 @@ func (pl *pipeline[P, R]) execute() error {
 			}
 			pl.progress.jobStart()
 			pt, rep := j/pl.reps, j%pl.reps
-			runs[j], errs[j] = pl.run(pl.points[pt], pt, rep)
-			if errs[j] != nil {
+			var err error
+			runs[j], err = pl.run(pl.points[pt], pt, rep)
+			if err != nil {
 				// Store precedes the countdown below, so whichever
 				// worker sees the count hit zero also sees the failure.
 				failed[pt].Store(true)
+				failMu.Lock()
+				if j < failJob {
+					failJob, failErr = j, err
+				}
+				failMu.Unlock()
 			}
 			if remaining[pt].Add(-1) == 0 && !failed[pt].Load() && pl.deliver != nil {
 				deliverMu.Lock()
@@ -101,10 +114,8 @@ func (pl *pipeline[P, R]) execute() error {
 	}
 	work()
 	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return pl.wrapErr(j/pl.reps, j%pl.reps, err)
-		}
+	if failErr != nil {
+		return pl.wrapErr(failJob/pl.reps, failJob%pl.reps, failErr)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -427,5 +428,131 @@ func TestWarmCachedReplicationsDoNotAllocate(t *testing.T) {
 	}
 	if cache.Misses() != 40 {
 		t.Errorf("cache misses = %d, want 40 (the warm-up only)", cache.Misses())
+	}
+}
+
+// skipUnderRace skips an allocation lock under the race detector, where
+// sync.Pool drops a random share of Puts by design, so a warm worker's
+// replication pool is not warm.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("sync.Pool discards pooled values at random under the race detector")
+	}
+}
+
+// A cold replication through a cached sweep allocates little beyond
+// what Evaluate returns: the job hands that Results to the run buffer
+// and to the cache by pointer, so neither keeps a copy of its own.
+func TestColdCachedReplicationBytes(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytesPerSweep := func(reps int) float64 {
+		spec := Spec{
+			Grid:         Grid{Base: testBase(), Processors: []int{4}},
+			Replications: reps,
+			Workers:      1,
+		}
+		run := func() {
+			spec.Cache = NewCache()
+			if _, err := Run(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the replication pool
+		const sweeps = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range sweeps {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / sweeps
+	}
+	perRep := (bytesPerSweep(40) - bytesPerSweep(10)) / 30
+	if limit := 1024.0; perRep > limit {
+		t.Errorf("a cold cached replication allocates %.0f B, limit %.0f B", perRep, limit)
+	}
+}
+
+// Results that leave the sweep are the caller's own: editing any copied
+// part of a kept run, of a Cache.Get result, or of a Results already
+// handed to Cache.Put changes nothing a later warm sweep returns. Only
+// the histograms stay shared, as read-only snapshots.
+func TestResultsLeavingTheSweepAreCallersOwn(t *testing.T) {
+	edits := []struct {
+		part string
+		edit func(*busnet.Results)
+	}{
+		{"grants", func(r *busnet.Results) { r.Grants[0] += 1000 }},
+		{"bus_utilization", func(r *busnet.Results) { r.BusUtilization[0] += 1 }},
+		{"diagnostics", func(r *busnet.Results) { r.Diagnostics.Stalls += 1000 }},
+		{"wait_quantiles", func(r *busnet.Results) { r.WaitQuantiles.P99 += 1 }},
+		{"response_quantiles", func(r *busnet.Results) { r.ResponseQuantiles.P50 += 1 }},
+	}
+	sources := []struct {
+		name string
+		// take returns a Results that has left the sweep: run 0 of
+		// point 0, whose cache key is key.
+		take func(t *testing.T, cold *Result, cache *Cache, key Key) *busnet.Results
+	}{
+		{"keep_runs", func(_ *testing.T, cold *Result, _ *Cache, _ Key) *busnet.Results {
+			return &cold.Points[0].Runs[0]
+		}},
+		{"get", func(t *testing.T, _ *Result, cache *Cache, key Key) *busnet.Results {
+			res, ok := cache.Get(key)
+			if !ok {
+				t.Fatal("cold sweep left no cache entry for run 0")
+			}
+			return &res
+		}},
+		{"put", func(t *testing.T, _ *Result, cache *Cache, key Key) *busnet.Results {
+			res, ok := cache.Get(key)
+			if !ok {
+				t.Fatal("cold sweep left no cache entry for run 0")
+			}
+			cache.Put(key, res)
+			return &res
+		}},
+	}
+	base := testBase()
+	base.Quantiles = true
+	spec := Spec{
+		Grid:         Grid{Base: base, Processors: []int{4}},
+		Replications: 2,
+		Workers:      1,
+		KeepRuns:     true,
+	}
+	jobs, err := Jobs(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := KeyFor(jobs[0].Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range sources {
+		for _, e := range edits {
+			t.Run(src.name+"/"+e.part, func(t *testing.T) {
+				s := spec
+				s.Cache = NewCache()
+				cold, err := Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := marshalIndent(t, cold)
+				e.edit(src.take(t, &cold, s.Cache, key))
+				warm, err := Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Cache.Hits() == 0 {
+					t.Fatal("warm sweep missed the cache")
+				}
+				if got := marshalIndent(t, warm); !bytes.Equal(got, want) {
+					t.Errorf("editing %s of a %s result changed the warm sweep", e.part, src.name)
+				}
+			})
+		}
 	}
 }

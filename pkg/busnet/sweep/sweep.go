@@ -53,7 +53,10 @@ type Spec struct {
 	// semantics are identical to a grid of the same points.
 	Points []busnet.Config `json:"points,omitempty"`
 	// KeepRuns retains every replication's full Results in the point
-	// (large output; off by default).
+	// (large output; off by default). Each kept run is a copy the caller
+	// owns, as Cache.Get returns, except its WaitHistogram and
+	// ResponseHistogram: those are shared with the sweep's Cache and
+	// must be treated as read-only snapshots.
 	KeepRuns bool `json:"keep_runs,omitempty"`
 	// Backend selects how points are evaluated. BackendSim (the default)
 	// simulates every (point, replication) job as always. BackendFluid
@@ -196,15 +199,15 @@ func stream(spec Spec, backend busnet.Backend, points []busnet.Config, reps int,
 			}
 		}
 	}
-	pl := &pipeline[busnet.Config, busnet.Results]{
+	pl := &pipeline[busnet.Config, *busnet.Results]{
 		points:   points,
 		reps:     reps,
 		workers:  spec.Workers,
 		progress: spec.Progress,
-		run: func(cfg busnet.Config, pt, rep int) (busnet.Results, error) {
+		run: func(cfg busnet.Config, pt, rep int) (*busnet.Results, error) {
 			return runJob(cfg, rep, spec.Cache, hashes[pt])
 		},
-		deliver: func(pt int, runs []busnet.Results) {
+		deliver: func(pt int, runs []*busnet.Results) {
 			deliver(PointDelivery{Index: pt, Point: reduce(points[pt], runs, spec.KeepRuns)})
 		},
 		wrapErr: func(pt, rep int, err error) error {
@@ -265,30 +268,38 @@ func predictStream(backend busnet.Backend, points []busnet.Config, progress *Pro
 // point's config hash, the job's (config-hash, seed, stream) key is
 // consulted first and the fresh result stored after — determinism makes
 // the cached and simulated results interchangeable to the bit.
-func runJob(cfg busnet.Config, rep int, cache *Cache, hash string) (busnet.Results, error) {
+//
+// The Results travel by pointer: a simulated job returns the one
+// Evaluate allocated, and the cache stores that same pointer, so a
+// replication's Results is never copied on its way to reduce. Nothing
+// on this path writes through it.
+func runJob(cfg busnet.Config, rep int, cache *Cache, hash string) (*busnet.Results, error) {
 	cfg.Stream += uint64(rep)
 	cached := cache != nil && hash != ""
 	key := Key{ConfigHash: hash, Seed: cfg.Seed, Stream: cfg.Stream}
 	if cached {
-		if res, ok := cache.Get(key); ok {
+		if res, ok := cache.get(key); ok {
 			return res, nil
 		}
 	}
 	ev, err := busnet.Evaluate(cfg, busnet.BackendSim)
 	if err != nil {
-		return busnet.Results{}, err
+		return nil, err
 	}
 	if cached {
-		cache.Put(key, *ev.Results)
+		cache.put(key, ev.Results)
 	}
-	return *ev.Results, nil
+	return ev.Results, nil
 }
 
 // reduce collapses one point's replications into CI statistics and
-// attaches the closed-form prediction when one exists.
-func reduce(cfg busnet.Config, runs []busnet.Results, keep bool) PointResult {
-	pick := func(f func(busnet.Results) float64) Stat {
-		xs := make([]float64, len(runs))
+// attaches the closed-form prediction when one exists. It only reads
+// runs, which may be shared with the sweep's Cache.
+func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
+	// The five picks share one scratch slice: summarize keeps no
+	// reference to it.
+	xs := make([]float64, len(runs))
+	pick := func(f func(*busnet.Results) float64) Stat {
 		for i, r := range runs {
 			xs[i] = f(r)
 		}
@@ -299,11 +310,11 @@ func reduce(cfg busnet.Config, runs []busnet.Results, keep bool) PointResult {
 		// replication 0's run; its Stream is the grid base's stream
 		// (replication r ran base.Stream + r).
 		Config:       runs[0].Config,
-		Utilization:  pick(func(r busnet.Results) float64 { return r.Utilization }),
-		Throughput:   pick(func(r busnet.Results) float64 { return r.Throughput }),
-		MeanWait:     pick(func(r busnet.Results) float64 { return r.MeanWait }),
-		MeanQueueLen: pick(func(r busnet.Results) float64 { return r.MeanQueueLen }),
-		MeanResponse: pick(func(r busnet.Results) float64 { return r.MeanResponse }),
+		Utilization:  pick(func(r *busnet.Results) float64 { return r.Utilization }),
+		Throughput:   pick(func(r *busnet.Results) float64 { return r.Throughput }),
+		MeanWait:     pick(func(r *busnet.Results) float64 { return r.MeanWait }),
+		MeanQueueLen: pick(func(r *busnet.Results) float64 { return r.MeanQueueLen }),
+		MeanResponse: pick(func(r *busnet.Results) float64 { return r.MeanResponse }),
 		Grants:       make([]uint64, len(runs[0].Grants)),
 		BusUtilization: func() []float64 {
 			bu := make([]float64, len(runs[0].BusUtilization))
@@ -354,7 +365,10 @@ func reduce(cfg busnet.Config, runs []busnet.Results, keep bool) PointResult {
 		pr.Fluid = ev.Fluid
 	}
 	if keep {
-		pr.Runs = runs
+		pr.Runs = make([]busnet.Results, len(runs))
+		for i, r := range runs {
+			pr.Runs[i] = detach(r)
+		}
 	}
 	return pr
 }

@@ -197,8 +197,10 @@ func predictTopologyStream(backend busnet.Backend, points []busnet.Topology, pro
 // reduceTopology collapses one point's replications into CI statistics
 // and attaches the product-form overlay when one exists.
 func reduceTopology(t busnet.Topology, runs []busnet.TopologyEvaluation) TopologyPointResult {
+	// Every pick and hop statistic shares one scratch slice: summarize
+	// keeps no reference to it.
+	xs := make([]float64, len(runs))
 	pick := func(f func(busnet.TopologyEvaluation) float64) Stat {
-		xs := make([]float64, len(runs))
 		for i, r := range runs {
 			xs[i] = f(r)
 		}
@@ -214,7 +216,6 @@ func reduceTopology(t busnet.Topology, runs []busnet.TopologyEvaluation) Topolog
 	}
 	pr.Topology.Stream = t.Stream
 	hop := func(k int, f func(busnet.HopResult) float64) Stat {
-		xs := make([]float64, len(runs))
 		for i, r := range runs {
 			xs[i] = f(r.Results.Hops[k])
 		}
