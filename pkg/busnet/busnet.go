@@ -121,21 +121,6 @@ type Prediction = analytic.Prediction
 // have no such bound.
 const MaxSimProcessors = 10_000_000
 
-// resolved is the simulator's config check: the normalized config if it
-// is valid and within the discrete-event backend's station bound.
-func (c Config) resolved() (Config, error) {
-	c = c.normalized()
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	if c.Processors > MaxSimProcessors {
-		return Config{}, fmt.Errorf(
-			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (Evaluate with %q) for large-N curves",
-			c.Processors, MaxSimProcessors, BackendFluid)
-	}
-	return c, nil
-}
-
 // predict is the closed-form backend behind Evaluate: the exact
 // machine-repairman model in unbuffered mode, M/M/1 for infinite
 // buffers, and the M/M/1/K approximation for finite buffers; with
@@ -158,7 +143,7 @@ func (c Config) resolved() (Config, error) {
 // is refused, since no exact closed form exists there. See
 // docs/service.md for the formula mapping.
 func predict(cfg Config) (Prediction, error) {
-	cfg = cfg.normalized()
+	cfg.normalize()
 	if err := cfg.Validate(); err != nil {
 		return Prediction{}, err
 	}

@@ -50,7 +50,7 @@ func TestAtHorizonPreservesWarmupFraction(t *testing.T) {
 	if cfg.Horizon != 5000 || cfg.Warmup != 500 {
 		t.Fatalf("AtHorizon(5000) = horizon %v warmup %v, want 5000/500", cfg.Horizon, cfg.Warmup)
 	}
-	if _, err := cfg.resolved(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatalf("rescaled config must stay valid: %v", err)
 	}
 	zero := Config{}.AtHorizon(100)

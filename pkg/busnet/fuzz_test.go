@@ -8,11 +8,13 @@ import (
 )
 
 // FuzzConfigValidate drives Config.Validate and the JSON round trip
-// with field-level inputs: Validate must never panic, and any config it
-// accepts must survive marshal → unmarshal unchanged, still validate,
-// and yield analytic and fluid evaluations that either error cleanly or
-// return finite, nonnegative summaries with a response of at least one
-// service time. Huge population/capacity values are skipped rather than
+// with field-level inputs: Validate must never panic and must agree
+// with the one-node lift's Topology.Validate — a flat config and its
+// lift are checked by the same node rules — and any config it accepts
+// must survive marshal → unmarshal unchanged, still validate, and yield
+// analytic and fluid evaluations that either error cleanly or return
+// finite, nonnegative summaries with a response of at least one service
+// time. Huge population/capacity values are skipped rather than
 // validated — they are legal configs whose closed forms and source
 // allocation are deliberately O(N·cap), which a fuzzer would turn into
 // an out-of-memory, not a finding.
@@ -62,6 +64,19 @@ func FuzzConfigValidate(f *testing.F) {
 		light.Mode, light.BufferCap = ModeBuffered, 4
 		seed(light)
 	}
+	// Inputs the flat and the lifted checks must reject alike.
+	none := DefaultConfig()
+	none.Processors = 0
+	seed(none)
+	short := weighted
+	short.Weights = "4,2,1"
+	seed(short)
+	nan := DefaultConfig()
+	nan.ThinkRate = math.NaN()
+	seed(nan)
+	idle := bursty
+	idle.ThinkRate = 0
+	seed(idle)
 
 	f.Fuzz(func(t *testing.T, processors, buses int, think, service float64,
 		mode string, bufferCap int, arbiter, weights, kind string,
@@ -90,13 +105,19 @@ func FuzzConfigValidate(f *testing.F) {
 			len(cfg.Weights) > 1<<12 {
 			t.Skip("legal but deliberately O(N·cap) — not a robustness finding")
 		}
-		if err := cfg.Validate(); err != nil {
+		err := cfg.Validate()
+		// The lift differs only in the station bound, which
+		// Topology.Validate checks and the flat path leaves to the
+		// simulator.
+		if cfg.Processors <= MaxSimProcessors {
+			if lifted := cfg.Topology().Validate(); (err == nil) != (lifted == nil) {
+				t.Fatalf("Validate = %v, but its one-node lift's Validate = %v\n%+v", err, lifted, cfg)
+			}
+		}
+		if err != nil {
 			return // rejected cleanly; nothing more to hold
 		}
-		canon, err := cfg.resolved()
-		if err != nil {
-			t.Fatalf("Validate accepted a config the simulator rejects: %v\n%+v", err, cfg)
-		}
+		canon := cfg.Normalized()
 		blob, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatalf("canonical config does not marshal: %v\n%+v", err, canon)
@@ -143,8 +164,10 @@ func FuzzConfigValidate(f *testing.F) {
 // over a cpu → mem fabric: both nodes' station fields (mem has no
 // processors unless the fuzzer gives it some), mem's arbitration and
 // the bridge depth. Validate must never panic, and any topology it
-// accepts must marshal, hash with CanonicalHash, and validate again
-// after a JSON round trip that re-encodes to the same bytes.
+// accepts must marshal, hash with CanonicalHash, validate again after a
+// JSON round trip that re-encodes to the same bytes, and simulate
+// without error over a unit horizon: what Validate accepts, the
+// lowering and the fabric run.
 // FuzzTopologyJSON cannot reach most of these inputs: JSON carries no
 // NaN, and the kind decoders reject unknown names before Validate runs.
 func FuzzTopologyValidate(f *testing.F) {
@@ -222,6 +245,16 @@ func FuzzTopologyValidate(f *testing.F) {
 		again, err := json.Marshal(back)
 		if err != nil || !bytes.Equal(again, blob) {
 			t.Fatalf("JSON round trip changed the topology (%v):\n%s\nvs\n%s", err, again, blob)
+		}
+		// A unit horizon still runs about N·λ arrivals: above 1e5 a legal
+		// input would run for seconds to hours and queue as many
+		// requests, which is not a robustness finding either.
+		if float64(cpuN)*cpuThink+float64(memN)*memThink > 1e5 {
+			return
+		}
+		top.Horizon, top.Warmup = 1, 0
+		if _, err := EvaluateTopology(top, BackendSim); err != nil {
+			t.Fatalf("accepted topology does not simulate: %v\n%+v", err, top)
 		}
 	})
 }

@@ -46,10 +46,10 @@ func TestServiceJSONRoundTrip(t *testing.T) {
 		cfg.Mode = ModeBuffered
 		cfg.BufferCap = Infinite
 		cfg.Service = svc
-		canon, err := cfg.resolved()
-		if err != nil {
+		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%+v: %v", svc, err)
 		}
+		canon := cfg.Normalized()
 		blob, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatal(err)

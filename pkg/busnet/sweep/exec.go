@@ -96,12 +96,13 @@ func (pl *pipeline[P, R]) execute() error {
 				}
 				failMu.Unlock()
 			}
-			if remaining[pt].Add(-1) == 0 && !failed[pt].Load() && pl.deliver != nil {
+			last := remaining[pt].Add(-1) == 0
+			if last && !failed[pt].Load() && pl.deliver != nil {
 				deliverMu.Lock()
 				pl.deliver(pt, runs[pt*pl.reps:(pt+1)*pl.reps])
 				deliverMu.Unlock()
 			}
-			pl.progress.jobDone(pt)
+			pl.progress.jobDone(last)
 		}
 	}
 	var wg sync.WaitGroup

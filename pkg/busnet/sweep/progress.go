@@ -20,11 +20,6 @@ type Progress struct {
 	donePoints  atomic.Int64
 	active      atomic.Int64
 	workers     atomic.Int64
-
-	// remaining[p] is point p's outstanding replication count; the job
-	// that takes it to zero increments donePoints. Written by begin
-	// before any worker starts, so workers see a consistent slice.
-	remaining []atomic.Int64
 }
 
 // ProgressSnapshot is one consistent-enough reading of the counters.
@@ -60,9 +55,8 @@ func (p *Progress) Done() bool {
 	return t > 0 && p.doneJobs.Load() == t
 }
 
-// begin sizes the tracker for a sweep of points×reps jobs on workers
-// goroutines. Called by Run/RunTopology before the pool starts; a
-// reused Progress is reset.
+// begin resets the tracker for a sweep of points×reps jobs on workers
+// goroutines. Called by Run/RunTopology before the pool starts.
 func (p *Progress) begin(points, reps, workers int) {
 	p.totalJobs.Store(int64(points * reps))
 	p.doneJobs.Store(0)
@@ -70,10 +64,6 @@ func (p *Progress) begin(points, reps, workers int) {
 	p.donePoints.Store(0)
 	p.active.Store(0)
 	p.workers.Store(int64(workers))
-	p.remaining = make([]atomic.Int64, points)
-	for i := range p.remaining {
-		p.remaining[i].Store(int64(reps))
-	}
 }
 
 // jobStart marks one job as executing. Nil-safe so the worker loop can
@@ -84,15 +74,15 @@ func (p *Progress) jobStart() {
 	}
 }
 
-// jobDone marks point's job finished, completing the point when its
-// last replication lands.
-func (p *Progress) jobDone(point int) {
+// jobDone marks one job finished; pointDone says it was its point's
+// last, which the caller's own countdown decides.
+func (p *Progress) jobDone(pointDone bool) {
 	if p == nil {
 		return
 	}
 	p.active.Add(-1)
 	p.doneJobs.Add(1)
-	if p.remaining[point].Add(-1) == 0 {
+	if pointDone {
 		p.donePoints.Add(1)
 	}
 }

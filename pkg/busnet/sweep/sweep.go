@@ -255,7 +255,7 @@ func predictStream(backend busnet.Backend, points []busnet.Config, progress *Pro
 		case busnet.BackendAnalytic:
 			pr.Analytic = ev.Analytic
 		}
-		progress.jobDone(p)
+		progress.jobDone(true)
 		deliver(PointDelivery{Index: p, Point: pr})
 	}
 	return nil

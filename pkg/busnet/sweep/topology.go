@@ -188,7 +188,7 @@ func predictTopologyStream(backend busnet.Backend, points []busnet.Topology, pro
 				MeanResponse: point(n.MeanResponse),
 			}
 		}
-		progress.jobDone(p)
+		progress.jobDone(true)
 		deliver(TopologyPointDelivery{Index: p, Point: pr})
 	}
 	return nil

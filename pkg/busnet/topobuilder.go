@@ -70,8 +70,9 @@ func (b *TopologyBuilder) Horizon(h float64) *TopologyBuilder {
 
 // Build validates the assembled topology and returns it normalized.
 func (b *TopologyBuilder) Build() (Topology, error) {
-	if err := b.t.Validate(); err != nil {
+	t := b.t
+	if _, err := t.lowered(); err != nil {
 		return Topology{}, err
 	}
-	return b.t.Normalized(), nil
+	return t, nil
 }

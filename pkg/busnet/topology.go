@@ -84,7 +84,7 @@ type Topology struct {
 // this one-segment fabric, so evaluating the lift with BackendSim gives
 // the flat run's trajectory and statistics to the last bit.
 func (c Config) Topology() Topology {
-	c = c.normalized()
+	c.normalize()
 	return Topology{
 		Nodes:     []Node{c.node()},
 		Seed:      c.Seed,
@@ -95,9 +95,10 @@ func (c Config) Topology() Topology {
 	}
 }
 
-// normalized fills each node's empty Mode/Arbiter/Traffic/Service and zero
-// Buses with canonical defaults, mirroring Config.normalized.
-func (t Topology) normalized() Topology {
+// normalize fills each node's empty Mode/Arbiter/Traffic/Service and
+// zero Buses with canonical defaults, mirroring Config.normalize. It
+// writes a fresh Nodes slice, never the caller's.
+func (t *Topology) normalize() {
 	nodes := make([]Node, len(t.Nodes))
 	for k, n := range t.Nodes {
 		if n.Buses == 0 {
@@ -116,150 +117,58 @@ func (t Topology) normalized() Topology {
 		nodes[k] = n
 	}
 	t.Nodes = nodes
-	return t
 }
 
 // Normalized returns the topology with canonical defaults filled in —
 // the value EvaluateTopology echoes back in its results.
-func (t Topology) Normalized() Topology { return t.normalized() }
-
-// nodeIndex maps node names to indices; Validate guarantees uniqueness.
-func (t Topology) nodeIndex() map[string]int {
-	idx := make(map[string]int, len(t.Nodes))
-	for k, n := range t.Nodes {
-		if _, dup := idx[n.Name]; !dup {
-			idx[n.Name] = k
-		}
-	}
-	return idx
-}
-
-// claimants returns node k's claimant count: local processors plus one
-// per inbound bridge.
-func (t Topology) claimants(k int) int {
-	n := t.Nodes[k].Processors
-	idx := t.nodeIndex()
-	for _, l := range t.Links {
-		if to, ok := idx[l.To]; ok && to == k {
-			n++
-		}
-	}
-	return n
+func (t Topology) Normalized() Topology {
+	t.normalize()
+	return t
 }
 
 // Validate reports the first configuration error, or nil: busnet-level
-// checks (names, modes, arbiters, traffic and service specs, run
-// interval) followed by the graph-level invariants the internal fabric
-// enforces — acyclicity, routes following existing links, no dead links
-// or unreachable transit nodes.
+// checks (names, the node rules a flat Config shares, run interval)
+// followed by the graph-level invariants the internal fabric enforces —
+// acyclicity, routes following existing links, no dead links or
+// unreachable transit nodes.
 func (t Topology) Validate() error {
-	t = t.normalized()
-	if len(t.Nodes) == 0 {
-		return fmt.Errorf("busnet: topology has no nodes")
+	_, err := t.lowered()
+	return err
+}
+
+// lowered is the one lowering of a topology: it normalizes t in place,
+// checks it, and returns the run-ready fabric config. Node names resolve to
+// segment indices once, here, for links and routes alike; each node is
+// checked by the rules it shares with a flat Config (Node.validate)
+// before it is lowered (Node.segment). The graph-level invariants are
+// the fabric's own checks (topo.Config.Validate), so the two layers
+// cannot drift apart.
+func (t *Topology) lowered() (topo.Config, error) {
+	t.normalize()
+	if err := checkRun(t.Horizon, t.Warmup); err != nil {
+		return topo.Config{}, err
 	}
-	seen := make(map[string]int, len(t.Nodes))
+	if len(t.Nodes) == 0 {
+		return topo.Config{}, fmt.Errorf("busnet: topology has no nodes")
+	}
+	idx := make(map[string]int, len(t.Nodes))
 	total := 0
 	for k, n := range t.Nodes {
 		if n.Name == "" {
-			return fmt.Errorf("busnet: node %d has no name", k)
+			return topo.Config{}, fmt.Errorf("busnet: node %d has no name", k)
 		}
-		if prev, dup := seen[n.Name]; dup {
-			return fmt.Errorf("busnet: nodes %d and %d share the name %q", prev, k, n.Name)
+		if prev, dup := idx[n.Name]; dup {
+			return topo.Config{}, fmt.Errorf("busnet: nodes %d and %d share the name %q", prev, k, n.Name)
 		}
-		seen[n.Name] = k
+		idx[n.Name] = k
 		total += n.Processors
-		if n.Processors > 0 {
-			if _, err := parseMode(n.Mode); err != nil {
-				return fmt.Errorf("busnet: node %q: %w", n.Name, err)
-			}
-			if math.IsNaN(n.ThinkRate) || n.ThinkRate < 0 || math.IsInf(n.ThinkRate, 1) {
-				return fmt.Errorf("busnet: node %q: think rate = %v, need finite and ≥ 0", n.Name, n.ThinkRate)
-			}
-			if err := n.Traffic.Validate(n.ThinkRate); err != nil {
-				return fmt.Errorf("busnet: node %q: %w", n.Name, err)
-			}
-		} else if f := n.stationField(); n.Processors == 0 && f != "" {
-			// Nothing reads these on a transit node, so nothing else would
-			// check them: a NaN or an unknown kind would run and then fail
-			// to encode.
-			return fmt.Errorf("busnet: node %q: %s is set, but the node has no processors to apply it to", n.Name, f)
-		}
-		kind, err := ParseArbiter(n.Arbiter)
-		if err != nil {
-			return fmt.Errorf("busnet: node %q: %w", n.Name, err)
-		}
-		ws, err := ParseWeights(n.Weights)
-		if err != nil {
-			return fmt.Errorf("busnet: node %q: %w", n.Name, err)
-		}
-		if kind == WeightedRoundRobin && ws != nil {
-			if want := t.claimants(k); len(ws) != want {
-				return fmt.Errorf("busnet: node %q: %d weights for %d claimants (processors + inbound bridges)",
-					n.Name, len(ws), want)
-			}
-		}
-		if err := n.Service.Validate(n.ServiceRate); err != nil {
-			return fmt.Errorf("busnet: node %q: %w", n.Name, err)
-		}
 	}
+	// The bound precedes lowering, which builds per-station sources.
 	if total > MaxSimProcessors {
-		return fmt.Errorf("busnet: topology has %d processors in total, exceeding the discrete-event backend's %d-station bound",
+		return topo.Config{}, fmt.Errorf(
+			"busnet: topology has %d processors in total, exceeding the discrete-event backend's %d-station bound",
 			total, MaxSimProcessors)
 	}
-	idx := t.nodeIndex()
-	for i, l := range t.Links {
-		if _, ok := idx[l.From]; !ok {
-			return fmt.Errorf("busnet: link %d: no node named %q", i, l.From)
-		}
-		if _, ok := idx[l.To]; !ok {
-			return fmt.Errorf("busnet: link %d: no node named %q", i, l.To)
-		}
-	}
-	for _, n := range t.Nodes {
-		for h, hop := range n.Route {
-			if _, ok := idx[hop]; !ok {
-				return fmt.Errorf("busnet: node %q route hop %d: no node named %q", n.Name, h, hop)
-			}
-		}
-	}
-	switch {
-	case !(t.Horizon > 0) || math.IsInf(t.Horizon, 1):
-		return fmt.Errorf("busnet: horizon = %v, need finite and > 0", t.Horizon)
-	case math.IsNaN(t.Warmup) || t.Warmup < 0 || t.Warmup >= t.Horizon:
-		return fmt.Errorf("busnet: warmup = %v, need in [0, horizon)", t.Warmup)
-	}
-	// Graph-level invariants (DAG, routes over links, dead links,
-	// station counts, rates, buffer depths) are enforced by the internal
-	// fabric config so the two layers cannot drift apart.
-	cfg, err := t.topoConfig()
-	if err != nil {
-		return err
-	}
-	return cfg.Validate()
-}
-
-// stationField names the first field set on n that only processors
-// use — ThinkRate, Traffic, Mode, BufferCap — or returns "".
-func (n Node) stationField() string {
-	switch {
-	case n.ThinkRate != 0:
-		return "think rate"
-	case n.Traffic != Traffic{}:
-		return "traffic"
-	case n.Mode != "":
-		return "mode"
-	case n.BufferCap != 0:
-		return "buffer cap"
-	}
-	return ""
-}
-
-// topoConfig lowers the public topology to the internal fabric config,
-// building fresh per-station sources and arbiters — both carry run
-// state, so every evaluation gets its own. Name resolution errors
-// surface here; deeper invariants are left to topo.Config.Validate.
-func (t Topology) topoConfig() (topo.Config, error) {
-	idx := t.nodeIndex()
 	cfg := topo.Config{
 		Segments:  make([]topo.SegmentConfig, len(t.Nodes)),
 		Links:     make([]topo.LinkConfig, len(t.Links)),
@@ -276,37 +185,109 @@ func (t Topology) topoConfig() (topo.Config, error) {
 		}
 		cfg.Links[i] = topo.LinkConfig{From: from, To: to, Depth: l.Buffer}
 	}
-	for k, n := range t.Nodes {
+	for k := range t.Nodes {
+		n := &t.Nodes[k]
 		claimants := n.Processors
 		for _, l := range cfg.Links {
 			if l.To == k {
 				claimants++
 			}
 		}
-		sc := n.segment(claimants)
-		for _, hop := range n.Route {
-			h, ok := idx[hop]
-			if !ok {
-				return topo.Config{}, fmt.Errorf("busnet: node %q route: no node named %q", n.Name, hop)
-			}
-			sc.Route = append(sc.Route, h)
+		err := n.validate(claimants)
+		if err == nil {
+			err = n.segment(claimants, &cfg.Segments[k])
 		}
-		cfg.Segments[k] = sc
+		if err != nil {
+			return topo.Config{}, fmt.Errorf("busnet: node %q: %w", n.Name, err)
+		}
+		for h, hop := range n.Route {
+			to, ok := idx[hop]
+			if !ok {
+				return topo.Config{}, fmt.Errorf("busnet: node %q route hop %d: no node named %q", n.Name, h, hop)
+			}
+			cfg.Segments[k].Route = append(cfg.Segments[k].Route, to)
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		return topo.Config{}, err
 	}
 	return cfg, nil
 }
 
-// segment lowers one node, without its route, to a fabric segment,
+// validate reports the first error in n's own fields, or nil: the rules
+// a flat Config and every Topology node share. A node with processors
+// needs a known mode, a finite nonnegative think rate and a valid
+// traffic spec; a transit node must leave those fields unset. Both need
+// a known arbiter, weights that cover claimants (local processors plus
+// inbound bridges) and a valid service spec. Bus count, rates and
+// buffer capacity are the simulator's own rules, which segment applies.
+func (n *Node) validate(claimants int) error {
+	if n.Processors > 0 {
+		if _, err := parseMode(n.Mode); err != nil {
+			return err
+		}
+		if math.IsNaN(n.ThinkRate) || n.ThinkRate < 0 || math.IsInf(n.ThinkRate, 1) {
+			// Traffic kinds that ignore ThinkRate still echo it as
+			// provenance, so it must at least be a finite nonnegative
+			// number; kinds that consume it additionally require > 0
+			// (checked by Traffic.Validate).
+			return fmt.Errorf("think rate = %v, need finite and ≥ 0", n.ThinkRate)
+		}
+		if err := n.Traffic.Validate(n.ThinkRate); err != nil {
+			return err
+		}
+	} else if f := n.stationField(); f != "" {
+		// Nothing reads these on a transit node, so nothing else would
+		// check them: a NaN or an unknown kind would run and then fail
+		// to encode.
+		return fmt.Errorf("%s is set, but the node has no processors to apply it to", f)
+	}
+	kind, err := ParseArbiter(n.Arbiter)
+	if err != nil {
+		return err
+	}
+	ws, err := ParseWeights(n.Weights)
+	if err != nil {
+		return err
+	}
+	if kind == WeightedRoundRobin && ws != nil && len(ws) != claimants {
+		return fmt.Errorf("%d weights for %d claimants (processors + inbound bridges)", len(ws), claimants)
+	}
+	return n.Service.Validate(n.ServiceRate)
+}
+
+// stationField names the first field set on n that only processors
+// use — ThinkRate, Traffic, Mode, BufferCap — or returns "".
+func (n *Node) stationField() string {
+	switch {
+	case n.ThinkRate != 0:
+		return "think rate"
+	case n.Traffic != Traffic{}:
+		return "traffic"
+	case n.Mode != "":
+		return "mode"
+	case n.BufferCap != 0:
+		return "buffer cap"
+	}
+	return ""
+}
+
+// segment lowers one node, without its route, into the fabric segment sc,
 // building fresh per-station sources, service dist and arbiter — all
 // carry run state, so every run gets its own. claimants sizes the
 // all-ones weight vector a weighted-round-robin arbiter defaults to.
 // Plain Poisson traffic, exponential service and round-robin lower to
-// nil, the simulator's built-in defaults. Unknown names and invalid
-// specs lower to the defaults too; Validate rejects them first on every
-// construction path.
-func (n Node) segment(claimants int) topo.SegmentConfig {
-	mode, _ := parseMode(n.Mode)
-	sc := topo.SegmentConfig{
+// nil, the simulator's built-in defaults. It returns the first error of
+// the mode, the sources, the simulator's own segment rules
+// (topo.SegmentConfig.Validate), the service dist and the arbiter, in
+// that order, and leaves sc partly written on error; Config.lowered
+// relies on the simulator's rules preceding the service dist.
+func (n *Node) segment(claimants int, sc *topo.SegmentConfig) error {
+	mode, err := parseMode(n.Mode)
+	if err != nil {
+		return err
+	}
+	*sc = topo.SegmentConfig{
 		Name:        n.Name,
 		Buses:       n.Buses,
 		ServiceRate: n.ServiceRate,
@@ -316,39 +297,44 @@ func (n Node) segment(claimants int) topo.SegmentConfig {
 		BufferCap:   n.BufferCap,
 	}
 	if spec := n.Traffic.Normalized(); n.Processors > 0 && spec != PoissonTraffic() {
-		srcs := make([]workload.Source, n.Processors)
-		for i := range srcs {
-			src, err := spec.NewSource(n.ThinkRate)
-			if err != nil {
-				srcs = nil
-				break
+		sc.Sources = make([]workload.Source, n.Processors)
+		for i := range sc.Sources {
+			if sc.Sources[i], err = spec.NewSource(n.ThinkRate); err != nil {
+				return err
 			}
-			srcs[i] = src
 		}
-		sc.Sources = srcs
+	}
+	if err := sc.Validate(); err != nil {
+		return fmt.Errorf("busnet: %w", err)
 	}
 	if spec := n.Service.Normalized(); spec != ExponentialService() {
-		if d, err := spec.NewDist(n.ServiceRate); err == nil {
-			sc.Service = d
+		if sc.Service, err = spec.NewDist(n.ServiceRate); err != nil {
+			return err
 		}
 	}
-	kind, _ := ParseArbiter(n.Arbiter)
+	kind, err := ParseArbiter(n.Arbiter)
+	if err != nil {
+		return err
+	}
 	switch kind {
 	case FixedPriority:
 		sc.Arbiter = bus.NewFixedPriority()
 	case WeightedRoundRobin:
-		ws, _ := ParseWeights(n.Weights)
+		ws, err := ParseWeights(n.Weights)
+		if err != nil {
+			return err
+		}
 		if ws == nil {
 			ws = make([]int, max(claimants, 0))
 			for i := range ws {
 				ws[i] = 1
 			}
 		}
-		if wrr, err := bus.NewWeightedRoundRobin(ws); err == nil {
-			sc.Arbiter = wrr
+		if sc.Arbiter, err = bus.NewWeightedRoundRobin(ws); err != nil {
+			return err
 		}
 	}
-	return sc
+	return nil
 }
 
 // HopResult summarizes one node over the measured interval — the flat
@@ -489,13 +475,9 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 }
 
 // runTopologySim is the discrete-event backend for topologies: the
-// validated, lowered fabric run by simulate.
+// lowered fabric run by simulate.
 func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
-	t = t.normalized()
-	if err := t.Validate(); err != nil {
-		return TopologyResults{}, err
-	}
-	cfg, err := t.topoConfig()
+	cfg, err := t.lowered()
 	if err != nil {
 		return TopologyResults{}, err
 	}
@@ -521,11 +503,10 @@ func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 // longer (blocking after service), never shorter, which is why the
 // form is an optimistic bound wherever a bridge is finite.
 func predictTopology(t Topology) (TopologyPrediction, error) {
-	t = t.normalized()
-	if err := t.Validate(); err != nil {
+	cfg, err := t.lowered()
+	if err != nil {
 		return TopologyPrediction{}, err
 	}
-	idx := t.nodeIndex()
 	for _, n := range t.Nodes {
 		if n.Processors == 0 {
 			continue
@@ -544,27 +525,20 @@ func predictTopology(t Topology) (TopologyPrediction, error) {
 		}
 	}
 	// Traffic equations: every flow contributes its aggregate external
-	// rate to each node on its path (feed-forward, so no fixed point to
-	// solve).
+	// rate to each node on its lowered route (feed-forward, so no fixed
+	// point to solve).
 	arrival := make([]float64, len(t.Nodes))
-	var flows []FlowPrediction
-	var total, weighted float64
-	for _, n := range t.Nodes {
+	for k, n := range t.Nodes {
 		if n.Processors == 0 {
 			continue
 		}
 		rate := float64(n.Processors) * n.ThinkRate
-		arrival[idx[n.Name]] += rate
-		for _, hop := range n.Route {
-			arrival[idx[hop]] += rate
+		arrival[k] += rate
+		for _, hop := range cfg.Segments[k].Route {
+			arrival[hop] += rate
 		}
-		flows = append(flows, FlowPrediction{Node: n.Name, Rate: rate})
-		total += rate
 	}
-	p := TopologyPrediction{
-		Nodes:      make([]NodePrediction, len(t.Nodes)),
-		Throughput: total,
-	}
+	p := TopologyPrediction{Nodes: make([]NodePrediction, len(t.Nodes))}
 	for k, n := range t.Nodes {
 		node, err := analytic.JacksonNode(arrival[k], n.ServiceRate, n.Buses)
 		if err != nil {
@@ -575,18 +549,22 @@ func predictTopology(t Topology) (TopologyPrediction, error) {
 			HopPrediction: analytic.HopPrediction{ArrivalRate: arrival[k], Prediction: node},
 		}
 	}
-	for i := range flows {
-		n := t.Nodes[idx[flows[i].Node]]
-		resp := p.Nodes[idx[n.Name]].MeanResponse
-		for _, hop := range n.Route {
-			resp += p.Nodes[idx[hop]].MeanResponse
+	var weighted float64
+	for k, n := range t.Nodes {
+		if n.Processors == 0 {
+			continue
 		}
-		flows[i].MeanResponse = resp
-		weighted += flows[i].Rate * resp
+		rate := float64(n.Processors) * n.ThinkRate
+		resp := p.Nodes[k].MeanResponse
+		for _, hop := range cfg.Segments[k].Route {
+			resp += p.Nodes[hop].MeanResponse
+		}
+		p.Flows = append(p.Flows, FlowPrediction{Node: n.Name, Rate: rate, MeanResponse: resp})
+		p.Throughput += rate
+		weighted += rate * resp
 	}
-	p.Flows = flows
-	if total > 0 {
-		p.MeanResponse = weighted / total
+	if p.Throughput > 0 {
+		p.MeanResponse = weighted / p.Throughput
 	}
 	return p, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/busnet/busnet/internal/analytic"
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // openTandemFor evaluates the exact open-tandem product form the chain
@@ -220,6 +221,49 @@ func TestTopologyValidate(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tt.want)
 			}
 		})
+	}
+}
+
+// Node.segment returns what its constructors refuse instead of lowering
+// an invalid spec to the simulator's defaults (Poisson sources,
+// exponential service, round-robin), and builds what they accept.
+func TestNodeSegmentReturnsConstructionErrors(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		mutate    func(*Node)
+		claimants int
+		want      string
+	}{
+		{"traffic", func(n *Node) { n.Traffic = Traffic{Kind: "pareto"} }, 2, "unknown traffic kind"},
+		{"service", func(n *Node) { n.Service = ErlangService(0) }, 2, "erlang shape"},
+		{"weights", func(n *Node) { n.Arbiter, n.Weights = WeightedRoundRobin.String(), "1,0" }, 2, "weights[1]"},
+		{"no claimants to weigh", func(n *Node) {
+			*n = Node{Name: "mem", ServiceRate: 1, Arbiter: WeightedRoundRobin.String()}
+		}, 0, "at least one weight"},
+		{"simulator rule", func(n *Node) { n.BufferCap = 0 }, 2, "BufferCap"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			n := Node{Name: "cpu", ServiceRate: 1, Processors: 2, ThinkRate: 0.1,
+				Mode: ModeBuffered, BufferCap: Infinite}
+			tt.mutate(&n)
+			var sc topo.SegmentConfig
+			if err := n.segment(tt.claimants, &sc); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("segment(%d) of %+v: err = %v, want %q", tt.claimants, n, err, tt.want)
+			}
+		})
+	}
+	n := Node{Name: "cpu", ServiceRate: 1, Processors: 2, ThinkRate: 0.1,
+		Mode: ModeBuffered, BufferCap: Infinite, Traffic: MMPP2Traffic(0.02, 0.3, 0.01, 0.05),
+		Service: ErlangService(4), Arbiter: WeightedRoundRobin.String()}
+	var sc topo.SegmentConfig
+	if err := n.segment(3, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Sources) != 2 || sc.Service == nil || sc.Arbiter == nil {
+		t.Errorf("valid specs lowered to sources %v, service %v, arbiter %v", sc.Sources, sc.Service, sc.Arbiter)
+	}
+	if sized, ok := sc.Arbiter.(interface{ Stations() int }); !ok || sized.Stations() != 3 {
+		t.Errorf("default weights not sized to the 3 claimants: %v", sc.Arbiter)
 	}
 }
 
