@@ -157,7 +157,7 @@ func (e *Engine) loop(horizon float64) (stopped bool) {
 		if i == 0 {
 			return false
 		}
-		e.now = e.w.ev[i].t
+		e.now = e.w.lastPop
 		e.processed++
 		if e.probe != nil {
 			e.probe.EventFired(e.now)

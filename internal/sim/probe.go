@@ -43,10 +43,16 @@ type EngineCounters struct {
 	// so the steady-state hit rate approaches 1.
 	PoolHits   uint64 `json:"pool_hits"`
 	PoolMisses uint64 `json:"pool_misses"`
-	// WheelOverflow counts pushes that landed beyond the timing wheel's
-	// window (parked in the sorted overflow heap); WheelRebases counts
-	// window slides, and WheelResizes the rebases that also changed
-	// the bucket count.
+	// WheelOverflow counts pushes that landed at or past the end of the
+	// timing wheel's window, which slides with its scan frontier: each
+	// waits in the sorted overflow heap until the window's end passes
+	// it. WheelRebases counts the window's rebuilds, each placing every
+	// pending event again: an empty window jumping to the overflow
+	// heap's head, a re-estimated width or bucket count moving past its
+	// hysteresis (checked once per frontier revolution, or early on a
+	// long bucket scan), and an overflow push finding the pending set
+	// grown past the bucket count. WheelResizes counts the rebuilds that
+	// changed the bucket count.
 	WheelOverflow uint64 `json:"wheel_overflow"`
 	WheelRebases  uint64 `json:"wheel_rebases"`
 	WheelResizes  uint64 `json:"wheel_resizes"`

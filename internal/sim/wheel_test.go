@@ -94,6 +94,28 @@ func (p *refPair) run(limit float64) {
 	}
 }
 
+// peek returns the earliest pending event without removing it, or 0
+// when the wheel is empty: the minimum of the first non-empty bucket at
+// or after the frontier, or the overflow head when the window is empty.
+// It moves nothing, so it views the wheel exactly as the next popLE
+// finds it, before that pop slides the window.
+func (w *wheel) peek() int32 {
+	if w.count == 0 {
+		if len(w.over) == 0 {
+			return 0
+		}
+		return w.over[0]
+	}
+	s := w.nextBucket() & (len(w.heads) - 1)
+	best := w.heads[s]
+	for i := w.ev[best].next; i != 0; i = w.ev[i].next {
+		if w.less(i, best) {
+			best = i
+		}
+	}
+	return best
+}
+
 // peek checks the wheel's minimum against the reference's head.
 func (p *refPair) peek() {
 	p.t.Helper()
@@ -120,27 +142,38 @@ func (p *refPair) drain() {
 
 // TestWheelMatchesHeapRandom runs long random operation sequences over
 // several time regimes — heavy ties, fractional spreads, far-future
-// outliers that force the overflow level, and exact-boundary values —
-// asserting the engine fires the exact (t, seq) order of the reference
-// queue.
+// outliers that force the overflow level, delays just past the window's
+// end, and exact-boundary values — asserting the engine fires the exact
+// (t, seq) order of the reference queue.
 func TestWheelMatchesHeapRandom(t *testing.T) {
 	regimes := []struct {
 		name  string
-		delay func(r *rand.Rand) float64
+		delay func(r *rand.Rand, w *wheel) float64
 	}{
-		{"quantized-ties", func(r *rand.Rand) float64 {
+		{"quantized-ties", func(r *rand.Rand, _ *wheel) float64 {
 			return float64(r.Intn(8))
 		}},
-		{"fractional", func(r *rand.Rand) float64 {
+		{"fractional", func(r *rand.Rand, _ *wheel) float64 {
 			return r.Float64() * 20
 		}},
-		{"far-future-mix", func(r *rand.Rand) float64 {
+		{"far-future-mix", func(r *rand.Rand, _ *wheel) float64 {
 			if r.Intn(10) == 0 {
 				return r.Float64() * 1e9
 			}
 			return r.Float64()
 		}},
-		{"extremes", func(r *rand.Rand) float64 {
+		// Half the delays land within an eighth of a window span past
+		// the window's end: each parks in the overflow level while the
+		// window holds events, and migrates as the frontier slides its
+		// end past it rather than when the window drains.
+		{"just-past-window", func(r *rand.Rand, w *wheel) float64 {
+			span := float64(len(w.heads)) * w.width
+			if r.Intn(2) == 0 {
+				return span * (1 + r.Float64()/8)
+			}
+			return span * r.Float64()
+		}},
+		{"extremes", func(r *rand.Rand, _ *wheel) float64 {
 			switch r.Intn(6) {
 			case 0:
 				return math.Inf(1)
@@ -161,7 +194,7 @@ func TestWheelMatchesHeapRandom(t *testing.T) {
 				for op := 0; op < 4000; op++ {
 					switch r.Intn(10) {
 					case 0, 1, 2, 3, 4:
-						p.schedule(reg.delay(r))
+						p.schedule(reg.delay(r, &p.e.w))
 					case 5, 6:
 						p.run(math.Inf(1))
 					case 7:
@@ -179,19 +212,20 @@ func TestWheelMatchesHeapRandom(t *testing.T) {
 }
 
 // TestWheelRebaseAfterDrain empties the window completely, then
-// schedules again — the path where the wheel must rebase onto the
-// overflow level and where an adversarial width (all gaps zero) must
-// not stall the peek.
+// schedules again — the path where the empty window must re-anchor onto
+// the overflow level's head and where an adversarial width (all gaps
+// zero) must not stall the pop.
 func TestWheelRebaseAfterDrain(t *testing.T) {
 	p := newRefPair(t)
-	// Same-time burst drives gapEWMA toward zero.
+	// A same-time burst: the revolution's mean inter-fire gap is zero.
 	for range 100 {
 		p.schedule(5)
 	}
 	for range 100 {
 		p.run(math.Inf(1))
 	}
-	// Far-future spread lands in overflow and must migrate on rebase.
+	// Far-future spread lands in overflow and must migrate when the
+	// window re-anchors.
 	for i := range 100 {
 		p.schedule(1e12 + float64(i%7))
 	}
@@ -199,8 +233,9 @@ func TestWheelRebaseAfterDrain(t *testing.T) {
 }
 
 // TestWheelInfiniteTimes pins the NaN-arithmetic corner: with only
-// +Inf events pending the window base is infinite, bucket indices are
-// NaN, and the wheel must still fire every event in seq order.
+// +Inf events pending the window re-anchors at an infinite origin,
+// bucket positions are NaN, and the wheel must still fire every event
+// in seq order.
 func TestWheelInfiniteTimes(t *testing.T) {
 	p := newRefPair(t)
 	for range 10 {
@@ -232,6 +267,43 @@ func (r *refEngine) Run() error {
 		fn := r.fns[ev.seq]
 		delete(r.fns, ev.seq)
 		fn()
+	}
+}
+
+// TestWheelGapScaleSwitch switches the delay scale between 1e-4 and
+// 1e2 every 3000 operations, with events of the old scale still
+// pending. The re-estimated width then moves by orders of magnitude,
+// so the window is rebuilt around events in its buckets, while within
+// a phase revolutions also end with the geometry kept; the engine must
+// fire the reference order throughout. Schedules and pops are equally
+// likely, so the pending set keeps emptying the frontier's bucket and
+// the frontier keeps moving.
+func TestWheelGapScaleSwitch(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	p := newRefPair(t)
+	w := &p.e.w
+	rebuilt := 0 // rebuilds that re-placed bucketed events
+	kept := 0    // revolutions that ended without a rebuild
+	for phase := range 8 {
+		scale := []float64{1e-4, 1e2}[phase%2]
+		for range 3000 {
+			bucketed, rebases, revEnd := w.count, w.nRebases, w.revEnd
+			if r.Intn(2) == 0 {
+				p.schedule(scale * r.ExpFloat64())
+			} else {
+				p.run(math.Inf(1))
+			}
+			if w.nRebases != rebases && bucketed > 0 {
+				rebuilt++
+			}
+			if w.nRebases == rebases && w.revEnd != revEnd {
+				kept++
+			}
+		}
+	}
+	p.drain()
+	if rebuilt == 0 || kept == 0 {
+		t.Fatalf("%d rebuilds found events in the buckets and %d revolutions ended without one; want both > 0", rebuilt, kept)
 	}
 }
 
@@ -283,13 +355,22 @@ func TestEngineWheelMatchesHeapTrajectory(t *testing.T) {
 // FuzzEngineMatchesReference feeds arbitrary byte strings as operation
 // scripts to the engine-versus-reference driver. Each byte pair is one
 // operation: the first selects schedule near / run / run until a limit
-// / peek or schedule far, the second supplies the operand (a delay or a
-// limit offset).
+// / peek, schedule far or schedule at +Inf, the second supplies the
+// operand (a delay or a limit offset).
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0x40, 0x00})
 	f.Add([]byte{0x01, 0xFF, 0x01, 0xFF, 0x40, 0x00, 0x40, 0x00})
 	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0x80, 0x02, 0xC0, 0x01})
 	f.Add([]byte{0xC1, 0xFF, 0x00, 0x03, 0xC1, 0x10, 0x40, 0x00, 0xC0, 0x00})
+	// The window drains while a far finite head waits in the overflow
+	// level: a run limited short of it fires nothing, then one without
+	// a limit re-anchors the window onto it, and a near schedule lands
+	// in the re-anchored window.
+	f.Add([]byte{0x00, 0x02, 0xC1, 0xFF, 0xC1, 0x40, 0x40, 0x00, 0x80, 0x10, 0xC0, 0x00,
+		0x40, 0x00, 0x00, 0x07, 0x40, 0x00, 0x40, 0x00, 0x40, 0x00})
+	// +Inf heads: a run limited short of them fires only the finite
+	// event; the drain then re-anchors onto each +Inf head in turn.
+	f.Add([]byte{0xC3, 0x00, 0x00, 0x04, 0xC3, 0x00, 0x80, 0x40, 0xC0, 0x00, 0x40, 0x00})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		p := newRefPair(t)
 		for i := 0; i+1 < len(script); i += 2 {
@@ -302,10 +383,13 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			case 2:
 				p.run(p.e.Now() + float64(arg)/8)
 			default:
-				if op&1 == 0 {
-					p.peek()
-				} else { // beyond the window: the overflow level
+				switch op & 3 {
+				case 1: // beyond the window: the overflow level
 					p.schedule(float64(arg) * 997)
+				case 3:
+					p.schedule(math.Inf(1))
+				default:
+					p.peek()
 				}
 			}
 		}
@@ -391,8 +475,8 @@ func TestHeapTieBreakByInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestHeapPeek checks that the overflow heap's root — what rebase reads
-// as the window's new base — is the (t, seq) minimum after every push
+// TestHeapPeek checks that the overflow heap's root — what an empty
+// window re-anchors onto — is the (t, seq) minimum after every push
 // and pop of a random sequence heavy with ties.
 func TestHeapPeek(t *testing.T) {
 	r := rand.New(rand.NewSource(1))

@@ -525,10 +525,13 @@ type Fabric struct {
 	links []link // the bridges, addressed through pointers elsewhere
 }
 
-// New builds a fabric on the given engine and RNG: Init on a zero
-// Fabric. Start must be called to schedule the initial think
-// completions.
+// New validates cfg and builds the fabric it describes on the given
+// engine and RNG: Init on a zero Fabric. Start must be called to
+// schedule the initial think completions.
 func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	f := new(Fabric)
 	if err := f.Init(cfg, eng, rng); err != nil {
 		return nil, err
@@ -546,12 +549,12 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 // supplies (Sources and its slice, Service, Arbiter, Route) serves this
 // run only: Init never writes into it, and no later Init reuses it. The
 // earlier fabric's run must be over, with its engine Reset or
-// discarded: a pending event would call into the new one. On error f
-// is unusable until the next successful Init.
+// discarded: a pending event would call into the new one. cfg must
+// have passed Validate: Init does not check it again, so a caller that
+// has just validated cfg, as each replication's lowering does, pays for
+// the check once. On error f is unusable until the next successful
+// Init.
 func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	segs := f.segs
 	if cap(segs) < len(cfg.Segments) {
 		// A segment's callbacks capture its address, so a grown array

@@ -207,9 +207,11 @@ func (r simRun) release() {
 // evaluation, flat or topology: fresh logical state — an engine at time
 // zero, the RNG substream (seed, stream), the fabric cfg describes — on
 // recycled memory, statistics reset at warmup, and a run to the
-// horizon. A non-nil rec is attached to the engine's and fabric's probe
-// seams; attachment never changes the trajectory or the counters. The
-// caller releases the returned run once it has read it.
+// horizon. cfg comes from Config.lowered or Topology.lowered, which
+// checked it, so Fabric.Init takes it without validating it again. A
+// non-nil rec is attached to the engine's and fabric's probe seams;
+// attachment never changes the trajectory or the counters. The caller
+// releases the returned run once it has read it.
 func simulate(cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
 	rep := replications.Get().(*replication)
 	// On error rep is dropped, not pooled: a failed Init or run leaves

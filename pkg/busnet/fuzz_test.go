@@ -5,13 +5,17 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // FuzzConfigValidate drives Config.Validate and the JSON round trip
 // with field-level inputs: Validate must never panic and must agree
 // with the one-node lift's Topology.Validate — a flat config and its
 // lift are checked by the same node rules — and any config it accepts
-// must survive marshal → unmarshal unchanged, still validate, and yield
+// must lower to a one-segment fabric that passes topo.Config.Validate
+// (Fabric.Init does not check it again), survive marshal → unmarshal
+// unchanged, still validate, and yield
 // analytic and fluid evaluations that either error cleanly or return
 // finite, nonnegative summaries with a response of at least one service
 // time. Huge population/capacity values are skipped rather than
@@ -117,6 +121,14 @@ func FuzzConfigValidate(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly; nothing more to hold
 		}
+		lower := cfg
+		fabric := topo.Config{Segments: make([]topo.SegmentConfig, 1), Quantiles: cfg.Quantiles}
+		if err := lower.lowered(&fabric.Segments[0]); err != nil {
+			t.Fatalf("accepted config does not lower: %v\n%+v", err, cfg)
+		}
+		if err := fabric.Validate(); err != nil {
+			t.Fatalf("accepted config lowers to a fabric topo refuses: %v\n%+v", err, cfg)
+		}
 		canon := cfg.Normalized()
 		blob, err := json.Marshal(canon)
 		if err != nil {
@@ -164,10 +176,11 @@ func FuzzConfigValidate(f *testing.F) {
 // over a cpu → mem fabric: both nodes' station fields (mem has no
 // processors unless the fuzzer gives it some), mem's arbitration and
 // the bridge depth. Validate must never panic, and any topology it
-// accepts must marshal, hash with CanonicalHash, validate again after a
-// JSON round trip that re-encodes to the same bytes, and simulate
-// without error over a unit horizon: what Validate accepts, the
-// lowering and the fabric run.
+// accepts must lower to a fabric that passes topo.Config.Validate
+// (Fabric.Init does not check it again), marshal, hash with
+// CanonicalHash, validate again after a JSON round trip that re-encodes
+// to the same bytes, and simulate without error over a unit horizon:
+// what Validate accepts, the lowering and the fabric run.
 // FuzzTopologyJSON cannot reach most of these inputs: JSON carries no
 // NaN, and the kind decoders reject unknown names before Validate runs.
 func FuzzTopologyValidate(f *testing.F) {
@@ -227,6 +240,14 @@ func FuzzTopologyValidate(f *testing.F) {
 		}
 		if err := top.Validate(); err != nil {
 			return // rejected cleanly; nothing more to hold
+		}
+		lower := top // normalizing in place gives lower its own nodes
+		fabric, err := lower.lowered()
+		if err != nil {
+			t.Fatalf("accepted topology does not lower: %v\n%+v", err, top)
+		}
+		if err := fabric.Validate(); err != nil {
+			t.Fatalf("accepted topology lowers to a fabric topo refuses: %v\n%+v", err, top)
 		}
 		blob, err := json.Marshal(top)
 		if err != nil {
