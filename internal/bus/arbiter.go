@@ -3,7 +3,71 @@ package bus
 import (
 	"fmt"
 	"math/bits"
+
+	"github.com/busnet/busnet/internal/enum"
 )
+
+// ArbiterKind names an arbitration policy: what a segment's config
+// carries, and what the fabric builds its Arbiter from. The zero value
+// is RoundRobin.
+type ArbiterKind int
+
+const (
+	// RoundRobin grants the bus cyclically starting after the last grantee.
+	RoundRobin ArbiterKind = iota
+	// FixedPriority always grants the lowest-index pending claimant.
+	FixedPriority
+	// WeightedRoundRobin cycles like RoundRobin but grants claimant i up
+	// to its integer weight consecutive transactions per visit, so
+	// saturated grant shares match the weight ratios. With all-ones
+	// weights (the default when none are given) it is grant-for-grant
+	// identical to RoundRobin.
+	WeightedRoundRobin
+)
+
+// ParseArbiter maps an arbiter name (as produced by ArbiterKind.String)
+// back to its kind. The empty string parses as RoundRobin.
+func ParseArbiter(s string) (ArbiterKind, error) {
+	switch s {
+	case "", "round-robin":
+		return RoundRobin, nil
+	case "fixed-priority":
+		return FixedPriority, nil
+	case "weighted-round-robin":
+		return WeightedRoundRobin, nil
+	default:
+		return 0, fmt.Errorf("bus: unknown arbiter %q", s)
+	}
+}
+
+// String implements fmt.Stringer.
+func (k ArbiterKind) String() string {
+	switch k {
+	case RoundRobin:
+		return "round-robin"
+	case FixedPriority:
+		return "fixed-priority"
+	case WeightedRoundRobin:
+		return "weighted-round-robin"
+	default:
+		return fmt.Sprintf("ArbiterKind(%d)", int(k))
+	}
+}
+
+// MarshalText renders the arbiter's canonical name — the same string
+// ParseArbiter accepts — and rejects out-of-range kinds at encode time.
+func (k ArbiterKind) MarshalText() ([]byte, error) {
+	if _, err := ParseArbiter(k.String()); err != nil {
+		return nil, err
+	}
+	return []byte(k.String()), nil
+}
+
+// UnmarshalText parses exactly the names ParseArbiter accepts,
+// including the empty-string RoundRobin default.
+func (k *ArbiterKind) UnmarshalText(text []byte) error {
+	return enum.UnmarshalText(k, text, ParseArbiter)
+}
 
 // Arbiter decides which claimant is granted the bus next. Pick is called
 // only when at least one claimant has a pending request. Implementations
@@ -167,10 +231,6 @@ func (a *WeightedRoundRobinArbiter) Name() string { return "weighted-round-robin
 
 // ScanSlots implements Arbiter.
 func (a *WeightedRoundRobinArbiter) ScanSlots() uint64 { return a.scanned }
-
-// Stations returns the number of claimants the weight vector covers;
-// topo's Config.Validate checks it against the segment's claimant count.
-func (a *WeightedRoundRobinArbiter) Stations() int { return len(a.weights) }
 
 // FixedPriorityArbiter always grants the lowest-index pending processor,
 // modeling a daisy-chained priority line: processor 0 can starve the rest

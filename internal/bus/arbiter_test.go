@@ -217,10 +217,11 @@ func TestWeightedRoundRobinWorkConserving(t *testing.T) {
 	}
 }
 
-// The satellite acceptance check: all-ones weights must be
-// grant-for-grant identical to the plain round-robin arbiter on
-// arbitrary pending patterns, so "weighted with default weights" and
-// "round-robin" are the same policy, not merely similar.
+// All-ones weights must be grant-for-grant identical to the plain
+// round-robin arbiter on arbitrary pending patterns, scan count
+// included, so "weighted with default weights" and "round-robin" are
+// the same policy, not merely similar: the fabric runs the first on the
+// second's arbiter.
 func TestWeightedAllOnesIdenticalToRoundRobin(t *testing.T) {
 	const n = 7
 	rr := NewRoundRobin()
@@ -242,6 +243,9 @@ func TestWeightedAllOnesIdenticalToRoundRobin(t *testing.T) {
 			t.Fatalf("step %d, pending %v: round-robin granted %d, weighted all-ones granted %d",
 				step, pending, g, w)
 		}
+	}
+	if g, w := rr.ScanSlots(), wrr.ScanSlots(); g != w {
+		t.Fatalf("round-robin scanned %d slots, weighted all-ones %d", g, w)
 	}
 }
 

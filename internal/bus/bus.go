@@ -1,5 +1,6 @@
 // Package bus holds the arbitration policies of a multiplexed bus —
-// round-robin, fixed priority, weighted round-robin — and the source
+// round-robin, fixed priority, weighted round-robin — with the kind
+// that names each in a configuration, and the source
 // paper's two station-interface regimes: unbuffered, where a station
 // blocks from the moment it issues a bus request until it has been
 // served, and buffered, where requests queue at the station's bus

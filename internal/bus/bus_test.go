@@ -78,26 +78,19 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// A weighted arbiter reports the claimant count its weights cover, and a
-// segment refuses one sized for a different count: it would index out
-// of bounds mid-run.
+// A segment refuses weights sized for a different claimant count: the
+// arbiter would index out of bounds mid-run.
 func TestWeightedRoundRobinStations(t *testing.T) {
-	wrr := func(ws ...int) *bus.WeightedRoundRobinArbiter {
-		a, err := bus.NewWeightedRoundRobin(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	if got := wrr(1, 2, 3).Stations(); got != 3 {
-		t.Fatalf("Stations() = %d, want 3", got)
-	}
 	cfg := topo.Config{Segments: []topo.SegmentConfig{{
 		Stations: 4, ThinkRate: 0.1, ServiceRate: 1,
-		Mode: bus.Unbuffered, Arbiter: wrr(1, 2),
+		Mode: bus.Unbuffered, Arbiter: bus.WeightedRoundRobin, Weights: []int{1, 2},
 	}}}
 	if cfg.Validate() == nil {
-		t.Fatal("2-station arbiter accepted for a 4-station segment")
+		t.Fatal("2 weights accepted for a 4-station segment")
+	}
+	cfg.Segments[0].Weights = []int{1, 2, 1, 1}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("4 weights refused for a 4-station segment: %v", err)
 	}
 }
 
@@ -507,15 +500,12 @@ func TestBufferedFiniteStallConservation(t *testing.T) {
 // makes every response at least one full service time, while the offered
 // load stays the rate's.
 func TestServiceDistributionShapesServiceTimes(t *testing.T) {
-	d, err := servdist.Spec{Kind: servdist.KindDeterministic}.NewDist(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := sim.NewEngine()
 	f, err := topo.New(topo.Config{
 		Segments: []topo.SegmentConfig{{
 			Stations: 4, ThinkRate: 0.1, ServiceRate: 1,
-			Mode: bus.Buffered, BufferCap: topo.Infinite, Service: d,
+			Mode: bus.Buffered, BufferCap: topo.Infinite,
+			Service: servdist.Spec{Kind: servdist.KindDeterministic},
 		}},
 		Quantiles: true,
 	}, eng, sim.NewRNG(31))

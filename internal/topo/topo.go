@@ -10,7 +10,7 @@
 // into the next segment's claimant queue.
 //
 // Stations alternate between thinking (local work, exponential with
-// rate ThinkRate unless Sources shape it) and issuing a bus
+// rate ThinkRate unless Traffic or Sources shape it) and issuing a bus
 // transaction. An unbuffered station blocks from the moment it issues
 // until its request leaves the fabric; a buffered station queues
 // requests at its interface (finite or unbounded capacity) and keeps
@@ -51,7 +51,10 @@ const Infinite = bus.Infinite
 
 // SegmentConfig describes one bus segment: an arbitration point with
 // Buses identical buses, local request-generating stations, and a route
-// its stations' requests follow through the fabric.
+// its stations' requests follow through the fabric. It is a plain
+// description. Fabric.Init builds the run state it names (sources,
+// service distribution, arbiter), so validating a segment constructs
+// nothing and costs the same at any station count.
 type SegmentConfig struct {
 	// Name identifies the segment in metrics; must be unique when set.
 	Name string
@@ -59,25 +62,30 @@ type SegmentConfig struct {
 	Buses int
 	// ServiceRate is μ, the per-bus service rate.
 	ServiceRate float64
-	// Service optionally shapes the service time, sampled once per
-	// dispatch. Nil keeps the paper's model: exponential at ServiceRate,
-	// one Exp draw per dispatch. Non-nil dists are expected to have mean
-	// 1/ServiceRate (servdist builds them that way).
-	Service servdist.Dist
+	// Service shapes the service time, sampled once per dispatch, with
+	// mean 1/ServiceRate in every family. The zero value is the paper's
+	// model: exponential, one Exp draw per dispatch.
+	Service servdist.Spec
 	// Arbiter picks the next claimant — local stations first (indices
 	// 0..Stations-1), then one claimant per inbound bridge in link
-	// order. Nil → round-robin. Sized arbiters must match that claimant
-	// count.
-	Arbiter bus.Arbiter
+	// order. The zero value is round-robin.
+	Arbiter bus.ArbiterKind
+	// Weights are the weighted-round-robin arbiter's weights, one ≥ 1
+	// per claimant; nil means all ones. Other arbiters ignore them.
+	Weights []int
 	// Stations is the number of local request-generating stations ≥ 0.
 	// Zero makes this a pure transit segment (a bridge hop).
 	Stations int
-	// ThinkRate is λ, each station's request rate while thinking.
+	// ThinkRate is λ, each station's request rate while thinking, for
+	// the traffic kinds that consume it; the others ignore it.
 	ThinkRate float64
-	// Sources optionally shapes each station's request generation, one
-	// per station, consulted every time the station re-enters the
-	// thinking state. Nil keeps the paper's model: Poisson think times
-	// at ThinkRate. When set, ThinkRate is not consulted.
+	// Traffic shapes every station's request generation, consulted each
+	// time a station re-enters the thinking state. The zero value is the
+	// paper's model: Poisson think times at ThinkRate.
+	Traffic workload.Spec
+	// Sources, when set, replaces Traffic with one given source per
+	// station: the seam for scripted or per-station shapes. ThinkRate
+	// and Traffic are then not consulted.
 	Sources []workload.Source
 	// Mode is the station-interface regime: bus.Unbuffered blocks the
 	// issuing station until its request exits the fabric (the multi-hop
@@ -103,32 +111,52 @@ func (c SegmentConfig) buses() int {
 }
 
 // Validate reports the first error in the segment's own fields — the
-// checks that hold whatever fabric surrounds it — or nil. Config.Validate
-// runs it on every segment before the graph-level checks. It allocates
-// nothing on success.
-func (c SegmentConfig) Validate() error {
+// checks that hold whatever fabric surrounds it — or nil. Each rule is
+// stated on the spec it governs: the service spec against ServiceRate,
+// the arbiter kind and its weights, and the traffic spec against
+// ThinkRate. Config.Validate runs it on every segment before the
+// graph-level checks, which add that weights cover every claimant. It
+// allocates nothing on success.
+func (c *SegmentConfig) Validate() error {
 	switch {
 	case c.Buses < 0:
 		return fmt.Errorf("Buses = %d, need ≥ 1 (or 0 for one)", c.Buses)
-	case !(c.ServiceRate > 0) || math.IsInf(c.ServiceRate, 1):
-		return fmt.Errorf("ServiceRate = %v, need finite and > 0", c.ServiceRate)
 	case c.Stations < 0:
 		return fmt.Errorf("Stations = %d, need ≥ 0", c.Stations)
 	case c.Stations == 0 && len(c.Route) != 0:
 		return fmt.Errorf("a route but no stations to originate it")
 	case c.Stations == 0 && c.Sources != nil:
 		return fmt.Errorf("sources but no stations")
+	case c.Arbiter < bus.RoundRobin || c.Arbiter > bus.WeightedRoundRobin:
+		return fmt.Errorf("unknown arbiter %d", int(c.Arbiter))
+	}
+	if err := c.Service.Validate(c.ServiceRate); err != nil {
+		return err
+	}
+	if c.Arbiter == bus.WeightedRoundRobin {
+		for i, w := range c.Weights {
+			if w < 1 {
+				return fmt.Errorf("Weights[%d] = %d, need ≥ 1", i, w)
+			}
+		}
+	}
+	switch {
 	case c.Stations == 0:
 		return nil
-	case c.Sources == nil && (!(c.ThinkRate > 0) || math.IsInf(c.ThinkRate, 1)):
-		// An infinite rate makes Exp draw 0 forever, freezing the clock.
-		return fmt.Errorf("ThinkRate = %v, need finite and > 0", c.ThinkRate)
 	case c.Sources != nil && len(c.Sources) != c.Stations:
 		return fmt.Errorf("%d sources for %d stations", len(c.Sources), c.Stations)
+	case c.Sources == nil && (math.IsNaN(c.ThinkRate) || c.ThinkRate < 0 || math.IsInf(c.ThinkRate, 1)):
+		// Kinds that ignore ThinkRate still carry it, so it must at least
+		// be finite and nonnegative; kinds that consume it need > 0, since
+		// an infinite rate would draw 0 forever and freeze the clock.
+		return fmt.Errorf("ThinkRate = %v, need finite and ≥ 0", c.ThinkRate)
 	case c.Mode != bus.Unbuffered && c.Mode != bus.Buffered:
 		return fmt.Errorf("unknown mode %d", int(c.Mode))
 	case c.Mode == bus.Buffered && c.BufferCap != Infinite && c.BufferCap < 1:
 		return fmt.Errorf("BufferCap = %d, need ≥ 1 or Infinite", c.BufferCap)
+	}
+	if c.Sources == nil {
+		return c.Traffic.Validate(c.ThinkRate)
 	}
 	for i, src := range c.Sources {
 		if src == nil {
@@ -184,9 +212,9 @@ func (c Config) link(from, to int) int {
 
 // onRoute reports whether some segment's route crosses from → to.
 func (c Config) onRoute(from, to int) bool {
-	for k, s := range c.Segments {
+	for k := range c.Segments {
 		prev := k
-		for _, hop := range s.Route {
+		for _, hop := range c.Segments[k].Route {
 			if prev == from && hop == to {
 				return true
 			}
@@ -198,8 +226,8 @@ func (c Config) onRoute(from, to int) bool {
 
 // routed reports whether some segment's route visits segment k.
 func (c Config) routed(k int) bool {
-	for _, s := range c.Segments {
-		for _, hop := range s.Route {
+	for i := range c.Segments {
+		for _, hop := range c.Segments[i].Route {
 			if hop == k {
 				return true
 			}
@@ -220,7 +248,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: no segments")
 	}
 	stations := 0
-	for k, s := range c.Segments {
+	for k := range c.Segments {
+		s := &c.Segments[k]
 		for prev := range k {
 			if s.Name != "" && c.Segments[prev].Name == s.Name {
 				return fmt.Errorf("topo: segments %d and %d share the name %q", prev, k, s.Name)
@@ -256,9 +285,9 @@ func (c Config) Validate() error {
 	if err := c.checkAcyclic(); err != nil {
 		return err
 	}
-	for k, s := range c.Segments {
+	for k := range c.Segments {
 		prev := k
-		for h, hop := range s.Route {
+		for h, hop := range c.Segments[k].Route {
 			if c.link(prev, hop) < 0 {
 				return fmt.Errorf("topo: segment %d route hop %d needs a link %d → %d", k, h, prev, hop)
 			}
@@ -270,19 +299,17 @@ func (c Config) Validate() error {
 			return fmt.Errorf("topo: link %d (%d → %d) is on no route", i, l.From, l.To)
 		}
 	}
-	for k, s := range c.Segments {
-		if s.Stations == 0 && !c.routed(k) {
+	for k := range c.Segments {
+		if c.Segments[k].Stations == 0 && !c.routed(k) {
 			return fmt.Errorf("topo: segment %d has no stations and is on no route", k)
 		}
 	}
-	// Sized arbiters (weighted round-robin) must cover every claimant:
-	// local stations plus inbound bridges.
-	for k, s := range c.Segments {
-		if sized, ok := s.Arbiter.(interface{ Stations() int }); ok {
-			if want := c.claimants(k); sized.Stations() != want {
-				return fmt.Errorf("topo: segment %d: arbiter %q sized for %d claimants, segment has %d (stations + inbound bridges)",
-					k, s.Arbiter.Name(), sized.Stations(), want)
-			}
+	// Weighted round-robin weights cover every claimant: local stations
+	// plus inbound bridges.
+	for k := range c.Segments {
+		s := &c.Segments[k]
+		if s.Arbiter == bus.WeightedRoundRobin && s.Weights != nil && len(s.Weights) != c.claimants(k) {
+			return fmt.Errorf("topo: segment %d: %d weights for %d claimants (stations + inbound bridges)", k, len(s.Weights), c.claimants(k))
 		}
 	}
 	return nil
@@ -436,14 +463,14 @@ type flowStats struct {
 }
 
 // segmentMem is the memory behind a segment's pointers that Fabric.Init
-// keeps from one fabric to the next: the route, the default Poisson
-// sources and round-robin arbiter, the flow's collectors, and the
+// keeps from one fabric to the next: the route, the per-station source
+// slice, the round-robin arbiter, the flow's collectors, and the
 // histograms. It lives apart from segment so that the fields the event
 // path reads keep the compact layout they had before fabrics were
 // recycled (docs/perf.md, "Replication recycling").
 type segmentMem struct {
 	route   path
-	poisson []workload.Source
+	sources []workload.Source
 	rr      bus.RoundRobinArbiter
 	flow    flowStats
 	hists   *segmentHists // nil until a fabric collects quantiles
@@ -470,9 +497,9 @@ type segment struct {
 	rng       *sim.RNG
 	nBuses    int
 	path      *path             // &mem.route, or nil for transit segments
-	sources   []workload.Source // Config's, or mem.poisson
+	sources   []workload.Source // Config's Sources, or mem.sources
 	service   servdist.Dist
-	arbiter   bus.Arbiter // Config's, or &mem.rr
+	arbiter   bus.Arbiter // &mem.rr, or built for this run
 	probe     Probe       // the fabric's, copied here for the hot path
 
 	// Claimant j < stations is local station j, whose queue holds issue
@@ -541,19 +568,23 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 
 // Init builds the fabric cfg describes into f, on the given engine and
 // RNG, exactly as New would: every statistic, counter and queue starts
-// empty, no probe is attached, and Start must be called next. It reuses
-// f's memory from any earlier fabric — segment and link arrays, claimant
-// queues, per-station and per-bus callbacks, histograms — wherever the
-// capacity suffices, whatever shape that fabric had, so a worker
-// running replication after replication stops allocating them. What cfg
-// supplies (Sources and its slice, Service, Arbiter, Route) serves this
-// run only: Init never writes into it, and no later Init reuses it. The
-// earlier fabric's run must be over, with its engine Reset or
-// discarded: a pending event would call into the new one. cfg must
-// have passed Validate: Init does not check it again, so a caller that
-// has just validated cfg, as each replication's lowering does, pays for
-// the check once. On error f is unusable until the next successful
-// Init.
+// empty, no probe is attached, and Start must be called next. It is the
+// one place a segment's specs become run state: each station's source
+// from Traffic (one shared source for Poisson, which is stateless, one
+// each for the other kinds), the service distribution from Service, and
+// the arbiter from Arbiter and Weights. It reuses f's memory from any
+// earlier fabric — segment and link arrays, claimant queues, the
+// source slice, the round-robin arbiter, per-station and per-bus
+// callbacks, histograms — wherever the capacity suffices, whatever
+// shape that fabric had, so a worker running replication after
+// replication stops allocating them. What cfg supplies (Sources and its
+// slice, Weights, Route) serves this run only: Init never writes into
+// it, and no later Init reuses it. The earlier fabric's run must be
+// over, with its engine Reset or discarded: a pending event would call
+// into the new one. cfg must have passed Validate: Init does not check
+// it again, so a caller that has just validated cfg, as each
+// replication's lowering does, pays for the check once. On error f is
+// unusable until the next successful Init.
 func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 	segs := f.segs
 	if cap(segs) < len(cfg.Segments) {
@@ -589,8 +620,7 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 			rng:       rng,
 			nBuses:    sc.buses(),
 			sources:   sc.Sources,
-			service:   sc.Service,
-			arbiter:   sc.Arbiter,
+			arbiter:   &m.rr,
 			stationQ:  reuse(prev.stationQ, sc.Stations),
 			bridgeQ:   prev.bridgeQ,
 			inbound:   prev.inbound[:0],
@@ -601,28 +631,36 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 			grants:    prev.grants,
 			mem:       m,
 		}
+		var err error
 		if s.sources == nil && sc.Stations > 0 {
 			// One stateless Poisson source serves every station with the
 			// same draw sequence as one instance each.
-			src, err := workload.Spec{}.NewSource(sc.ThinkRate)
-			if err != nil {
+			shared := sc.Traffic.Normalized().Kind == workload.KindPoisson
+			m.sources = reuse(m.sources, sc.Stations)
+			var src workload.Source
+			for i := range m.sources {
+				if i == 0 || !shared {
+					if src, err = sc.Traffic.NewSource(sc.ThinkRate); err != nil {
+						return err
+					}
+				}
+				m.sources[i] = src
+			}
+			s.sources = m.sources
+		}
+		if s.service, err = sc.Service.NewDist(sc.ServiceRate); err != nil {
+			return err
+		}
+		// Round-robin runs on the recycled arbiter, and so does weighted
+		// round-robin with its all-ones default: it grants, and counts
+		// scanned slots, exactly as round-robin does.
+		switch {
+		case sc.Arbiter == bus.FixedPriority:
+			s.arbiter = bus.NewFixedPriority()
+		case sc.Arbiter == bus.WeightedRoundRobin && sc.Weights != nil:
+			if s.arbiter, err = bus.NewWeightedRoundRobin(sc.Weights); err != nil {
 				return err
 			}
-			m.poisson = reuse(m.poisson, sc.Stations)
-			for i := range m.poisson {
-				m.poisson[i] = src
-			}
-			s.sources = m.poisson
-		}
-		if s.service == nil {
-			d, err := servdist.Spec{}.NewDist(sc.ServiceRate)
-			if err != nil {
-				return err
-			}
-			s.service = d
-		}
-		if s.arbiter == nil {
-			s.arbiter = &m.rr
 		}
 		if cfg.Quantiles {
 			if m.hists == nil {
@@ -659,7 +697,7 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 		s.qlen.Set(0, now)
 	}
 	// Wire claimant queues: local stations first, then inbound bridges
-	// in link order — the indexing sized arbiters are validated against.
+	// in link order — the indexing weight vectors are validated against.
 	for i, lc := range cfg.Links {
 		l := &f.links[i]
 		*l = link{cfg: lc, idx: i, from: &f.segs[lc.From], to: &f.segs[lc.To], waiters: l.waiters[:0]}

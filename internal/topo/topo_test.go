@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/busnet/busnet/internal/bus"
+	"github.com/busnet/busnet/internal/servdist"
 	"github.com/busnet/busnet/internal/sim"
+	"github.com/busnet/busnet/internal/workload"
 )
 
 // run builds and runs a fabric to the horizon, returning its metrics.
@@ -389,8 +391,17 @@ func TestConfigValidate(t *testing.T) {
 			Links: []LinkConfig{{From: 0, To: 1, Depth: 1}, {From: 1, To: 0, Depth: 1}},
 		}},
 		{"wrong-size arbiter", mutate(func(c *Config) {
-			w, _ := bus.NewWeightedRoundRobin([]int{1, 2})
-			c.Segments[0].Arbiter = w
+			c.Segments[0].Arbiter, c.Segments[0].Weights = bus.WeightedRoundRobin, []int{1, 2}
+		})},
+		{"zero weight", mutate(func(c *Config) {
+			c.Segments[0].Arbiter, c.Segments[0].Weights = bus.WeightedRoundRobin, []int{1, 0, 1, 1}
+		})},
+		{"unknown arbiter", mutate(func(c *Config) { c.Segments[1].Arbiter = 7 })},
+		{"bad service spec", mutate(func(c *Config) { c.Segments[1].Service = servdist.Spec{Kind: servdist.KindErlang} })},
+		{"bad traffic spec", mutate(func(c *Config) { c.Segments[0].Traffic = workload.Spec{Kind: workload.KindMMPP2} })},
+		{"NaN think rate, unconsumed", mutate(func(c *Config) {
+			c.Segments[0].ThinkRate = math.NaN()
+			c.Segments[0].Traffic = workload.Spec{Kind: workload.KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 10}
 		})},
 	}
 	for _, tt := range cases {
@@ -400,18 +411,16 @@ func TestConfigValidate(t *testing.T) {
 			}
 		})
 	}
-	// A correctly sized arbiter covers stations + inbound bridges.
+	// Correctly sized weights cover stations + inbound bridges.
 	sized := mutate(func(c *Config) {
-		w, _ := bus.NewWeightedRoundRobin([]int{3, 1, 1, 1, 2})
 		c.Segments[1].Stations = 1
 		c.Segments[1].ThinkRate = 0.05
 		c.Segments[1].Mode = bus.Buffered
 		c.Segments[1].BufferCap = Infinite
-		c.Segments[1].Arbiter = nil
-		_ = w
+		c.Segments[1].Arbiter, c.Segments[1].Weights = bus.WeightedRoundRobin, []int{3, 1}
 	})
 	if err := sized.Validate(); err != nil {
-		t.Errorf("station-bearing sink rejected: %v", err)
+		t.Errorf("station-bearing sink with sized weights rejected: %v", err)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"github.com/busnet/busnet/internal/analytic"
 	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/sim"
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // Histogram re-exports the fixed-memory streaming latency histogram so
@@ -143,14 +144,14 @@ const MaxSimProcessors = 10_000_000
 // is refused, since no exact closed form exists there. See
 // docs/service.md for the formula mapping.
 func predict(cfg Config) (Prediction, error) {
-	cfg.normalize()
-	if err := cfg.Validate(); err != nil {
+	var seg [1]topo.SegmentConfig
+	if err := cfg.lowered(&topo.Config{Segments: seg[:]}); err != nil {
 		return Prediction{}, err
 	}
 	if kind := cfg.Traffic.Kind; kind != TrafficPoisson {
 		return Prediction{}, fmt.Errorf("busnet: no closed-form model for %s traffic", kind)
 	}
-	mode, _ := parseMode(cfg.Mode)
+	mode := seg[0].Mode
 	multi := cfg.Buses > 1
 	if svc := cfg.Service; svc.Kind != ServiceExponential {
 		// Non-exponential service breaks the memorylessness every M/M form

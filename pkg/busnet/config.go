@@ -235,21 +235,6 @@ func (c Config) AtHorizon(h float64) Config {
 	return c
 }
 
-// ParseArbiter maps an arbiter name (as produced by ArbiterKind.String)
-// back to its kind. The empty string parses as RoundRobin.
-func ParseArbiter(s string) (ArbiterKind, error) {
-	switch s {
-	case "", "round-robin":
-		return RoundRobin, nil
-	case "fixed-priority":
-		return FixedPriority, nil
-	case "weighted-round-robin":
-		return WeightedRoundRobin, nil
-	default:
-		return 0, fmt.Errorf("busnet: unknown arbiter %q", s)
-	}
-}
-
 // ParseWeights parses a Config.Weights string — comma-separated integer
 // weights ≥ 1, e.g. "4,2,1,1" — into the weight vector. The empty
 // string parses as (nil, nil): use all-ones weights.
@@ -333,26 +318,22 @@ func (c Config) MeanThinkRate() float64 {
 	return c.Traffic.MeanRate(c.ThinkRate)
 }
 
-// Validate reports the first configuration error, or nil.
+// Validate reports the first configuration error, or nil. It
+// constructs nothing, so its cost does not depend on Processors.
 func (c Config) Validate() error {
-	var sc topo.SegmentConfig
-	return c.lowered(&sc)
+	var seg [1]topo.SegmentConfig
+	return c.lowered(&topo.Config{Segments: seg[:]})
 }
 
 // lowered is the one lowering of a flat config: it normalizes c in
-// place, checks it, and lowers its one node into sc, the run-ready
-// fabric segment. The run interval and the processor count come first.
-// The node is then lowered, which applies the simulator's own segment
-// rules (Node.segment), and checked by the rules it shares with every
-// Topology node (Node.validate). Lowering first keeps the simulator's
-// message for a bad ServiceRate, which the node's service spec would
-// otherwise report. Poisson traffic, exponential service and
-// round-robin lower to nil, so validating such a config allocates
-// nothing. The segment goes to the caller's slot rather than back by
-// value: Validate runs once per sweep point and optimizer candidate,
-// and copying the segment out through two frames made it 20–35%
-// slower.
-func (c *Config) lowered(sc *topo.SegmentConfig) error {
+// place, checks it, and lowers its one node into fc.Segments[0], the
+// run-ready fabric's only segment. The run interval and the processor
+// count come first; the node's strings are parsed by Node.lower, and
+// the rules on its specs are the fabric's own (topo.Config.Validate).
+// The fabric goes to the caller's slot rather than back by value:
+// Validate runs once per sweep point and optimizer candidate, and
+// copying the segment out through two frames made it 20–35% slower.
+func (c *Config) lowered(fc *topo.Config) error {
 	c.normalize()
 	if err := checkRun(c.Horizon, c.Warmup); err != nil {
 		return err
@@ -361,10 +342,10 @@ func (c *Config) lowered(sc *topo.SegmentConfig) error {
 		return fmt.Errorf("busnet: processors = %d, need ≥ 1", c.Processors)
 	}
 	n := c.node()
-	if err := n.segment(c.Processors, sc); err != nil {
+	if err := n.lower(&fc.Segments[0]); err != nil {
 		return err
 	}
-	return n.validate(c.Processors)
+	return fc.Validate()
 }
 
 // checkRun reports the first error in a run interval, Config's or

@@ -123,16 +123,10 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 // the config's lowered one-segment fabric (Config.lowered), and Results
 // are read off segment 0. Deterministic in (Config, Seed, Stream); every
 // field of Results covers the measured interval only, except
-// Diagnostics, which covers the whole run. The station bound is checked
-// before lowering, which builds per-station sources.
+// Diagnostics, which covers the whole run.
 func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
-	if cfg.Processors > MaxSimProcessors {
-		return Results{}, fmt.Errorf(
-			"busnet: %d processors exceeds the discrete-event backend's %d-station bound; use the fluid backend (Evaluate with %q) for large-N curves",
-			cfg.Processors, MaxSimProcessors, BackendFluid)
-	}
 	fabric := topo.Config{Segments: make([]topo.SegmentConfig, 1), Quantiles: cfg.Quantiles}
-	if err := cfg.lowered(&fabric.Segments[0]); err != nil {
+	if err := cfg.lowered(&fabric); err != nil {
 		return Results{}, err
 	}
 	run, err := simulate(fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
@@ -208,11 +202,21 @@ func (r simRun) release() {
 // zero, the RNG substream (seed, stream), the fabric cfg describes — on
 // recycled memory, statistics reset at warmup, and a run to the
 // horizon. cfg comes from Config.lowered or Topology.lowered, which
-// checked it, so Fabric.Init takes it without validating it again. A
+// checked it, so Fabric.Init takes it without validating it again; the
+// station bound, which only the simulator has, is checked here. A
 // non-nil rec is attached to the engine's and fabric's probe seams;
 // attachment never changes the trajectory or the counters. The caller
 // releases the returned run once it has read it.
 func simulate(cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
+	stations := 0
+	for _, s := range cfg.Segments {
+		stations += s.Stations
+	}
+	if stations > MaxSimProcessors {
+		return simRun{}, fmt.Errorf(
+			"busnet: %d processors exceed the discrete-event backend's %d-station bound; for large-N curves of a flat config, use the %q backend",
+			stations, MaxSimProcessors, BackendFluid)
+	}
 	rep := replications.Get().(*replication)
 	// On error rep is dropped, not pooled: a failed Init or run leaves
 	// it in no state worth reasoning about.

@@ -92,10 +92,13 @@ func TestEvaluateDeterministic(t *testing.T) {
 // run that builds its engine and fabric afresh took 69 allocations
 // (Quantiles off) and 75 (on); the flat engine before that, 88 and 94.
 //
-// The MMPP2 and weighted-round-robin cases pin the single lowering:
-// the run builds its 16 sources, or its parsed weights and arbiter,
-// once. Building them a second time to validate took 39 and 16. A
-// Poisson config's validation allocates nothing.
+// The shaped cases pin where run state is built: Fabric.Init builds
+// the 16 MMPP2 sources into a recycled slice, and the weighted arbiter
+// from the parsed weights, once per run; with default weights the run
+// recycles the round-robin arbiter, which grants identically. Building
+// them a second time to validate took 39 and 16; building them in the
+// lowering, with a fresh source slice and an all-ones weight vector,
+// 22 and 12, and 9 with default weights.
 func TestEvaluateReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, tt := range []struct {
@@ -105,11 +108,12 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 	}{
 		{"poisson", func(*Config) {}, 6},
 		{"poisson quantiles", func(c *Config) { c.Quantiles = true }, 10},
-		{"mmpp2", func(c *Config) { c.Traffic = RareBurstMMPP2(0.05, 8, 50, 0.1) }, 22},
+		{"mmpp2", func(c *Config) { c.Traffic = RareBurstMMPP2(0.05, 8, 50, 0.1) }, 21},
 		{"weighted round-robin", func(c *Config) {
 			c.Arbiter = WeightedRoundRobin.String()
 			c.Weights = "4,2" + strings.Repeat(",1", 14)
-		}, 12},
+		}, 10},
+		{"weighted round-robin, default weights", func(c *Config) { c.Arbiter = WeightedRoundRobin.String() }, 6},
 	} {
 		cfg := DefaultConfig()
 		cfg.Processors = 16
@@ -128,9 +132,56 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 			t.Errorf("%s: Evaluate allocates %v times per replication, limit %v", tt.name, got, tt.limit)
 		}
 	}
+	// Validating builds no run state, so it allocates nothing for any
+	// traffic, service or arbiter kind that needs no parsed weight
+	// vector. It took 17 allocations for MMPP2 at N = 16 when validating
+	// built one source per station.
+	for _, tt := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"poisson", func(*Config) {}},
+		{"mmpp2", func(c *Config) { c.Traffic = RareBurstMMPP2(0.05, 8, 50, 0.1) }},
+		{"onoff", func(c *Config) { c.Traffic = OnOffTraffic(0.5, 0.25, 100) }},
+		{"deterministic traffic", func(c *Config) { c.Traffic = DeterministicTraffic() }},
+		{"deterministic service", func(c *Config) { c.Service = DeterministicService() }},
+		{"erlang", func(c *Config) { c.Service = ErlangService(4) }},
+		{"hyperexp", func(c *Config) { c.Service = HyperexpService(4) }},
+		{"fixed-priority", func(c *Config) { c.Arbiter = FixedPriority.String() }},
+		{"weighted round-robin", func(c *Config) { c.Arbiter = WeightedRoundRobin.String() }},
+	} {
+		cfg := DefaultConfig()
+		cfg.Processors = 16
+		tt.mutate(&cfg)
+		var err error
+		got := testing.AllocsPerRun(20, func() { err = cfg.Validate() })
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if got != 0 {
+			t.Errorf("validating a %s config allocates %v times, want 0", tt.name, got)
+		}
+	}
+}
+
+// A model backend refuses what it cannot model at a cost independent of
+// N: validation builds no run state. Refusing MMPP2 traffic at
+// N = 10⁶ took about 1 000 000 allocations and 80 MB when validating
+// built one source per station.
+func TestModelBackendRefusalCostsNothingPerStation(t *testing.T) {
+	skipUnderRace(t)
 	cfg := DefaultConfig()
-	if got := testing.AllocsPerRun(20, func() { _ = cfg.Validate() }); got != 0 {
-		t.Errorf("validating a Poisson config allocates %v times, want 0", got)
+	cfg.Processors = 1_000_000
+	cfg.Traffic = RareBurstMMPP2(1e-7, 8, 50, 0.1)
+	for _, b := range []Backend{BackendAnalytic, BackendFluid} {
+		var err error
+		got := testing.AllocsPerRun(5, func() { _, err = Evaluate(cfg, b) })
+		if err == nil {
+			t.Fatalf("%s backend accepted MMPP2 traffic", b)
+		}
+		if limit := 8.0; got > limit {
+			t.Errorf("%s backend refuses MMPP2 at N = 10⁶ in %v allocations, limit %v", b, got, limit)
+		}
 	}
 }
 

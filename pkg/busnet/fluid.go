@@ -5,6 +5,7 @@ import (
 
 	"github.com/busnet/busnet/internal/enum"
 	"github.com/busnet/busnet/internal/fluid"
+	"github.com/busnet/busnet/internal/topo"
 )
 
 // Backend names one of the three ways the repo can evaluate an
@@ -81,8 +82,8 @@ type FluidPrediction = fluid.Prediction
 // finite occupancy state space, and its stable regime is already
 // covered exactly by the analytic backend's Erlang-C forms.
 func fluidPredict(cfg Config) (FluidPrediction, error) {
-	cfg.normalize()
-	if err := cfg.Validate(); err != nil {
+	var seg [1]topo.SegmentConfig
+	if err := cfg.lowered(&topo.Config{Segments: seg[:]}); err != nil {
 		return FluidPrediction{}, err
 	}
 	if kind := cfg.Traffic.Kind; kind != TrafficPoisson {
@@ -91,12 +92,11 @@ func fluidPredict(cfg Config) (FluidPrediction, error) {
 	if kind := cfg.Service.Kind; kind != ServiceExponential {
 		return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for %s service — the mean-field drain assumes exponential service", kind)
 	}
-	arb, _ := ParseArbiter(cfg.Arbiter)
-	switch arb {
+	switch seg[0].Arbiter {
 	case FixedPriority:
 		return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for the fixed-priority arbiter — the mean-field drain splits capacity symmetrically across stations")
 	case WeightedRoundRobin:
-		if ws, _ := ParseWeights(cfg.Weights); !uniformWeights(ws) {
+		if !uniformWeights(seg[0].Weights) {
 			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for non-uniform weighted-round-robin weights %q — the mean-field drain splits capacity symmetrically across stations", cfg.Weights)
 		}
 	}

@@ -15,13 +15,14 @@ import (
 // lift are checked by the same node rules — and any config it accepts
 // must lower to a one-segment fabric that passes topo.Config.Validate
 // (Fabric.Init does not check it again), survive marshal → unmarshal
-// unchanged, still validate, and yield
-// analytic and fluid evaluations that either error cleanly or return
-// finite, nonnegative summaries with a response of at least one service
-// time. Huge population/capacity values are skipped rather than
-// validated — they are legal configs whose closed forms and source
-// allocation are deliberately O(N·cap), which a fuzzer would turn into
-// an out-of-memory, not a finding.
+// unchanged, still validate, yield analytic and fluid evaluations that
+// either error cleanly or return finite, nonnegative summaries with a
+// response of at least one service time, and simulate without error
+// over a unit horizon: what Validate accepts, Fabric.Init builds. Huge
+// population/capacity values are skipped rather than validated — they
+// are legal configs whose closed forms and run state are deliberately
+// O(N·cap), which a fuzzer would turn into an out-of-memory, not a
+// finding.
 func FuzzConfigValidate(f *testing.F) {
 	seed := func(cfg Config) {
 		f.Add(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate,
@@ -110,20 +111,15 @@ func FuzzConfigValidate(f *testing.F) {
 			t.Skip("legal but deliberately O(N·cap) — not a robustness finding")
 		}
 		err := cfg.Validate()
-		// The lift differs only in the station bound, which
-		// Topology.Validate checks and the flat path leaves to the
-		// simulator.
-		if cfg.Processors <= MaxSimProcessors {
-			if lifted := cfg.Topology().Validate(); (err == nil) != (lifted == nil) {
-				t.Fatalf("Validate = %v, but its one-node lift's Validate = %v\n%+v", err, lifted, cfg)
-			}
+		if lifted := cfg.Topology().Validate(); (err == nil) != (lifted == nil) {
+			t.Fatalf("Validate = %v, but its one-node lift's Validate = %v\n%+v", err, lifted, cfg)
 		}
 		if err != nil {
 			return // rejected cleanly; nothing more to hold
 		}
 		lower := cfg
 		fabric := topo.Config{Segments: make([]topo.SegmentConfig, 1), Quantiles: cfg.Quantiles}
-		if err := lower.lowered(&fabric.Segments[0]); err != nil {
+		if err := lower.lowered(&fabric); err != nil {
 			t.Fatalf("accepted config does not lower: %v\n%+v", err, cfg)
 		}
 		if err := fabric.Validate(); err != nil {
@@ -169,7 +165,33 @@ func FuzzConfigValidate(f *testing.F) {
 					b, ev.MeanResponse, 1/canon.ServiceRate, canon)
 			}
 		}
+		if unitHorizonDraws(canon) > 1e6 {
+			return
+		}
+		canon.Horizon, canon.Warmup = 1, 0
+		if _, err := Evaluate(canon, BackendSim); err != nil {
+			t.Fatalf("accepted config does not simulate: %v\n%+v", err, canon)
+		}
 	})
+}
+
+// unitHorizonDraws estimates the variates a run of the valid config c
+// over a unit horizon draws: every station's first think time, plus
+// the arrivals its peak rate allows, each walking its source's hidden
+// state switches and drawing its Erlang stages. Above 1e6 a legal input
+// would run for seconds to hours, since a modulated source with a tiny
+// mean rate walks its switches until the next arrival however far
+// past the horizon it lies: not a robustness finding.
+func unitHorizonDraws(c Config) float64 {
+	peak, switches := c.ThinkRate, 0.0
+	switch tr := c.Traffic; tr.Kind {
+	case TrafficMMPP2:
+		peak, switches = max(tr.Rate0, tr.Rate1), tr.Switch01+tr.Switch10
+	case TrafficOnOff:
+		peak, switches = tr.BurstRate, 1/(tr.DutyCycle*tr.CycleTime)+1/((1-tr.DutyCycle)*tr.CycleTime)
+	}
+	perArrival := 1 + switches/c.MeanThinkRate() + float64(c.Service.Shape)
+	return float64(c.Processors) * max(1, peak) * perArrival
 }
 
 // FuzzTopologyValidate drives Topology.Validate with field-level inputs

@@ -1,56 +1,31 @@
 package busnet
 
-import (
-	"fmt"
+import "github.com/busnet/busnet/internal/bus"
 
-	"github.com/busnet/busnet/internal/bus"
-	"github.com/busnet/busnet/internal/enum"
-)
+// ArbiterKind names a bus arbitration policy. It is an int-backed enum
+// with String and JSON MarshalText/UnmarshalText: marshaling renders
+// the canonical name and rejects out-of-range kinds on both encode and
+// decode.
+type ArbiterKind = bus.ArbiterKind
 
-// ArbiterKind names a bus arbitration policy.
-type ArbiterKind int
-
+// Arbiter kinds, named in Config.Arbiter and Node.Arbiter by their
+// String form. The empty string normalizes to RoundRobin.
 const (
 	// RoundRobin grants the bus cyclically starting after the last grantee.
-	RoundRobin ArbiterKind = iota
+	RoundRobin = bus.RoundRobin
 	// FixedPriority always grants the lowest-index pending processor.
-	FixedPriority
+	FixedPriority = bus.FixedPriority
 	// WeightedRoundRobin cycles like RoundRobin but grants processor i up
 	// to its integer weight (Config.Weights) consecutive transactions per
 	// visit, so saturated grant shares match the weight ratios. With
 	// all-ones weights (the default when Config.Weights is empty) it is
 	// grant-for-grant identical to RoundRobin.
-	WeightedRoundRobin
+	WeightedRoundRobin = bus.WeightedRoundRobin
 )
 
-// String implements fmt.Stringer.
-func (k ArbiterKind) String() string {
-	switch k {
-	case RoundRobin:
-		return "round-robin"
-	case FixedPriority:
-		return "fixed-priority"
-	case WeightedRoundRobin:
-		return "weighted-round-robin"
-	default:
-		return fmt.Sprintf("ArbiterKind(%d)", int(k))
-	}
-}
-
-// MarshalText renders the arbiter's canonical name — the same string
-// ParseArbiter accepts — and rejects out-of-range kinds at encode time.
-func (k ArbiterKind) MarshalText() ([]byte, error) {
-	if _, err := ParseArbiter(k.String()); err != nil {
-		return nil, err
-	}
-	return []byte(k.String()), nil
-}
-
-// UnmarshalText parses exactly the names ParseArbiter accepts,
-// including the empty-string RoundRobin default.
-func (k *ArbiterKind) UnmarshalText(text []byte) error {
-	return enum.UnmarshalText(k, text, ParseArbiter)
-}
+// ParseArbiter maps an arbiter name (as produced by ArbiterKind.String)
+// back to its kind. The empty string parses as RoundRobin.
+func ParseArbiter(s string) (ArbiterKind, error) { return bus.ParseArbiter(s) }
 
 // Infinite marks an unbounded buffer in Config.BufferCap, Node.BufferCap
 // and Link.Buffer.

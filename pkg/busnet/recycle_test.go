@@ -15,7 +15,7 @@ import (
 
 // recycleFlats is a mix of flat configs that leave their memory in
 // different shapes: few and many stations, stalled interfaces, a second
-// bus, histograms, shaped service and traffic, a sized arbiter.
+// bus, histograms, shaped service and traffic, a weighted arbiter.
 func recycleFlats() []busnet.Config {
 	base := busnet.DefaultConfig().AtHorizon(3000)
 	base.Seed = 11

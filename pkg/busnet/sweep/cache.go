@@ -24,8 +24,8 @@ type Key struct {
 // simulator would evaluate, plus its seed and stream (Stream already
 // carrying any replication offset). A sweep hashes each point once and
 // builds its replications' keys from that hash; those keys equal KeyFor
-// of each job's config (see Jobs). It errors only when the config does
-// not marshal — unknown kind names, which Validate rejects on every
+// of each job's config. It errors only when the config does not
+// marshal — unknown kind names, which Validate rejects on every
 // execution path first.
 func KeyFor(cfg busnet.Config) (Key, error) {
 	k := Key{Seed: cfg.Seed, Stream: cfg.Stream}
@@ -48,20 +48,16 @@ func KeyFor(cfg busnet.Config) (Key, error) {
 //
 // A sweep stores the Results its job simulated by pointer and its
 // reductions read that entry in place, so an entry costs one pointer
-// beyond the Results the job allocated anyway. Results cross the
-// cache's edge only as copies: Get returns, and Put stores, a copy
-// whose Grants, BusUtilization, Diagnostics and quantile blocks are its
-// own, so no caller edit changes what a later sweep returns. The two
-// histograms are not copied: the entry and every copy share them, as
-// read-only snapshots.
+// beyond the Results the job allocated anyway. Results leave the
+// sweep only as copies (Spec.KeepRuns), so no caller edit changes what
+// a later sweep returns.
 //
 // Entries are never evicted: the intended lifetime is one process.
 // Hits and Misses expose the running effectiveness counts; Misses is
 // also the number of simulations actually executed through the cache,
 // which the optimizer reports as its DES-job spend.
 //
-// All methods are nil-safe no-ops (Get always misses, without counting)
-// so execution paths consult the cache unconditionally.
+// Hits and Misses read zero on a nil cache.
 type Cache struct {
 	mu     sync.RWMutex
 	m      map[Key]*busnet.Results
@@ -74,23 +70,9 @@ func NewCache() *Cache {
 	return &Cache{m: make(map[Key]*busnet.Results)}
 }
 
-// Get returns a copy of the cached Results for k, counting a hit or
-// miss. The copy is the caller's own except for its histograms, which
-// are shared read-only snapshots.
-func (c *Cache) Get(k Key) (busnet.Results, bool) {
-	res, ok := c.get(k)
-	if !ok {
-		return busnet.Results{}, false
-	}
-	return detach(res), true
-}
-
-// get is Get without the copy: the sweep's jobs read the entry in
-// place and never write through it.
+// get returns the cached Results for k, counting a hit or miss. The
+// sweep's jobs read the entry in place and never write through it.
 func (c *Cache) get(k Key) (*busnet.Results, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.RLock()
 	res, ok := c.m[k]
 	c.mu.RUnlock()
@@ -100,19 +82,6 @@ func (c *Cache) get(k Key) (*busnet.Results, bool) {
 		c.misses.Add(1)
 	}
 	return res, ok
-}
-
-// Put stores a copy of a finished job's Results under k, so later
-// edits to res do not reach the cache (its histograms stay shared, as
-// read-only snapshots). Callers warming a cache from an external source
-// (a persisted result store, a peer shard) may insert Results without
-// Diagnostics or histograms, and reductions honor their absence.
-func (c *Cache) Put(k Key, res busnet.Results) {
-	if c == nil {
-		return
-	}
-	own := detach(&res)
-	c.put(k, &own)
 }
 
 // put stores res itself: the sweep hands over the Results its job just
@@ -146,16 +115,6 @@ func clonePtr[T any](p *T) *T {
 	return &v
 }
 
-// Len returns the number of cached jobs.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
 // Hits returns the lifetime hit count.
 func (c *Cache) Hits() uint64 {
 	if c == nil {
@@ -165,7 +124,7 @@ func (c *Cache) Hits() uint64 {
 }
 
 // Misses returns the lifetime miss count — with every job routed
-// through Get, the number of simulations the cache could not absorb.
+// through the cache, the number of simulations it could not absorb.
 func (c *Cache) Misses() uint64 {
 	if c == nil {
 		return 0

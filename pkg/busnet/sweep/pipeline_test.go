@@ -24,9 +24,10 @@ func pipelineSpec(workers int) Spec {
 }
 
 // The cache's correctness contract: a warm sweep is byte-identical to a
-// cold one. Cold fills the cache (every job a miss), warm answers every
-// job from it (every job a hit, zero new simulations), and both runs
-// marshal to the same bytes as a cache-free sweep.
+// cold one. Cold fills the cache (every job a miss, stored under the key
+// KeyFor gives the job's config), warm answers every job from it (every
+// job a hit, zero new simulations), and both runs marshal to the same
+// bytes as a cache-free sweep.
 func TestCacheWarmSweepIsByteIdenticalToCold(t *testing.T) {
 	spec := pipelineSpec(3)
 	plain, err := Run(spec)
@@ -40,9 +41,21 @@ func TestCacheWarmSweepIsByteIdenticalToCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := uint64(3 * 3)
-	if cache.Misses() != jobs || cache.Hits() != 0 || cache.Len() != int(jobs) {
-		t.Fatalf("cold run: hits=%d misses=%d len=%d, want 0/%d/%d",
-			cache.Hits(), cache.Misses(), cache.Len(), jobs, jobs)
+	if cache.Misses() != jobs || cache.Hits() != 0 {
+		t.Fatalf("cold run: hits=%d misses=%d, want 0/%d", cache.Hits(), cache.Misses(), jobs)
+	}
+	// The sweep keys each job exactly as KeyFor keys the job's config.
+	points, err := spec.Grid.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, cfg := range points {
+		for rep := range spec.Replications {
+			cfg.Stream = points[p].Stream + uint64(rep)
+			if key, err := KeyFor(cfg); err != nil || cache.m[key] == nil {
+				t.Errorf("point %d replication %d: no entry under KeyFor's key (%v)", p, rep, err)
+			}
+		}
 	}
 	warm, err := Run(spec)
 	if err != nil {
@@ -204,85 +217,6 @@ func TestPredictBackendsReportProgress(t *testing.T) {
 	}
 }
 
-// Satellite fix: a point whose every replication came from an
-// externally-warmed cache entry without counters reduces to nil
-// Diagnostics — "no simulation ran" — instead of an all-zero block.
-func TestDiagnosticsNilWhenAllRunsLackCounters(t *testing.T) {
-	spec := pipelineSpec(1)
-	spec.Grid.Processors = []int{4}
-	spec.Replications = 2
-	cache := NewCache()
-	spec.Cache = cache
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Points[0].Diagnostics == nil {
-		t.Fatal("simulated point lost its diagnostics")
-	}
-	// Strip counters from the cached entries, as an external warm-up
-	// source (persisted store, peer shard) would deliver them.
-	jobs, err := Jobs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, job := range jobs {
-		key, err := KeyFor(job.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cached, ok := cache.Get(key)
-		if !ok {
-			t.Fatalf("job (%d,%d) missing from cache", job.Point, job.Rep)
-		}
-		cached.Diagnostics = nil
-		cache.Put(key, cached)
-	}
-	warm, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Points[0].Diagnostics != nil {
-		t.Error("Diagnostics non-nil though no replication carried counters")
-	}
-	// Everything except the counter block still reduces identically.
-	warmBlob, _ := json.Marshal(warm.Points[0].MeanResponse)
-	coldBlob, _ := json.Marshal(res.Points[0].MeanResponse)
-	if !bytes.Equal(warmBlob, coldBlob) {
-		t.Error("counter-free cache entries changed the statistics")
-	}
-}
-
-// Jobs exposes the plan stage: point-major order, streams offset by
-// replication, one job per point under model backends.
-func TestJobsPlanStream(t *testing.T) {
-	spec := pipelineSpec(1)
-	jobs, err := Jobs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 9 {
-		t.Fatalf("len(jobs) = %d, want 9", len(jobs))
-	}
-	base := testBase()
-	for i, job := range jobs {
-		if job.Point != i/3 || job.Rep != i%3 {
-			t.Errorf("job %d = (%d,%d), want point-major (%d,%d)", i, job.Point, job.Rep, i/3, i%3)
-		}
-		if job.Config.Stream != base.Stream+uint64(job.Rep) {
-			t.Errorf("job %d stream = %d, want base+rep", i, job.Config.Stream)
-		}
-	}
-	spec.Backend = busnet.BackendAnalytic
-	jobs, err = Jobs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 3 {
-		t.Errorf("analytic plan has %d jobs, want one per point", len(jobs))
-	}
-}
-
 // Explicit Spec.Points are validated at plan time with the same error
 // shape grid expansion uses.
 func TestExplicitPointsValidated(t *testing.T) {
@@ -325,6 +259,14 @@ func TestPlanRefusesPointsBeforeAnyJobRuns(t *testing.T) {
 	var tp Progress
 	_, err = RunTopology(TopologySpec{Points: []busnet.Topology{testTopology(t, 1), bad}, Replications: 3, Progress: &tp})
 	refused("topology", err, &tp)
+	huge := testTopology(t, 1)
+	huge.Nodes[0].Processors, huge.Nodes[0].ThinkRate = busnet.MaxSimProcessors+1, 1e-9
+	_, err = RunTopology(TopologySpec{Points: []busnet.Topology{testTopology(t, 1), huge}, Replications: 3, Progress: &tp})
+	refused("topology station bound", err, &tp)
+	// Again the bound is the simulator's: the product-form overlay takes it.
+	if _, err := RunTopology(TopologySpec{Points: []busnet.Topology{huge}, Backend: busnet.BackendAnalytic}); err != nil {
+		t.Errorf("analytic topology sweep refused a large-N point: %v", err)
+	}
 }
 
 // The executor's failure contract, white-box: a failing job stops
@@ -476,8 +418,7 @@ func TestColdCachedReplicationBytes(t *testing.T) {
 }
 
 // Results that leave the sweep are the caller's own: editing any copied
-// part of a kept run, of a Cache.Get result, or of a Results already
-// handed to Cache.Put changes nothing a later warm sweep returns. Only
+// part of a kept run changes nothing a later warm sweep returns. Only
 // the histograms stay shared, as read-only snapshots.
 func TestResultsLeavingTheSweepAreCallersOwn(t *testing.T) {
 	edits := []struct {
@@ -490,31 +431,6 @@ func TestResultsLeavingTheSweepAreCallersOwn(t *testing.T) {
 		{"wait_quantiles", func(r *busnet.Results) { r.WaitQuantiles.P99 += 1 }},
 		{"response_quantiles", func(r *busnet.Results) { r.ResponseQuantiles.P50 += 1 }},
 	}
-	sources := []struct {
-		name string
-		// take returns a Results that has left the sweep: run 0 of
-		// point 0, whose cache key is key.
-		take func(t *testing.T, cold *Result, cache *Cache, key Key) *busnet.Results
-	}{
-		{"keep_runs", func(_ *testing.T, cold *Result, _ *Cache, _ Key) *busnet.Results {
-			return &cold.Points[0].Runs[0]
-		}},
-		{"get", func(t *testing.T, _ *Result, cache *Cache, key Key) *busnet.Results {
-			res, ok := cache.Get(key)
-			if !ok {
-				t.Fatal("cold sweep left no cache entry for run 0")
-			}
-			return &res
-		}},
-		{"put", func(t *testing.T, _ *Result, cache *Cache, key Key) *busnet.Results {
-			res, ok := cache.Get(key)
-			if !ok {
-				t.Fatal("cold sweep left no cache entry for run 0")
-			}
-			cache.Put(key, res)
-			return &res
-		}},
-	}
 	base := testBase()
 	base.Quantiles = true
 	spec := Spec{
@@ -523,36 +439,26 @@ func TestResultsLeavingTheSweepAreCallersOwn(t *testing.T) {
 		Workers:      1,
 		KeepRuns:     true,
 	}
-	jobs, err := Jobs(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := KeyFor(jobs[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range sources {
-		for _, e := range edits {
-			t.Run(src.name+"/"+e.part, func(t *testing.T) {
-				s := spec
-				s.Cache = NewCache()
-				cold, err := Run(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := marshalIndent(t, cold)
-				e.edit(src.take(t, &cold, s.Cache, key))
-				warm, err := Run(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.Cache.Hits() == 0 {
-					t.Fatal("warm sweep missed the cache")
-				}
-				if got := marshalIndent(t, warm); !bytes.Equal(got, want) {
-					t.Errorf("editing %s of a %s result changed the warm sweep", e.part, src.name)
-				}
-			})
-		}
+	for _, e := range edits {
+		t.Run("keep_runs/"+e.part, func(t *testing.T) {
+			s := spec
+			s.Cache = NewCache()
+			cold, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := marshalIndent(t, cold)
+			e.edit(&cold.Points[0].Runs[0])
+			warm, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Cache.Hits() == 0 {
+				t.Fatal("warm sweep missed the cache")
+			}
+			if got := marshalIndent(t, warm); !bytes.Equal(got, want) {
+				t.Errorf("editing %s of a kept run changed the warm sweep", e.part)
+			}
+		})
 	}
 }

@@ -6,44 +6,6 @@ import (
 	"github.com/busnet/busnet/pkg/busnet"
 )
 
-// Job is one work unit of the execute stage: the (config, seed, stream)
-// triple identifying replication Rep of point Point. Config is the
-// point's config with Stream already offset by Rep — the exact value the
-// simulator evaluates — so a Job is self-contained: hash it, ship it to
-// another worker or process, or look it up in a Cache, and the result is
-// bit-identical wherever it runs.
-type Job struct {
-	Point  int
-	Rep    int
-	Config busnet.Config
-}
-
-// Jobs expands the spec into its full work-unit stream in execution
-// order (point-major, replications inner) — the plan stage exposed for
-// callers that want to inspect or shard the workload without running
-// it. The sweep's determinism contract lives here: the job list is a
-// pure function of the spec, independent of workers, cache state, or
-// scheduling.
-func Jobs(spec Spec) ([]Job, error) {
-	points, reps, backend, err := plan(spec)
-	if err != nil {
-		return nil, err
-	}
-	if backend != busnet.BackendSim {
-		// Model backends evaluate each point once, with no RNG at all.
-		reps = 1
-	}
-	jobs := make([]Job, 0, len(points)*reps)
-	for p, cfg := range points {
-		for r := 0; r < reps; r++ {
-			job := Job{Point: p, Rep: r, Config: cfg}
-			job.Config.Stream += uint64(r)
-			jobs = append(jobs, job)
-		}
-	}
-	return jobs, nil
-}
-
 // plan is the pipeline's first stage: resolve the backend, produce the
 // validated point list (explicit Points when present, else the Grid's
 // cartesian expansion), and fix the replication count — DefaultReplications
@@ -73,12 +35,9 @@ func plan(spec Spec) (points []busnet.Config, reps int, backend busnet.Backend, 
 	if backend != busnet.BackendSim {
 		return points, 0, backend, nil
 	}
-	// The simulator also bounds the population, which Validate does not:
-	// refuse an oversized point here, before any other point's jobs run.
 	for i, cfg := range points {
-		if cfg.Processors > busnet.MaxSimProcessors {
-			return nil, 0, "", fmt.Errorf("sweep: point %d invalid: %d processors exceeds the discrete-event backend's %d-station bound; use the %q backend",
-				i, cfg.Processors, busnet.MaxSimProcessors, busnet.BackendFluid)
+		if err := simBound(i, cfg.Processors); err != nil {
+			return nil, 0, "", err
 		}
 	}
 	reps = spec.Replications
@@ -86,4 +45,15 @@ func plan(spec Spec) (points []busnet.Config, reps int, backend busnet.Backend, 
 		reps = DefaultReplications
 	}
 	return points, reps, backend, nil
+}
+
+// simBound refuses point i of a simulated sweep when its processors
+// exceed the simulator's station bound, which Validate does not check:
+// planning refuses an oversized point before any other point's jobs run.
+func simBound(i, processors int) error {
+	if processors > busnet.MaxSimProcessors {
+		return fmt.Errorf("sweep: point %d invalid: %d processors exceed the discrete-event backend's %d-station bound",
+			i, processors, busnet.MaxSimProcessors)
+	}
+	return nil
 }

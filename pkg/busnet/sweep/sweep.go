@@ -7,8 +7,8 @@
 // not single operating points.
 //
 // Execution is a three-stage pipeline. Plan resolves the spec into a
-// deterministic stream of (config, seed, stream) work units (see Jobs);
-// execute fans them over the worker pool, streaming each completed
+// deterministic stream of (config, seed, stream) work units; execute
+// fans them over the worker pool, streaming each completed
 // point out the moment its last replication lands and consulting an
 // optional result Cache keyed on that same triple; reduce collapses
 // each point's replications into CI statistics. Run and RunTopology
@@ -54,9 +54,9 @@ type Spec struct {
 	Points []busnet.Config `json:"points,omitempty"`
 	// KeepRuns retains every replication's full Results in the point
 	// (large output; off by default). Each kept run is a copy the caller
-	// owns, as Cache.Get returns, except its WaitHistogram and
-	// ResponseHistogram: those are shared with the sweep's Cache and
-	// must be treated as read-only snapshots.
+	// owns, except its WaitHistogram and ResponseHistogram: those are
+	// shared with the sweep's Cache and must be treated as read-only
+	// snapshots.
 	KeepRuns bool `json:"keep_runs,omitempty"`
 	// Backend selects how points are evaluated. BackendSim (the default)
 	// simulates every (point, replication) job as always. BackendFluid
@@ -121,9 +121,8 @@ type PointResult struct {
 	Runs           []busnet.Results `json:"runs,omitempty"`
 	// Diagnostics is the engine/model counter block summed across the
 	// point's replications; deterministic for a fixed spec regardless of
-	// worker count. Nil when no simulation ran (predict-only backends,
-	// or every replication served from an externally-warmed cache entry
-	// that carried no counters).
+	// worker count. Nil only for the model backends, which simulate
+	// nothing.
 	Diagnostics *busnet.Diagnostics `json:"diagnostics,omitempty"`
 }
 
@@ -331,21 +330,10 @@ func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
 			pr.Grants[i] += g
 		}
 	}
-	// Diagnostics stays nil unless some replication actually carried
-	// counters — runs injected from an external cache warm-up may not —
-	// honoring the "nil when no simulation ran" contract instead of
-	// attaching an all-zero block.
-	var diag *busnet.Diagnostics
+	pr.Diagnostics = new(busnet.Diagnostics)
 	for _, r := range runs {
-		if r.Diagnostics == nil {
-			continue
-		}
-		if diag == nil {
-			diag = &busnet.Diagnostics{}
-		}
-		diag.Accumulate(*r.Diagnostics)
+		pr.Diagnostics.Accumulate(*r.Diagnostics)
 	}
-	pr.Diagnostics = diag
 	// Pool latency histograms only when the runs collected them
 	// (Config.Quantiles): the quantile fields stay nil otherwise, so the
 	// output says "not measured", not "all-zero latencies".

@@ -105,9 +105,10 @@ func RunTopologyStream(spec TopologySpec, deliver func(TopologyPointDelivery)) e
 }
 
 // planTopology resolves the backend and replication count and validates
-// the point list — non-empty, every point valid — the topology flavor of
-// plan. Every evaluator validates its point the same way, so an invalid
-// point is refused here before any other point's jobs run.
+// the point list — non-empty, every point valid, and on the simulator
+// within its station bound — the topology flavor of plan. Every
+// evaluator validates its point the same way, so an invalid point is
+// refused here before any other point's jobs run.
 func planTopology(spec TopologySpec) (busnet.Backend, int, error) {
 	backend, err := busnet.ParseBackend(string(spec.Backend))
 	if err != nil {
@@ -123,6 +124,15 @@ func planTopology(spec TopologySpec) (busnet.Backend, int, error) {
 	}
 	if backend != busnet.BackendSim {
 		return backend, 0, nil
+	}
+	for i, t := range spec.Points {
+		processors := 0
+		for _, n := range t.Nodes {
+			processors += n.Processors
+		}
+		if err := simBound(i, processors); err != nil {
+			return "", 0, err
+		}
 	}
 	reps := spec.Replications
 	if reps <= 0 {
@@ -232,19 +242,10 @@ func reduceTopology(t busnet.Topology, runs []busnet.TopologyEvaluation) Topolog
 			MeanResponse: hop(k, func(h busnet.HopResult) float64 { return h.MeanResponse }),
 		}
 	}
-	// Same lazy allocation as reduce: Diagnostics stays nil unless some
-	// replication actually carried counters.
-	var diag *busnet.Diagnostics
+	pr.Diagnostics = new(busnet.Diagnostics)
 	for _, r := range runs {
-		if r.Diagnostics == nil {
-			continue
-		}
-		if diag == nil {
-			diag = &busnet.Diagnostics{}
-		}
-		diag.Accumulate(*r.Diagnostics)
+		pr.Diagnostics.Accumulate(*r.Diagnostics)
 	}
-	pr.Diagnostics = diag
 	if ev, err := busnet.EvaluateTopology(t, busnet.BackendAnalytic); err == nil {
 		pr.Analytic = ev.Analytic
 	}

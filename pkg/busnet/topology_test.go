@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/busnet/busnet/internal/analytic"
+	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/topo"
 )
 
@@ -224,46 +225,48 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// Node.segment returns what its constructors refuse instead of lowering
-// an invalid spec to the simulator's defaults (Poisson sources,
-// exponential service, round-robin), and builds what they accept.
+// The lowering builds no run state, but it returns what the fabric's
+// spec rules refuse, so an invalid spec never reaches Fabric.Init, and
+// it lowers what they accept to the specs themselves.
 func TestNodeSegmentReturnsConstructionErrors(t *testing.T) {
 	for _, tt := range []struct {
-		name      string
-		mutate    func(*Node)
-		claimants int
-		want      string
+		name   string
+		mutate func(*Topology)
+		want   string
 	}{
-		{"traffic", func(n *Node) { n.Traffic = Traffic{Kind: "pareto"} }, 2, "unknown traffic kind"},
-		{"service", func(n *Node) { n.Service = ErlangService(0) }, 2, "erlang shape"},
-		{"weights", func(n *Node) { n.Arbiter, n.Weights = WeightedRoundRobin.String(), "1,0" }, 2, "weights[1]"},
-		{"no claimants to weigh", func(n *Node) {
-			*n = Node{Name: "mem", ServiceRate: 1, Arbiter: WeightedRoundRobin.String()}
-		}, 0, "at least one weight"},
-		{"simulator rule", func(n *Node) { n.BufferCap = 0 }, 2, "BufferCap"},
+		{"traffic", func(tp *Topology) { tp.Nodes[0].Traffic = Traffic{Kind: "pareto"} }, "unknown traffic kind"},
+		{"service", func(tp *Topology) { tp.Nodes[0].Service = ErlangService(0) }, "erlang shape"},
+		{"weights", func(tp *Topology) {
+			tp.Nodes[1].Arbiter, tp.Nodes[1].Weights = WeightedRoundRobin.String(), "1,0"
+		}, "weights[1]"},
+		{"no claimants to weigh", func(tp *Topology) {
+			tp.Nodes = append(tp.Nodes, Node{Name: "idle", ServiceRate: 1, Arbiter: WeightedRoundRobin.String()})
+		}, "no stations and is on no route"},
+		{"simulator rule", func(tp *Topology) { tp.Nodes[0].BufferCap = 0 }, "BufferCap"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			n := Node{Name: "cpu", ServiceRate: 1, Processors: 2, ThinkRate: 0.1,
-				Mode: ModeBuffered, BufferCap: Infinite}
-			tt.mutate(&n)
-			var sc topo.SegmentConfig
-			if err := n.segment(tt.claimants, &sc); err == nil || !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("segment(%d) of %+v: err = %v, want %q", tt.claimants, n, err, tt.want)
+			top := chainTopology(2, 0.1, 1, 1, 2)
+			tt.mutate(&top)
+			if _, err := top.lowered(); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("lowered() of %+v: err = %v, want %q", top, err, tt.want)
+			}
+			if err := top.Validate(); err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("Validate() of %+v: err = %v, want %q", top, err, tt.want)
 			}
 		})
 	}
 	n := Node{Name: "cpu", ServiceRate: 1, Processors: 2, ThinkRate: 0.1,
 		Mode: ModeBuffered, BufferCap: Infinite, Traffic: MMPP2Traffic(0.02, 0.3, 0.01, 0.05),
-		Service: ErlangService(4), Arbiter: WeightedRoundRobin.String()}
+		Service: ErlangService(4), Arbiter: WeightedRoundRobin.String(), Weights: "2,1"}
 	var sc topo.SegmentConfig
-	if err := n.segment(3, &sc); err != nil {
+	if err := n.lower(&sc); err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.Sources) != 2 || sc.Service == nil || sc.Arbiter == nil {
-		t.Errorf("valid specs lowered to sources %v, service %v, arbiter %v", sc.Sources, sc.Service, sc.Arbiter)
-	}
-	if sized, ok := sc.Arbiter.(interface{ Stations() int }); !ok || sized.Stations() != 3 {
-		t.Errorf("default weights not sized to the 3 claimants: %v", sc.Arbiter)
+	want := topo.SegmentConfig{Name: "cpu", ServiceRate: 1, Service: ErlangService(4),
+		Arbiter: WeightedRoundRobin, Weights: []int{2, 1}, Stations: 2, ThinkRate: 0.1,
+		Traffic: MMPP2Traffic(0.02, 0.3, 0.01, 0.05), Mode: bus.Buffered, BufferCap: Infinite}
+	if !reflect.DeepEqual(sc, want) {
+		t.Errorf("valid node lowered to\n%+v\nwant\n%+v", sc, want)
 	}
 }
 
@@ -378,5 +381,23 @@ func TestEvaluateTopologyZeroBackendIsSim(t *testing.T) {
 	}
 	if a.Backend != BackendSim || a.Results == nil {
 		t.Fatalf("zero backend resolved to %+v", a)
+	}
+}
+
+// The station bound is the simulator's alone, for topologies as for
+// flat configs: validation and the product-form overlay accept a
+// fabric above it, and only BackendSim refuses one, naming the bound.
+func TestTopologyStationBoundIsTheSimulators(t *testing.T) {
+	top := chainTopology(4, 0.05, 1, 1, 2)
+	top.Nodes[0].Processors, top.Nodes[0].ThinkRate = MaxSimProcessors+1, 1e-9
+	if err := top.Validate(); err != nil {
+		t.Fatalf("Validate refused a topology above the station bound: %v", err)
+	}
+	if _, err := EvaluateTopology(top, BackendAnalytic); err != nil {
+		t.Errorf("the product-form overlay refused a topology above the station bound: %v", err)
+	}
+	_, err := EvaluateTopology(top, BackendSim)
+	if err == nil || !strings.Contains(err.Error(), "station bound") {
+		t.Errorf("the simulator's refusal = %v, want the station bound", err)
 	}
 }
