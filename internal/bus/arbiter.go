@@ -79,8 +79,6 @@ type Arbiter interface {
 	// when bit j&63 of pending[j>>6] is set. Bits at or above n must be
 	// clear, and at least one bit must be set. Pick returns a set bit.
 	Pick(pending []uint64, n int) int
-	// Name identifies the policy in results and logs.
-	Name() string
 	// ScanSlots reports the claimant slots a one-by-one cyclic scan
 	// would have probed across every Pick so far. Pick computes it from
 	// each grant's distance rather than walking the slots, so the count
@@ -167,9 +165,6 @@ func (a *RoundRobinArbiter) Select(pending []bool) int {
 	panic("bus: Select called with no pending request")
 }
 
-// Name implements Arbiter.
-func (a *RoundRobinArbiter) Name() string { return "round-robin" }
-
 // ScanSlots implements Arbiter.
 func (a *RoundRobinArbiter) ScanSlots() uint64 { return a.scanned }
 
@@ -226,9 +221,6 @@ func (a *WeightedRoundRobinArbiter) Pick(pending []uint64, n int) int {
 	return i
 }
 
-// Name implements Arbiter.
-func (a *WeightedRoundRobinArbiter) Name() string { return "weighted-round-robin" }
-
 // ScanSlots implements Arbiter.
 func (a *WeightedRoundRobinArbiter) ScanSlots() uint64 { return a.scanned }
 
@@ -251,9 +243,6 @@ func (a *FixedPriorityArbiter) Pick(pending []uint64, _ int) int {
 	a.scanned += uint64(i + 1)
 	return i
 }
-
-// Name implements Arbiter.
-func (a *FixedPriorityArbiter) Name() string { return "fixed-priority" }
 
 // ScanSlots implements Arbiter.
 func (a *FixedPriorityArbiter) ScanSlots() uint64 { return a.scanned }

@@ -250,14 +250,21 @@ func TestWeightedAllOnesIdenticalToRoundRobin(t *testing.T) {
 }
 
 func TestArbiterPanicsWithNothingPending(t *testing.T) {
-	for _, a := range []Arbiter{NewRoundRobin(), NewFixedPriority(), mustWRR(t, 1, 1)} {
+	for _, tc := range []struct {
+		name string
+		a    Arbiter
+	}{
+		{"round-robin", NewRoundRobin()},
+		{"fixed-priority", NewFixedPriority()},
+		{"weighted-round-robin", mustWRR(t, 1, 1)},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Pick with no pending request did not panic", a.Name())
+					t.Errorf("%s: Pick with no pending request did not panic", tc.name)
 				}
 			}()
-			pick(a, []bool{false, false})
+			pick(tc.a, []bool{false, false})
 		}()
 	}
 }
@@ -348,12 +355,13 @@ func checkPicks(t *testing.T, n int, weights []int, script []byte) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		a   Arbiter
-		ref reference
+		name string
+		a    Arbiter
+		ref  reference
 	}{
-		{NewRoundRobin(), NewRoundRobin()},
-		{wrr, &refWeighted{weights: weights, current: -1}},
-		{NewFixedPriority(), &refFixed{}},
+		{"round-robin", NewRoundRobin(), NewRoundRobin()},
+		{"weighted-round-robin", wrr, &refWeighted{weights: weights, current: -1}},
+		{"fixed-priority", NewFixedPriority(), &refFixed{}},
 	} {
 		pending := make([]bool, n)
 		picks := 0
@@ -369,11 +377,11 @@ func checkPicks(t *testing.T, n int, weights []int, script []byte) {
 				picks++
 				if got != want {
 					t.Fatalf("%s, n = %d, pick %d: Pick granted %d, the slot-by-slot walk %d",
-						tc.a.Name(), n, picks, got, want)
+						tc.name, n, picks, got, want)
 				}
 				if got, want := tc.a.ScanSlots(), tc.ref.ScanSlots(); got != want {
 					t.Fatalf("%s, n = %d, pick %d: ScanSlots %d, the slot-by-slot walk probed %d",
-						tc.a.Name(), n, picks, got, want)
+						tc.name, n, picks, got, want)
 				}
 				if arg&1 != 0 {
 					pending[got] = false
@@ -461,13 +469,14 @@ func TestArbiterGrantBound(t *testing.T) {
 			total += weights[j]
 		}
 		for _, tc := range []struct {
+			name  string
 			a     Arbiter
 			bound func(j int) int
 		}{
-			{NewRoundRobin(), func(int) int { return n - 1 }},
-			{mustWRR(t, weights...), func(j int) int { return total - weights[j] }},
+			{"round-robin", NewRoundRobin(), func(int) int { return n - 1 }},
+			{"weighted-round-robin", mustWRR(t, weights...), func(j int) int { return total - weights[j] }},
 		} {
-			t.Run(fmt.Sprintf("%s/%d", tc.a.Name(), n), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, n), func(t *testing.T) {
 				pending := make([]bool, n)
 				for j := range pending {
 					pending[j] = true

@@ -394,7 +394,6 @@ func (s *burstSource) Next(*sim.RNG) float64 {
 	// a shared period would re-synchronize into a fresh burst every cycle.
 	return 50 + 7*float64(s.i)
 }
-func (s *burstSource) Name() string { return "test-burst" }
 
 // Warmup truncation must scrub the extrema, not just the means: drive a
 // synchronized 32-station burst (peak queue ≈ 31, waits ≈ 30 service

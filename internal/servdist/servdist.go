@@ -86,8 +86,6 @@ type Dist interface {
 	// SCV returns the squared coefficient of variation Var/Mean², the
 	// variability knob the Pollaczek–Khinchine formula consumes.
 	SCV() float64
-	// Name identifies the family in results and logs.
-	Name() string
 }
 
 // Spec is the serializable description of a service-time shape — the
@@ -226,7 +224,6 @@ type exponential struct{ rate float64 }
 func (d exponential) Sample(rng *sim.RNG) float64 { return rng.Exp(d.rate) }
 func (d exponential) Mean() float64               { return 1 / d.rate }
 func (d exponential) SCV() float64                { return 1 }
-func (d exponential) Name() string                { return string(KindExponential) }
 
 // deterministic takes exactly the mean every time and consumes no
 // randomness — the fixed-width bus transfer.
@@ -235,7 +232,6 @@ type deterministic struct{ d float64 }
 func (d deterministic) Sample(*sim.RNG) float64 { return d.d }
 func (d deterministic) Mean() float64           { return d.d }
 func (d deterministic) SCV() float64            { return 0 }
-func (d deterministic) Name() string            { return string(KindDeterministic) }
 
 // erlang sums k exponential stages of rate k·μ: mean 1/μ, SCV 1/k.
 // k draws per service.
@@ -253,7 +249,6 @@ func (d erlang) Sample(rng *sim.RNG) float64 {
 }
 func (d erlang) Mean() float64 { return float64(d.k) / d.stageRate }
 func (d erlang) SCV() float64  { return 1 / float64(d.k) }
-func (d erlang) Name() string  { return string(KindErlang) }
 
 // hyperexp mixes two exponential branches: one uniform draw picks the
 // branch, one Exp draw the duration.
@@ -272,4 +267,3 @@ func (d hyperexp) Sample(rng *sim.RNG) float64 {
 }
 func (d hyperexp) Mean() float64 { return d.mean }
 func (d hyperexp) SCV() float64  { return d.scv }
-func (d hyperexp) Name() string  { return string(KindHyperexp) }

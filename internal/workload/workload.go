@@ -92,8 +92,6 @@ func (k *Kind) UnmarshalText(text []byte) error { return enum.UnmarshalText(k, t
 type Source interface {
 	// Next returns the next inter-arrival (think) time, > 0 and finite.
 	Next(rng *sim.RNG) float64
-	// Name identifies the shape in results and logs.
-	Name() string
 }
 
 // Spec is the serializable description of a traffic shape — the value
@@ -181,6 +179,11 @@ func (s Spec) Validate(baseRate float64) error {
 		case !posFinite(s.Switch10):
 			return fmt.Errorf("workload: mmpp2 switch10 = %v, need finite and > 0", s.Switch10)
 		}
+		// 2·s01·s10/(s10·rate0 + s01·rate1), divided through by s01·s10
+		// so that no finite rates overflow it to NaN.
+		if err := checkSwitches(KindMMPP2, 2/(s.Rate0/s.Switch01+s.Rate1/s.Switch10)); err != nil {
+			return err
+		}
 		return zeroParams(KindMMPP2,
 			param{"burst_rate", s.BurstRate}, param{"duty_cycle", s.DutyCycle},
 			param{"cycle_time", s.CycleTime})
@@ -193,12 +196,38 @@ func (s Spec) Validate(baseRate float64) error {
 		case !posFinite(s.CycleTime):
 			return fmt.Errorf("workload: onoff cycle_time = %v, need finite and > 0", s.CycleTime)
 		}
+		// Two switches per cycle, burst_rate·duty_cycle arrivals per unit time.
+		if err := checkSwitches(KindOnOff, 2/(s.CycleTime*s.BurstRate*s.DutyCycle)); err != nil {
+			return err
+		}
 		return zeroParams(KindOnOff,
 			param{"rate0", s.Rate0}, param{"rate1", s.Rate1},
 			param{"switch01", s.Switch01}, param{"switch10", s.Switch10})
 	default:
 		return fmt.Errorf("workload: unknown traffic kind %q", s.Kind)
 	}
+}
+
+// maxSwitchesPerArrival bounds how often a modulated source's hidden
+// chain may switch per arrival, on average. Next walks every switch up
+// to the next arrival, however far past the horizon that lies, so a
+// chain that switches far more often than it arrives stalls the
+// simulator, for hours at an MMPP2 rate of 10⁻¹². On a 2-CPU Xeon VM a
+// switch costs 12–19 ns: one MMPP2 station at the bound took 19 ms on
+// average over 20 seeds to run a horizon of 1 (2.4 ms at 2·10⁵). The
+// repository's scenarios and tests switch at most about 4·10⁴ times
+// per arrival.
+const maxSwitchesPerArrival = 1e6
+
+// checkSwitches refuses a modulated spec of the given kind whose chain
+// switches ratio times per arrival on average, when ratio exceeds
+// maxSwitchesPerArrival or is NaN.
+func checkSwitches(kind Kind, ratio float64) error {
+	if !(ratio <= maxSwitchesPerArrival) {
+		return fmt.Errorf("workload: %s hidden chain switches %.3g times per arrival on average, need ≤ %g: its source walks every switch to the next arrival",
+			kind, ratio, maxSwitchesPerArrival)
+	}
+	return nil
 }
 
 // MeanRate returns the long-run request rate the spec generates given
@@ -253,7 +282,6 @@ func (s Spec) NewSource(baseRate float64) (Source, error) {
 		return &deterministic{interval: 1 / baseRate}, nil
 	case KindMMPP2:
 		return &modulated{
-			name:  string(KindMMPP2),
 			rate:  [2]float64{s.Rate0, s.Rate1},
 			leave: [2]float64{s.Switch01, s.Switch10},
 		}, nil
@@ -261,7 +289,6 @@ func (s Spec) NewSource(baseRate float64) (Source, error) {
 		meanOn := s.DutyCycle * s.CycleTime
 		meanOff := (1 - s.DutyCycle) * s.CycleTime
 		return &modulated{
-			name:  string(KindOnOff),
 			rate:  [2]float64{s.BurstRate, 0},
 			leave: [2]float64{1 / meanOn, 1 / meanOff},
 		}, nil
@@ -273,7 +300,6 @@ func (s Spec) NewSource(baseRate float64) (Source, error) {
 type poisson struct{ rate float64 }
 
 func (p *poisson) Next(rng *sim.RNG) float64 { return rng.Exp(p.rate) }
-func (p *poisson) Name() string              { return string(KindPoisson) }
 
 // deterministic emits a fixed interval after a random initial phase —
 // the equilibrium (stationary) version of the periodic renewal process.
@@ -296,7 +322,6 @@ func (d *deterministic) Next(rng *sim.RNG) float64 {
 	}
 	return d.interval
 }
-func (d *deterministic) Name() string { return string(KindDeterministic) }
 
 // modulated is the shared core of MMPP2 and OnOff: Poisson arrivals
 // whose rate is switched by a hidden 2-state Markov chain. rate[s] is
@@ -304,7 +329,6 @@ func (d *deterministic) Name() string { return string(KindDeterministic) }
 // rate of leaving it. The chain advances in think-time — only across the
 // intervals Next returns.
 type modulated struct {
-	name    string
 	rate    [2]float64
 	leave   [2]float64
 	state   int
@@ -336,5 +360,3 @@ func (m *modulated) Next(rng *sim.RNG) float64 {
 		m.state ^= 1
 	}
 }
-
-func (m *modulated) Name() string { return m.name }

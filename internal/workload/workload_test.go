@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/busnet/busnet/internal/sim"
@@ -47,6 +49,9 @@ func TestSpecValidate(t *testing.T) {
 		{"mmpp2", Spec{Kind: KindMMPP2, Rate0: 0.1, Rate1: 1, Switch01: 0.01, Switch10: 0.02}, 0.1},
 		{"mmpp2 silent state", Spec{Kind: KindMMPP2, Rate0: 0, Rate1: 1, Switch01: 0.01, Switch10: 0.02}, 0},
 		{"onoff", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.2, CycleTime: 50}, 0},
+		// 952 381 switches per arrival, just under the bound.
+		{"mmpp2 just under the switching bound", Spec{Kind: KindMMPP2, Rate0: 2.1e-6, Switch01: 1, Switch10: 1}, 0},
+		{"onoff just under the switching bound", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 4.2e-6}, 0},
 	}
 	for _, tt := range valid {
 		t.Run("valid/"+tt.name, func(t *testing.T) {
@@ -79,6 +84,12 @@ func TestSpecValidate(t *testing.T) {
 		{"onoff duty one", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 1, CycleTime: 10}, 0.1},
 		{"onoff zero cycle", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5}, 0.1},
 		{"onoff stray mmpp param", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 10, Switch01: 1}, 0.1},
+		// 1 052 632 switches per arrival, just over the bound; then ratios
+		// whose arithmetic underflows to +Inf.
+		{"mmpp2 just over the switching bound", Spec{Kind: KindMMPP2, Rate0: 1.9e-6, Switch01: 1, Switch10: 1}, 0},
+		{"onoff just over the switching bound", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 3.8e-6}, 0},
+		{"mmpp2 infinite switching ratio", Spec{Kind: KindMMPP2, Rate1: 1e-300, Switch01: 1, Switch10: 1e300}, 0},
+		{"onoff infinite switching ratio", Spec{Kind: KindOnOff, BurstRate: 1e-300, DutyCycle: 0.5, CycleTime: 1e-300}, 0},
 	}
 	for _, tt := range invalid {
 		t.Run("invalid/"+tt.name, func(t *testing.T) {
@@ -89,6 +100,18 @@ func TestSpecValidate(t *testing.T) {
 				t.Fatal("NewSource accepted an invalid spec")
 			}
 		})
+	}
+	err := Spec{Kind: KindMMPP2, Rate0: 1e-7, Switch01: 1, Switch10: 1}.Validate(0)
+	if want := "mmpp2 hidden chain switches 2e+07 times per arrival"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to name the ratio: %q", err, want)
+	}
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), 1.000001e6} {
+		if checkSwitches(KindOnOff, ratio) == nil {
+			t.Errorf("switching ratio %v accepted", ratio)
+		}
+	}
+	if err := checkSwitches(KindOnOff, 1e6); err != nil {
+		t.Errorf("switching ratio at the bound refused: %v", err)
 	}
 }
 
@@ -131,19 +154,23 @@ func TestDeterministicExactAndDrawFree(t *testing.T) {
 	}
 }
 
+// NewSource builds the source each kind names: its type and its
+// parameters, an ON/OFF spec being an MMPP2 whose state 1 is silent.
 func TestSourceNames(t *testing.T) {
 	for _, tt := range []struct {
 		spec Spec
 		base float64
-		want string
+		want Source
 	}{
-		{Spec{}, 1, string(KindPoisson)},
-		{Spec{Kind: KindDeterministic}, 1, string(KindDeterministic)},
-		{Spec{Kind: KindMMPP2, Rate0: 1, Rate1: 2, Switch01: 1, Switch10: 1}, 0, string(KindMMPP2)},
-		{Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 10}, 0, string(KindOnOff)},
+		{Spec{}, 1, &poisson{rate: 1}},
+		{Spec{Kind: KindDeterministic}, 4, &deterministic{interval: 0.25}},
+		{Spec{Kind: KindMMPP2, Rate0: 1, Rate1: 2, Switch01: 1, Switch10: 3}, 0,
+			&modulated{rate: [2]float64{1, 2}, leave: [2]float64{1, 3}}},
+		{Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 10}, 0,
+			&modulated{rate: [2]float64{1, 0}, leave: [2]float64{0.2, 0.2}}},
 	} {
-		if got := mustSource(t, tt.spec, tt.base).Name(); got != tt.want {
-			t.Errorf("Name() = %q, want %q", got, tt.want)
+		if got := mustSource(t, tt.spec, tt.base); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s: NewSource built %#v, want %#v", tt.spec.Normalized().Kind, got, tt.want)
 		}
 	}
 }

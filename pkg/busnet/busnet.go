@@ -122,20 +122,20 @@ type Prediction = analytic.Prediction
 // have no such bound.
 const MaxSimProcessors = 10_000_000
 
-// predict is the closed-form backend behind Evaluate: the exact
-// machine-repairman model in unbuffered mode, M/M/1 for infinite
-// buffers, and the M/M/1/K approximation for finite buffers; with
-// Buses > 1 the m-server generalizations — finite-source M/M/m//N,
-// Erlang-C M/M/m, and M/M/m/K respectively. It errors when the config
-// is invalid, when no steady state exists (infinite buffers with
-// offered load Nλ/(mμ) ≥ 1), or when the traffic shape is not Poisson —
-// the closed forms assume exponential think times, and attaching them
-// to bursty or deterministic runs would be a silently wrong overlay.
-// (Cross-checks for the other shapes are limiting cases: MMPP2 with
-// equal state rates is Poisson; see docs/traffic.md.) The blocking
-// and finite-buffer forms are the m-server ones at every m, m = 1
-// included: they read the wait off the waiting mass, so predictions
-// keep full relative precision down to vanishing load.
+// predict is the closed-form backend behind Evaluate, read off the
+// config's lowered segment sc: the exact machine-repairman model in
+// unbuffered mode, M/M/1 for infinite buffers, and the M/M/1/K
+// approximation for finite buffers; with Buses > 1 the m-server
+// generalizations — finite-source M/M/m//N, Erlang-C M/M/m, and M/M/m/K
+// respectively. It errors when no steady state exists (infinite buffers
+// with offered load Nλ/(mμ) ≥ 1), or when the traffic shape is not
+// Poisson — the closed forms assume exponential think times, and
+// attaching them to bursty or deterministic runs would be a silently
+// wrong overlay. (Cross-checks for the other shapes are limiting cases:
+// MMPP2 with equal state rates is Poisson; see docs/traffic.md.) The
+// blocking and finite-buffer forms are the m-server ones at every m,
+// m = 1 included: they read the wait off the waiting mass, so
+// predictions keep full relative precision down to vanishing load.
 //
 // Non-exponential service (Config.Service) dispatches to the M/G/1
 // Pollaczek–Khinchine form — exact M/D/1 for deterministic service and
@@ -143,17 +143,12 @@ const MaxSimProcessors = 10_000_000
 // in the single-bus buffered-infinite regime; every other combination
 // is refused, since no exact closed form exists there. See
 // docs/service.md for the formula mapping.
-func predict(cfg Config) (Prediction, error) {
-	var seg [1]topo.SegmentConfig
-	if err := cfg.lowered(&topo.Config{Segments: seg[:]}); err != nil {
-		return Prediction{}, err
-	}
-	if kind := cfg.Traffic.Kind; kind != TrafficPoisson {
+func predict(sc *topo.SegmentConfig) (Prediction, error) {
+	if kind := sc.Traffic.Kind; kind != TrafficPoisson {
 		return Prediction{}, fmt.Errorf("busnet: no closed-form model for %s traffic", kind)
 	}
-	mode := seg[0].Mode
-	multi := cfg.Buses > 1
-	if svc := cfg.Service; svc.Kind != ServiceExponential {
+	n, m, lambda, mu := sc.Stations, sc.Buses, sc.ThinkRate, sc.ServiceRate
+	if svc := sc.Service; svc.Kind != ServiceExponential {
 		// Non-exponential service breaks the memorylessness every M/M form
 		// above relies on. The one closed form available is M/G/1
 		// Pollaczek–Khinchine — exact for the single-bus buffered-infinite
@@ -162,24 +157,24 @@ func predict(cfg Config) (Prediction, error) {
 		// no exact closed form, and attaching an exponential-service model
 		// to a deterministic or heavy-tailed run would be a silently wrong
 		// overlay — refuse instead.
-		if mode != bus.Buffered || cfg.BufferCap != Infinite || multi {
+		if sc.Mode != bus.Buffered || sc.BufferCap != Infinite || m > 1 {
 			return Prediction{}, fmt.Errorf(
 				"busnet: no closed-form model for %s service outside the single-bus buffered-infinite (M/G/1) regime",
 				svc.Kind)
 		}
 		if svc.Kind == ServiceDeterministic {
-			return analytic.MD1BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate)
+			return analytic.MD1BufferedInfinite(n, lambda, mu)
 		}
-		return analytic.MG1BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate, svc.SquaredCV())
+		return analytic.MG1BufferedInfinite(n, lambda, mu, svc.SquaredCV())
 	}
-	if mode == bus.Unbuffered {
-		return analytic.MultiUnbuffered(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
+	if sc.Mode == bus.Unbuffered {
+		return analytic.MultiUnbuffered(n, m, lambda, mu)
 	}
-	if cfg.BufferCap != Infinite {
-		return analytic.MultiBufferedFinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
+	if sc.BufferCap != Infinite {
+		return analytic.MultiBufferedFinite(n, m, lambda, mu, sc.BufferCap)
 	}
-	if multi {
-		return analytic.MultiBufferedInfinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
+	if m > 1 {
+		return analytic.MultiBufferedInfinite(n, m, lambda, mu)
 	}
-	return analytic.BufferedInfinite(cfg.Processors, cfg.ThinkRate, cfg.ServiceRate)
+	return analytic.BufferedInfinite(n, lambda, mu)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -122,6 +123,29 @@ func TestDESEdgeBehaviour(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// A modulated source whose hidden chain switches far more often than it
+// arrives would stall the simulator, which walks every switch up to the
+// next arrival: Evaluate returns the refusal, naming the ratio, instead
+// of running. MMPP2Traffic(1e-7, 0, 1, 1) switches 2·10⁷ times per
+// arrival and OnOffTraffic(1e-7, 0.5, 1) 4·10⁷.
+func TestDESRefusesStallingModulatedSources(t *testing.T) {
+	for _, tc := range []struct {
+		traffic Traffic
+		want    string
+	}{
+		{MMPP2Traffic(1e-7, 0, 1, 1), "mmpp2 hidden chain switches 2e+07 times per arrival"},
+		{OnOffTraffic(1e-7, 0.5, 1), "onoff hidden chain switches 4e+07 times per arrival"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Processors = 1
+		cfg.Traffic = tc.traffic
+		cfg.Horizon, cfg.Warmup = 1, 0
+		if _, err := Evaluate(cfg, BackendSim); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal containing %q", tc.traffic.Kind, err, tc.want)
+		}
 	}
 }
 

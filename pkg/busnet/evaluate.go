@@ -61,20 +61,22 @@ type Evaluation struct {
 // arbiter, non-uniform weights, and infinite buffers. See docs/fluid.md
 // and docs/service.md.
 func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
-	b, err := ParseBackend(string(backend))
-	if err != nil {
-		return Evaluation{}, err
-	}
-	return evaluate(cfg, b, nil)
+	return EvaluateTraced(cfg, backend, nil)
 }
 
-// evaluate runs cfg on the resolved backend b. A non-nil rec, which
-// callers pass only with BackendSim, is attached to the simulation's
-// probe seams.
+// evaluate runs cfg on the resolved backend b. It lowers cfg once, into
+// a one-segment fabric on its own stack that every backend reads. A
+// non-nil rec, which callers pass only with BackendSim, is attached to
+// the simulation's probe seams.
 func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
+	var seg [1]topo.SegmentConfig
+	fabric := topo.Config{Segments: seg[:], Quantiles: cfg.Quantiles}
+	if err := cfg.lowered(&fabric); err != nil {
+		return Evaluation{}, err
+	}
 	switch b {
 	case BackendAnalytic:
-		p, err := predict(cfg)
+		p, err := predict(&seg[0])
 		if err != nil {
 			return Evaluation{}, err
 		}
@@ -88,7 +90,7 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 			Analytic:     &p,
 		}, nil
 	case BackendFluid:
-		p, err := fluidPredict(cfg)
+		p, err := fluidPredict(&seg[0], cfg.Weights)
 		if err != nil {
 			return Evaluation{}, err
 		}
@@ -102,7 +104,7 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 			Fluid:        &p,
 		}, nil
 	default:
-		res, err := runSim(cfg, rec)
+		res, err := runSim(cfg, fabric, rec)
 		if err != nil {
 			return Evaluation{}, err
 		}
@@ -120,15 +122,11 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 }
 
 // runSim is the discrete-event backend for a flat config: simulate runs
-// the config's lowered one-segment fabric (Config.lowered), and Results
-// are read off segment 0. Deterministic in (Config, Seed, Stream); every
-// field of Results covers the measured interval only, except
-// Diagnostics, which covers the whole run.
-func runSim(cfg Config, rec *obs.Recorder) (Results, error) {
-	fabric := topo.Config{Segments: make([]topo.SegmentConfig, 1), Quantiles: cfg.Quantiles}
-	if err := cfg.lowered(&fabric); err != nil {
-		return Results{}, err
-	}
+// fabric, the normalized config cfg's lowered one-segment fabric
+// (Config.lowered), and Results are read off segment 0. Deterministic in
+// (Config, Seed, Stream); every field of Results covers the measured
+// interval only, except Diagnostics, which covers the whole run.
+func runSim(cfg Config, fabric topo.Config, rec *obs.Recorder) (Results, error) {
 	run, err := simulate(fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
 	if err != nil {
 		return Results{}, err

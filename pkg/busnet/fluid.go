@@ -3,6 +3,7 @@ package busnet
 import (
 	"fmt"
 
+	"github.com/busnet/busnet/internal/bus"
 	"github.com/busnet/busnet/internal/enum"
 	"github.com/busnet/busnet/internal/fluid"
 	"github.com/busnet/busnet/internal/topo"
@@ -63,50 +64,47 @@ func ParseBackend(s string) (Backend, error) {
 type FluidPrediction = fluid.Prediction
 
 // fluidPredict is the mean-field backend behind Evaluate: the
-// (fluid-limit) steady-state prediction for cfg, where occupancy
-// fractions of the station population evolve by mass-balance ODEs whose
-// cost is O(1) in Processors, so curves at N = 10⁶ cost microseconds
-// where simulation would cost millions of events. The model is
-// asymptotically exact as N → ∞ with the per-station capacity m/N held
-// fixed — errors shrink like O(1/N) away from the critical load,
-// O(1/√N) at it; see docs/fluid.md for the derivation and a worked
-// fluid-vs-DES example.
+// (fluid-limit) steady-state prediction for the config lowered into sc,
+// where occupancy fractions of the station population evolve by
+// mass-balance ODEs whose cost is O(1) in Processors, so curves at
+// N = 10⁶ cost microseconds where simulation would cost millions of
+// events. The model is asymptotically exact as N → ∞ with the
+// per-station capacity m/N held fixed — errors shrink like O(1/N) away
+// from the critical load, O(1/√N) at it; see docs/fluid.md for the
+// derivation and a worked fluid-vs-DES example.
 //
-// Its domain is validated exactly like predict's: the mean-field
-// balance assumes Poisson arrivals and exponential service, and the
-// symmetric capacity-splitting drain term models an arbiter that treats
-// stations identically — so non-Poisson traffic, non-exponential
-// service, the fixed-priority arbiter, and weighted round-robin with
-// non-uniform weights are all refused rather than silently mismodeled.
-// Buffered mode requires a finite BufferCap: an infinite buffer has no
-// finite occupancy state space, and its stable regime is already
-// covered exactly by the analytic backend's Erlang-C forms.
-func fluidPredict(cfg Config) (FluidPrediction, error) {
-	var seg [1]topo.SegmentConfig
-	if err := cfg.lowered(&topo.Config{Segments: seg[:]}); err != nil {
-		return FluidPrediction{}, err
-	}
-	if kind := cfg.Traffic.Kind; kind != TrafficPoisson {
+// Its domain is checked like predict's: the mean-field balance assumes
+// Poisson arrivals and exponential service, and the symmetric
+// capacity-splitting drain term models an arbiter that treats stations
+// identically — so non-Poisson traffic, non-exponential service, the
+// fixed-priority arbiter, and weighted round-robin with non-uniform
+// weights (named in the refusal by the config's string, weights) are
+// all refused rather than silently mismodeled. Buffered mode requires a
+// finite BufferCap: an infinite buffer has no finite occupancy state
+// space, and its stable regime is already covered exactly by the
+// analytic backend's Erlang-C forms.
+func fluidPredict(sc *topo.SegmentConfig, weights string) (FluidPrediction, error) {
+	if kind := sc.Traffic.Kind; kind != TrafficPoisson {
 		return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for %s traffic — the mean-field balance assumes Poisson arrivals", kind)
 	}
-	if kind := cfg.Service.Kind; kind != ServiceExponential {
+	if kind := sc.Service.Kind; kind != ServiceExponential {
 		return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for %s service — the mean-field drain assumes exponential service", kind)
 	}
-	switch seg[0].Arbiter {
+	switch sc.Arbiter {
 	case FixedPriority:
 		return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for the fixed-priority arbiter — the mean-field drain splits capacity symmetrically across stations")
 	case WeightedRoundRobin:
-		if !uniformWeights(seg[0].Weights) {
-			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for non-uniform weighted-round-robin weights %q — the mean-field drain splits capacity symmetrically across stations", cfg.Weights)
+		if !uniformWeights(sc.Weights) {
+			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for non-uniform weighted-round-robin weights %q — the mean-field drain splits capacity symmetrically across stations", weights)
 		}
 	}
-	if cfg.Mode == ModeBuffered {
-		if cfg.BufferCap == Infinite {
+	if sc.Mode == bus.Buffered {
+		if sc.BufferCap == Infinite {
 			return FluidPrediction{}, fmt.Errorf("busnet: no fluid model for infinite buffers — the analytic backend's M/M/m (Erlang-C) form is exact there")
 		}
-		return fluid.BufferedFinite(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate, cfg.BufferCap)
+		return fluid.BufferedFinite(sc.Stations, sc.Buses, sc.ThinkRate, sc.ServiceRate, sc.BufferCap)
 	}
-	return fluid.Unbuffered(cfg.Processors, cfg.Buses, cfg.ThinkRate, cfg.ServiceRate)
+	return fluid.Unbuffered(sc.Stations, sc.Buses, sc.ThinkRate, sc.ServiceRate)
 }
 
 // uniformWeights reports whether a parsed weight vector is equivalent

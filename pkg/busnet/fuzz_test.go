@@ -179,9 +179,10 @@ func FuzzConfigValidate(f *testing.F) {
 // over a unit horizon draws: every station's first think time, plus
 // the arrivals its peak rate allows, each walking its source's hidden
 // state switches and drawing its Erlang stages. Above 1e6 a legal input
-// would run for seconds to hours, since a modulated source with a tiny
-// mean rate walks its switches until the next arrival however far
-// past the horizon it lies: not a robustness finding.
+// runs for seconds: too slow for a fuzz iteration, though not a fault.
+// The inputs that would run for hours, a modulated source whose chain
+// switches more than 10⁶ times per arrival and so walks its switches
+// far past the horizon, Validate refuses.
 func unitHorizonDraws(c Config) float64 {
 	peak, switches := c.ThinkRate, 0.0
 	switch tr := c.Traffic; tr.Kind {

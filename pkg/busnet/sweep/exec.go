@@ -1,24 +1,76 @@
 package sweep
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"github.com/busnet/busnet/pkg/busnet"
 )
 
-// pipeline is the execute stage, generic over the point and run types
-// so the flat and topology sweeps share one worker pool. It fans the
-// point-major job stream (plan order: point p's replications are jobs
-// p·reps … p·reps+reps−1) across a bounded pool, and delivers each
-// point's complete replication set the moment its last job lands —
-// there is no barrier between points, so downstream consumers (the
-// reduce stage, a streaming CLI, the optimizer) see results while the
-// pool is still busy.
+// executor runs a planned sweep of points P on the pipeline, for either
+// backend kind. A simulated sweep runs reps jobs per point, simulate
+// running replication rep of point pt, and reduces a point's
+// replications the moment its last one lands. A model-backend sweep
+// runs one job per point, and that job builds the point with model.
+// Either way every job runs on the pool of workers, a point with a
+// failed job is never delivered, and the error returned is the lowest
+// failed job's.
+type executor[P, R, D any] struct {
+	plan[P]
+	workers  int
+	progress *Progress
+	// label names a point in a failed job's error.
+	label    string
+	simulate func(point P, pt, rep int) (R, error)
+	reduce   func(point P, runs []R) D
+	model    func(backend busnet.Backend, point P) (D, error)
+}
+
+// run executes the sweep, handing each finished point to deliver: calls
+// are serialized, in completion order.
+func (e *executor[P, R, D]) run(deliver func(pt int, point D)) error {
+	if e.backend != busnet.BackendSim {
+		return (&pipeline[P, D]{
+			points:   e.points,
+			reps:     1,
+			workers:  e.workers,
+			progress: e.progress,
+			run:      func(point P, _, _ int) (D, error) { return e.model(e.backend, point) },
+			deliver:  func(pt int, point []D) { deliver(pt, point[0]) },
+			wrapErr: func(pt, _ int, err error) error {
+				return fmt.Errorf("sweep: %s backend, %s %d: %w", e.backend, e.label, pt, err)
+			},
+		}).execute()
+	}
+	return (&pipeline[P, R]{
+		points:   e.points,
+		reps:     e.reps,
+		workers:  e.workers,
+		progress: e.progress,
+		run:      e.simulate,
+		deliver:  func(pt int, runs []R) { deliver(pt, e.reduce(e.points[pt], runs)) },
+		wrapErr: func(pt, rep int, err error) error {
+			return fmt.Errorf("sweep: %s %d replication %d: %w", e.label, pt, rep, err)
+		},
+	}).execute()
+}
+
+// pipeline is the execute stage, generic over the point and job-result
+// types so that every sweep — flat or topology, simulated or model —
+// runs on one worker pool, wired by the executor. It fans the
+// point-major job stream (plan order: point p's jobs are
+// p·reps … p·reps+reps−1; a model sweep has one per point) across a
+// bounded pool, and delivers each point's complete job set the moment
+// its last job lands — there is no barrier between points, so
+// downstream consumers (the reduce stage, a streaming CLI, the
+// optimizer) see results while the pool is still busy.
 //
 // Determinism is preserved by construction: every job writes only its
-// own slot of the run buffer, so the replication set handed to deliver
-// is a pure function of the spec regardless of workers or completion
-// order. Only the ORDER of deliver calls is scheduling-dependent.
+// own slot of the run buffer, so the job set handed to deliver is a
+// pure function of the spec regardless of workers or completion order.
+// Only the ORDER of deliver calls is scheduling-dependent.
 type pipeline[P, R any] struct {
 	points   []P
 	reps     int

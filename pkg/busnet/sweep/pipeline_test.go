@@ -217,6 +217,97 @@ func TestPredictBackendsReportProgress(t *testing.T) {
 	}
 }
 
+// Model-backend sweeps run on the worker pool like simulated ones: Run
+// and RunTopology marshal to the same bytes at any worker count, and the
+// stream forms deliver every point exactly once.
+func TestModelSweepsIdenticalAcrossWorkers(t *testing.T) {
+	check := func(name string, n int, run func(workers int) (any, error), stream func(workers int, deliver func(int)) error) {
+		t.Helper()
+		var want []byte
+		for _, workers := range []int{1, 4} {
+			res, err := run(workers)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", name, workers, err)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s: output at %d workers differs from 1 worker", name, workers)
+			}
+			seen := make(map[int]int)
+			if err := stream(workers, func(i int) { seen[i]++ }); err != nil {
+				t.Fatalf("%s stream at %d workers: %v", name, workers, err)
+			}
+			for i := 0; i < n; i++ {
+				if seen[i] != 1 {
+					t.Errorf("%s at %d workers: point %d delivered %d times, want once", name, workers, i, seen[i])
+				}
+			}
+			if len(seen) != n {
+				t.Errorf("%s at %d workers: %d indices delivered, want %d", name, workers, len(seen), n)
+			}
+		}
+	}
+	grid := Grid{Base: testBase(), Processors: []int{4, 8, 16, 64, 256}, ThinkRates: []float64{0.05, 0.1}}
+	for _, backend := range []busnet.Backend{busnet.BackendAnalytic, busnet.BackendFluid} {
+		spec := func(workers int) Spec { return Spec{Grid: grid, Backend: backend, Workers: workers} }
+		check(string(backend), 10,
+			func(workers int) (any, error) { return Run(spec(workers)) },
+			func(workers int, deliver func(int)) error {
+				return RunStream(spec(workers), func(d PointDelivery) { deliver(d.Index) })
+			})
+	}
+	points := []busnet.Topology{testTopology(t, 1), testTopology(t, 2), testTopology(t, 4), testTopology(t, 8), testTopology(t, 16)}
+	tspec := func(workers int) TopologySpec {
+		return TopologySpec{Points: points, Backend: busnet.BackendAnalytic, Workers: workers}
+	}
+	check("topology analytic", len(points),
+		func(workers int) (any, error) { return RunTopology(tspec(workers)) },
+		func(workers int, deliver func(int)) error {
+			return RunTopologyStream(tspec(workers), func(d TopologyPointDelivery) { deliver(d.Index) })
+		})
+}
+
+// A model backend refusing a point fails the sweep with the lowest
+// refused point's error, but stops nothing: every other point is still
+// evaluated and delivered once, and Progress ends fully counted.
+func TestModelSweepRefusalDeliversTheRest(t *testing.T) {
+	points := make([]busnet.Config, 5)
+	for i := range points {
+		points[i] = testBase()
+		points[i].Processors = 4 * (i + 1)
+		if i == 1 || i == 3 {
+			points[i].Traffic = busnet.MMPP2Traffic(0.02, 0.3, 0.01, 0.05)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		var p Progress
+		delivered := make(map[int]int)
+		spec := Spec{Points: points, Backend: busnet.BackendFluid, Workers: workers, Progress: &p}
+		err := RunStream(spec, func(d PointDelivery) { delivered[d.Index]++ })
+		want := "sweep: fluid backend, point 1: busnet: no fluid model for mmpp2 traffic — the mean-field balance assumes Poisson arrivals"
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		for i := range points {
+			want := 1
+			if i == 1 || i == 3 {
+				want = 0
+			}
+			if delivered[i] != want {
+				t.Errorf("workers=%d: point %d delivered %d times, want %d", workers, i, delivered[i], want)
+			}
+		}
+		if s := p.Snapshot(); s.TotalJobs != 5 || s.DoneJobs != 5 || s.Active != 0 || !p.Done() {
+			t.Errorf("workers=%d: progress = %+v, want 5 of 5 jobs done and none active", workers, s)
+		}
+	}
+}
+
 // Explicit Spec.Points are validated at plan time with the same error
 // shape grid expansion uses.
 func TestExplicitPointsValidated(t *testing.T) {

@@ -6,54 +6,49 @@ import (
 	"github.com/busnet/busnet/pkg/busnet"
 )
 
-// plan is the pipeline's first stage: resolve the backend, produce the
-// validated point list (explicit Points when present, else the Grid's
-// cartesian expansion), and fix the replication count — DefaultReplications
-// for unset simulation sweeps, zero for model backends, which have no
-// sampling variability to replicate.
-func plan(spec Spec) (points []busnet.Config, reps int, backend busnet.Backend, err error) {
-	backend, err = busnet.ParseBackend(string(spec.Backend))
+// plan is a sweep resolved before any job runs: its backend, its
+// checked points, and its replication count — Spec's, DefaultReplications
+// for an unset simulated sweep, and zero for model backends, which have
+// no sampling variability to replicate.
+type plan[P any] struct {
+	backend busnet.Backend
+	points  []P
+	reps    int
+}
+
+// newPlan is the one planner behind Spec and TopologySpec. It resolves
+// the backend; runs each listed point's Validate in index order or,
+// when none is listed, takes unlisted's points, which arrive validated
+// (a Grid's); refuses, on the simulator, a point whose processors
+// exceed the station bound, which Validate does not check; and sets the
+// replication count. A refused spec runs no job.
+func newPlan[P interface{ Validate() error }](backend busnet.Backend, reps int, listed []P, unlisted func() ([]P, error), processors func(P) int) (plan[P], error) {
+	b, err := busnet.ParseBackend(string(backend))
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("sweep: %w", err)
+		return plan[P]{}, fmt.Errorf("sweep: %w", err)
 	}
-	if len(spec.Points) > 0 {
-		points = spec.Points
-		for i, cfg := range points {
-			if err := cfg.Validate(); err != nil {
-				return nil, 0, "", fmt.Errorf("sweep: point %d invalid: %w", i, err)
-			}
-		}
-	} else {
-		points, err = spec.Grid.Points()
-		if err != nil {
-			return nil, 0, "", err
-		}
-		if len(points) == 0 {
-			return nil, 0, "", fmt.Errorf("sweep: grid expanded to no points")
+	for i, p := range listed {
+		if err := p.Validate(); err != nil {
+			return plan[P]{}, fmt.Errorf("sweep: point %d invalid: %w", i, err)
 		}
 	}
-	if backend != busnet.BackendSim {
-		return points, 0, backend, nil
-	}
-	for i, cfg := range points {
-		if err := simBound(i, cfg.Processors); err != nil {
-			return nil, 0, "", err
+	points := listed
+	if len(points) == 0 {
+		if points, err = unlisted(); err != nil {
+			return plan[P]{}, err
 		}
 	}
-	reps = spec.Replications
+	if b != busnet.BackendSim {
+		return plan[P]{backend: b, points: points}, nil
+	}
+	for i, p := range points {
+		if n := processors(p); n > busnet.MaxSimProcessors {
+			return plan[P]{}, fmt.Errorf("sweep: point %d invalid: %d processors exceed the discrete-event backend's %d-station bound",
+				i, n, busnet.MaxSimProcessors)
+		}
+	}
 	if reps <= 0 {
 		reps = DefaultReplications
 	}
-	return points, reps, backend, nil
-}
-
-// simBound refuses point i of a simulated sweep when its processors
-// exceed the simulator's station bound, which Validate does not check:
-// planning refuses an oversized point before any other point's jobs run.
-func simBound(i, processors int) error {
-	if processors > busnet.MaxSimProcessors {
-		return fmt.Errorf("sweep: point %d invalid: %d processors exceed the discrete-event backend's %d-station bound",
-			i, processors, busnet.MaxSimProcessors)
-	}
-	return nil
+	return plan[P]{backend: b, points: points, reps: reps}, nil
 }

@@ -6,16 +6,18 @@
 // paper's methodology — whole curves cross-checked against analysis,
 // not single operating points.
 //
-// Execution is a three-stage pipeline. Plan resolves the spec into a
-// deterministic stream of (config, seed, stream) work units; execute
-// fans them over the worker pool, streaming each completed
-// point out the moment its last replication lands and consulting an
-// optional result Cache keyed on that same triple; reduce collapses
-// each point's replications into CI statistics. Run and RunTopology
-// are thin wrappers that collect the stream back into grid order —
-// their output is bit-identical to the historical batch-barrier
-// implementation — while RunStream/RunTopologyStream expose the
-// pipeline to consumers that want points as they land.
+// Execution is a three-stage pipeline with one planner and one executor
+// for Spec and TopologySpec alike. Plan resolves the spec — backend,
+// validated points, replication count — before any job runs; execute
+// fans the jobs over the worker pool and streams each point out the
+// moment its last job lands; reduce collapses a simulated point's
+// replications into CI statistics. A simulated sweep runs one job per
+// (point, replication), an (operating point, seed, stream) work unit
+// that consults an optional result Cache keyed on that triple; a model
+// sweep (analytic or fluid) runs one job per point, and that job builds
+// the point. Run and RunTopology collect the stream back into grid
+// order, while RunStream/RunTopologyStream hand points to consumers
+// that want them as they land.
 //
 // Results are deterministic: replication r of every point runs RNG
 // substream base.Stream + r of the spec's seed (common random numbers
@@ -25,11 +27,7 @@
 // warm and cold entries.
 package sweep
 
-import (
-	"fmt"
-
-	"github.com/busnet/busnet/pkg/busnet"
-)
+import "github.com/busnet/busnet/pkg/busnet"
 
 // DefaultReplications is used when Spec.Replications is unset; ten
 // replications give a t-based CI enough degrees of freedom to be
@@ -60,13 +58,16 @@ type Spec struct {
 	KeepRuns bool `json:"keep_runs,omitempty"`
 	// Backend selects how points are evaluated. BackendSim (the default)
 	// simulates every (point, replication) job as always. BackendFluid
-	// and BackendAnalytic run no simulation at all: each point is
-	// evaluated by busnet.Evaluate with that backend directly, its
-	// Stats carry the model's point estimates (CIUndefined, zero
-	// replications — there is no sampling variability to summarize), and
-	// a grid at N = 10⁶ reduces in milliseconds. A predictor refusing any
-	// point (outside its domain, or no steady state) fails the sweep —
-	// prefer an explicit error over a silently missing curve segment.
+	// and BackendAnalytic run no simulation at all: each point is one
+	// job on the worker pool, evaluated by busnet.Evaluate with that
+	// backend directly; its Stats carry the model's point estimates
+	// (CIUndefined, zero replications — there is no sampling variability
+	// to summarize), and a grid at N = 10⁶ reduces in milliseconds. A
+	// predictor refusing a point (outside its domain, or no steady
+	// state) fails the sweep with the lowest refused point's error —
+	// prefer an explicit error over a silently missing curve segment —
+	// though every other point is still evaluated, and RunStream
+	// delivers it.
 	Backend busnet.Backend `json:"backend,omitempty"`
 	// Progress, when non-nil, receives live job/point completion counts
 	// during Run — poll it from another goroutine for a reporter.
@@ -144,17 +145,14 @@ type PointDelivery struct {
 // (point, replication) job is its own simulation with an
 // independent RNG substream, and each job writes only its own slot —
 // so Run's output depends on the spec alone, never on scheduling. The
-// first failing job (in job order) aborts the sweep with its error.
+// first failing job (in job order) fails the sweep with its error.
 func Run(spec Spec) (Result, error) {
-	points, reps, backend, err := plan(spec)
+	e, err := spec.prepare()
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{Replications: reps, Points: make([]PointResult, len(points))}
-	err = stream(spec, backend, points, reps, func(d PointDelivery) {
-		out.Points[d.Index] = d.Point
-	})
-	if err != nil {
+	out := Result{Replications: e.reps, Points: make([]PointResult, len(e.points))}
+	if err := e.run(func(pt int, point PointResult) { out.Points[pt] = point }); err != nil {
 		return Result{}, err
 	}
 	return out, nil
@@ -166,99 +164,95 @@ func Run(spec Spec) (Result, error) {
 // under a parallel pool is generally NOT grid order; d.Index says which
 // point arrived. Each point's reduction is bit-identical to the one Run
 // would return — Run is RunStream plus reassembly into grid order. A
-// point with a failed replication is never delivered; after the pool
-// drains, the first failing job (in job order) is returned.
+// point with a failed job is never delivered; after the pool drains,
+// the first failing job (in job order) is returned.
 func RunStream(spec Spec, deliver func(PointDelivery)) error {
-	points, reps, backend, err := plan(spec)
+	e, err := spec.prepare()
 	if err != nil {
 		return err
 	}
-	return stream(spec, backend, points, reps, deliver)
+	return e.run(func(pt int, point PointResult) {
+		deliver(PointDelivery{Index: pt, Point: point})
+	})
 }
 
-// stream wires the pipeline for one planned sweep: model backends
-// evaluate point-by-point, the sim backend fans jobs through the
-// cache-aware pool and reduces each point as it completes.
+// prepare plans the spec — its explicit Points, or else its Grid's —
+// and wires the plan to the executor: a simulated point's jobs go
+// through the optional cache and reduce, a model point is built by
+// modelPoint.
 //
 // With a cache attached, each point's config is hashed once here rather
 // than once per job: a point's replications differ only in Stream, which
 // the config hash excludes, so every job key is that hash plus the job's
 // (Seed, Stream) — exactly what KeyFor derives for the job's config.
-func stream(spec Spec, backend busnet.Backend, points []busnet.Config, reps int, deliver func(PointDelivery)) error {
-	if backend != busnet.BackendSim {
-		return predictStream(backend, points, spec.Progress, deliver)
+func (spec Spec) prepare() (*executor[busnet.Config, *busnet.Results, PointResult], error) {
+	p, err := newPlan(spec.Backend, spec.Replications, spec.Points, spec.Grid.Points,
+		func(cfg busnet.Config) int { return cfg.Processors })
+	if err != nil {
+		return nil, err
 	}
-	hashes := make([]string, len(points))
-	if spec.Cache != nil {
-		for p, cfg := range points {
+	hashes := make([]string, len(p.points))
+	if spec.Cache != nil && p.backend == busnet.BackendSim {
+		for i, cfg := range p.points {
 			// A config that does not marshal keeps an empty hash and runs
 			// uncached; Validate rejects such configs at plan time anyway.
 			if k, err := KeyFor(cfg); err == nil {
-				hashes[p] = k.ConfigHash
+				hashes[i] = k.ConfigHash
 			}
 		}
 	}
-	pl := &pipeline[busnet.Config, *busnet.Results]{
-		points:   points,
-		reps:     reps,
+	return &executor[busnet.Config, *busnet.Results, PointResult]{
+		plan:     p,
 		workers:  spec.Workers,
 		progress: spec.Progress,
-		run: func(cfg busnet.Config, pt, rep int) (*busnet.Results, error) {
+		label:    "point",
+		simulate: func(cfg busnet.Config, pt, rep int) (*busnet.Results, error) {
 			return runJob(cfg, rep, spec.Cache, hashes[pt])
 		},
-		deliver: func(pt int, runs []*busnet.Results) {
-			deliver(PointDelivery{Index: pt, Point: reduce(points[pt], runs, spec.KeepRuns)})
+		reduce: func(cfg busnet.Config, runs []*busnet.Results) PointResult {
+			return reduce(cfg, runs, spec.KeepRuns)
 		},
-		wrapErr: func(pt, rep int, err error) error {
-			return fmt.Errorf("sweep: point %d replication %d: %w", pt, rep, err)
-		},
-	}
-	return pl.execute()
+		model: modelPoint,
+	}, nil
 }
 
-// predictStream evaluates every point with the fluid or analytic model
-// — no simulation, no replications. Stats carry the model's point
-// estimates in the single-replication encoding (Lo = Hi = Mean,
-// CIUndefined): a deterministic model has no sampling variability, and
-// downstream CSV/JSON already renders undefined intervals as empty
-// cells. Result.Replications is 0 so consumers can tell a model curve
-// from even a one-replication simulation. Progress counts one job per
-// point, so model-backend sweeps report like simulated ones.
-func predictStream(backend busnet.Backend, points []busnet.Config, progress *Progress, deliver func(PointDelivery)) error {
-	point := func(x float64) Stat { return Stat{Mean: x, Lo: x, Hi: x, CIUndefined: true} }
-	if progress != nil {
-		progress.begin(len(points), 1, 1)
+// modelPoint evaluates one point with the fluid or analytic model — no
+// simulation, no replications. Stats carry the model's point estimates
+// in the single-replication encoding (see estimate); Result.Replications
+// is 0 so consumers can tell a model curve from even a one-replication
+// simulation.
+func modelPoint(backend busnet.Backend, cfg busnet.Config) (PointResult, error) {
+	ev, err := busnet.Evaluate(cfg, backend)
+	if err != nil {
+		return PointResult{}, err
 	}
-	for p, cfg := range points {
-		progress.jobStart()
-		ev, err := busnet.Evaluate(cfg, backend)
-		if err != nil {
-			return fmt.Errorf("sweep: %s backend, point %d: %w", backend, p, err)
-		}
-		pr := PointResult{
-			Config:       cfg.Normalized(),
-			Utilization:  point(ev.Utilization),
-			Throughput:   point(ev.Throughput),
-			MeanWait:     point(ev.MeanWait),
-			MeanQueueLen: point(ev.MeanQueueLen),
-			MeanResponse: point(ev.MeanResponse),
-		}
-		switch backend {
-		case busnet.BackendFluid:
-			pr.Fluid = ev.Fluid
-			// The exact closed form rides along where it exists, so
-			// fluid-vs-exact gaps are visible in one artifact.
-			if aev, err := busnet.Evaluate(cfg, busnet.BackendAnalytic); err == nil {
-				pr.Analytic = aev.Analytic
-			}
-		case busnet.BackendAnalytic:
-			pr.Analytic = ev.Analytic
-		}
-		progress.jobDone(true)
-		deliver(PointDelivery{Index: p, Point: pr})
+	pr := PointResult{
+		Config:       cfg.Normalized(),
+		Utilization:  estimate(ev.Utilization),
+		Throughput:   estimate(ev.Throughput),
+		MeanWait:     estimate(ev.MeanWait),
+		MeanQueueLen: estimate(ev.MeanQueueLen),
+		MeanResponse: estimate(ev.MeanResponse),
 	}
-	return nil
+	switch backend {
+	case busnet.BackendFluid:
+		pr.Fluid = ev.Fluid
+		// The exact closed form rides along where it exists, so
+		// fluid-vs-exact gaps are visible in one artifact.
+		if aev, err := busnet.Evaluate(cfg, busnet.BackendAnalytic); err == nil {
+			pr.Analytic = aev.Analytic
+		}
+	case busnet.BackendAnalytic:
+		pr.Analytic = ev.Analytic
+	}
+	return pr, nil
 }
+
+// estimate encodes a model's point estimate x as a Stat the way a
+// single replication is encoded (Lo = Hi = Mean, CIUndefined): a
+// deterministic model has no sampling variability, and downstream
+// CSV/JSON already renders undefined intervals as empty cells.
+func estimate(x float64) Stat { return Stat{Mean: x, Lo: x, Hi: x, CIUndefined: true} }
 
 // runJob simulates replication rep of one grid point on RNG substream
 // base.Stream + rep: replication seeds are a function of the experiment

@@ -19,8 +19,9 @@ type TopologySpec struct {
 	Workers      int               `json:"-"`
 	// Backend selects evaluation: BackendSim (default) simulates every
 	// (point, replication) job; BackendAnalytic evaluates the Jackson
-	// product-form overlay per point with no simulation (zero
-	// replications, CIUndefined stats). BackendFluid has no topology
+	// product-form overlay as one job per point with no simulation (zero
+	// replications, CIUndefined stats), and a refused point fails the
+	// sweep as Spec.Backend describes. BackendFluid has no topology
 	// model and fails the sweep.
 	Backend busnet.Backend `json:"backend,omitempty"`
 	// Progress, when non-nil, receives live job/point completion counts
@@ -75,17 +76,14 @@ type TopologyPointDelivery struct {
 // reduce pipeline as Run and collects the streamed points back into
 // spec order: every (point, replication) job evaluates on its own
 // fabric and substream, workers write only their own slots, and the
-// first failing job (in job order) aborts the sweep.
+// first failing job (in job order) fails the sweep.
 func RunTopology(spec TopologySpec) (TopologyResult, error) {
-	backend, reps, err := planTopology(spec)
+	e, err := spec.prepare()
 	if err != nil {
 		return TopologyResult{}, err
 	}
-	out := TopologyResult{Replications: reps, Points: make([]TopologyPointResult, len(spec.Points))}
-	err = streamTopology(spec, backend, reps, func(d TopologyPointDelivery) {
-		out.Points[d.Index] = d.Point
-	})
-	if err != nil {
+	out := TopologyResult{Replications: e.reps, Points: make([]TopologyPointResult, len(e.points))}
+	if err := e.run(func(pt int, point TopologyPointResult) { out.Points[pt] = point }); err != nil {
 		return TopologyResult{}, err
 	}
 	return out, nil
@@ -97,111 +95,71 @@ func RunTopology(spec TopologySpec) (TopologyResult, error) {
 // order, failed points are never delivered, and each point's reduction
 // is bit-identical to RunTopology's.
 func RunTopologyStream(spec TopologySpec, deliver func(TopologyPointDelivery)) error {
-	backend, reps, err := planTopology(spec)
+	e, err := spec.prepare()
 	if err != nil {
 		return err
 	}
-	return streamTopology(spec, backend, reps, deliver)
+	return e.run(func(pt int, point TopologyPointResult) {
+		deliver(TopologyPointDelivery{Index: pt, Point: point})
+	})
 }
 
-// planTopology resolves the backend and replication count and validates
-// the point list — non-empty, every point valid, and on the simulator
-// within its station bound — the topology flavor of plan. Every
-// evaluator validates its point the same way, so an invalid point is
-// refused here before any other point's jobs run.
-func planTopology(spec TopologySpec) (busnet.Backend, int, error) {
-	backend, err := busnet.ParseBackend(string(spec.Backend))
+// prepare plans the spec — a topology sweep has no grid, so it needs
+// listed points — and wires the plan to the executor.
+func (spec TopologySpec) prepare() (*executor[busnet.Topology, busnet.TopologyEvaluation, TopologyPointResult], error) {
+	p, err := newPlan(spec.Backend, spec.Replications, spec.Points,
+		func() ([]busnet.Topology, error) { return nil, fmt.Errorf("sweep: topology sweep has no points") },
+		func(t busnet.Topology) int {
+			processors := 0
+			for _, n := range t.Nodes {
+				processors += n.Processors
+			}
+			return processors
+		})
 	if err != nil {
-		return "", 0, fmt.Errorf("sweep: %w", err)
+		return nil, err
 	}
-	if len(spec.Points) == 0 {
-		return "", 0, fmt.Errorf("sweep: topology sweep has no points")
-	}
-	for i, t := range spec.Points {
-		if err := t.Validate(); err != nil {
-			return "", 0, fmt.Errorf("sweep: point %d invalid: %w", i, err)
-		}
-	}
-	if backend != busnet.BackendSim {
-		return backend, 0, nil
-	}
-	for i, t := range spec.Points {
-		processors := 0
-		for _, n := range t.Nodes {
-			processors += n.Processors
-		}
-		if err := simBound(i, processors); err != nil {
-			return "", 0, err
-		}
-	}
-	reps := spec.Replications
-	if reps <= 0 {
-		reps = DefaultReplications
-	}
-	return backend, reps, nil
-}
-
-// streamTopology wires the pipeline for one planned topology sweep.
-func streamTopology(spec TopologySpec, backend busnet.Backend, reps int, deliver func(TopologyPointDelivery)) error {
-	if backend != busnet.BackendSim {
-		return predictTopologyStream(backend, spec.Points, spec.Progress, deliver)
-	}
-	pl := &pipeline[busnet.Topology, busnet.TopologyEvaluation]{
-		points:   spec.Points,
-		reps:     reps,
+	return &executor[busnet.Topology, busnet.TopologyEvaluation, TopologyPointResult]{
+		plan:     p,
 		workers:  spec.Workers,
 		progress: spec.Progress,
-		run: func(t busnet.Topology, _, rep int) (busnet.TopologyEvaluation, error) {
+		label:    "topology point",
+		simulate: func(t busnet.Topology, _, rep int) (busnet.TopologyEvaluation, error) {
 			t.Stream += uint64(rep)
 			return busnet.EvaluateTopology(t, busnet.BackendSim)
 		},
-		deliver: func(pt int, runs []busnet.TopologyEvaluation) {
-			deliver(TopologyPointDelivery{Index: pt, Point: reduceTopology(spec.Points[pt], runs)})
-		},
-		wrapErr: func(pt, rep int, err error) error {
-			return fmt.Errorf("sweep: topology point %d replication %d: %w", pt, rep, err)
-		},
-	}
-	return pl.execute()
+		reduce: reduceTopology,
+		model:  modelTopologyPoint,
+	}, nil
 }
 
-// predictTopologyStream evaluates every point with the product-form
-// overlay — no simulation, no replications, Stats in the
-// single-replication encoding (mirroring predictStream, including the
-// one-job-per-point Progress accounting).
-func predictTopologyStream(backend busnet.Backend, points []busnet.Topology, progress *Progress, deliver func(TopologyPointDelivery)) error {
-	point := func(x float64) Stat { return Stat{Mean: x, Lo: x, Hi: x, CIUndefined: true} }
-	if progress != nil {
-		progress.begin(len(points), 1, 1)
+// modelTopologyPoint evaluates one point with the product-form overlay
+// — no simulation, no replications, Stats in the single-replication
+// encoding, as modelPoint does for flat points.
+func modelTopologyPoint(backend busnet.Backend, t busnet.Topology) (TopologyPointResult, error) {
+	ev, err := busnet.EvaluateTopology(t, backend)
+	if err != nil {
+		return TopologyPointResult{}, err
 	}
-	for p, t := range points {
-		progress.jobStart()
-		ev, err := busnet.EvaluateTopology(t, backend)
-		if err != nil {
-			return fmt.Errorf("sweep: %s backend, topology point %d: %w", backend, p, err)
-		}
-		pr := TopologyPointResult{
-			Topology:   t.Normalized(),
-			Analytic:   ev.Analytic,
-			Throughput: point(ev.Throughput),
-			EndToEnd:   point(ev.MeanResponse),
-			Hops:       make([]HopStat, len(ev.Analytic.Nodes)),
-		}
-		for k, n := range ev.Analytic.Nodes {
-			pr.Hops[k] = HopStat{
-				Node:         n.Node,
-				Utilization:  point(n.Utilization),
-				Blocked:      point(0),
-				Throughput:   point(n.Throughput),
-				MeanQueueLen: point(n.MeanQueueLen),
-				MeanWait:     point(n.MeanWait),
-				MeanResponse: point(n.MeanResponse),
-			}
-		}
-		progress.jobDone(true)
-		deliver(TopologyPointDelivery{Index: p, Point: pr})
+	pr := TopologyPointResult{
+		Topology:   t.Normalized(),
+		Analytic:   ev.Analytic,
+		Throughput: estimate(ev.Throughput),
+		EndToEnd:   estimate(ev.MeanResponse),
+		Hops:       make([]HopStat, len(ev.Analytic.Nodes)),
 	}
-	return nil
+	for k, n := range ev.Analytic.Nodes {
+		pr.Hops[k] = HopStat{
+			Node:         n.Node,
+			Utilization:  estimate(n.Utilization),
+			Blocked:      estimate(0),
+			Throughput:   estimate(n.Throughput),
+			MeanQueueLen: estimate(n.MeanQueueLen),
+			MeanWait:     estimate(n.MeanWait),
+			MeanResponse: estimate(n.MeanResponse),
+		}
+	}
+	return pr, nil
 }
 
 // reduceTopology collapses one point's replications into CI statistics

@@ -342,18 +342,24 @@ type TopologyEvaluation struct {
 // it against finite-bridge simulations to measure the blocking penalty.
 // BackendFluid has no topology model yet and is refused.
 func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
-	b, err := ParseBackend(string(backend))
-	if err != nil {
-		return TopologyEvaluation{}, err
-	}
-	return evaluateTopology(t, b, nil)
+	return EvaluateTopologyTraced(t, backend, nil)
 }
 
 // evaluateTopology runs t on the resolved backend b; rec as in evaluate.
+// It lowers t once, for whichever backend answers.
 func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluation, error) {
+	if b == BackendFluid {
+		return TopologyEvaluation{}, fmt.Errorf(
+			"busnet: no fluid model for topologies — the mean-field balance covers the flat single-segment config only (use %q or %q)",
+			BackendSim, BackendAnalytic)
+	}
+	cfg, err := t.lowered()
+	if err != nil {
+		return TopologyEvaluation{}, err
+	}
 	switch b {
 	case BackendAnalytic:
-		p, err := predictTopology(t)
+		p, err := predictTopology(t, cfg)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}
@@ -363,12 +369,8 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 			MeanResponse: p.MeanResponse,
 			Analytic:     &p,
 		}, nil
-	case BackendFluid:
-		return TopologyEvaluation{}, fmt.Errorf(
-			"busnet: no fluid model for topologies — the mean-field balance covers the flat single-segment config only (use %q or %q)",
-			BackendSim, BackendAnalytic)
 	default:
-		res, err := runTopologySim(t, rec)
+		res, err := runTopologySim(t, cfg, rec)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}
@@ -391,13 +393,9 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 	}
 }
 
-// runTopologySim is the discrete-event backend for topologies: the
-// lowered fabric run by simulate.
-func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
-	cfg, err := t.lowered()
-	if err != nil {
-		return TopologyResults{}, err
-	}
+// runTopologySim is the discrete-event backend for topologies: cfg, the
+// normalized topology t's lowered fabric, run by simulate.
+func runTopologySim(t Topology, cfg topo.Config, rec *obs.Recorder) (TopologyResults, error) {
 	run, err := simulate(cfg, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
 	if err != nil {
 		return TopologyResults{}, err
@@ -418,12 +416,9 @@ func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
 // the Jackson steady state of a topology, with the domain
 // EvaluateTopology documents. Finite bridges can only hold requests
 // longer (blocking after service), never shorter, which is why the
-// form is an optimistic bound wherever a bridge is finite.
-func predictTopology(t Topology) (TopologyPrediction, error) {
-	cfg, err := t.lowered()
-	if err != nil {
-		return TopologyPrediction{}, err
-	}
+// form is an optimistic bound wherever a bridge is finite. It reads
+// routes off cfg, the normalized topology t's lowered fabric.
+func predictTopology(t Topology, cfg topo.Config) (TopologyPrediction, error) {
 	for k, n := range t.Nodes {
 		if n.Processors == 0 {
 			continue
