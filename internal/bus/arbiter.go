@@ -186,18 +186,27 @@ type WeightedRoundRobinArbiter struct {
 // NewWeightedRoundRobin returns a weighted round-robin arbiter. It
 // requires one weight ≥ 1 per processor; the weight slice is copied in.
 func NewWeightedRoundRobin(weights []int) (*WeightedRoundRobinArbiter, error) {
+	a := new(WeightedRoundRobinArbiter)
+	if err := a.Reset(weights); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Reset returns a to the state NewWeightedRoundRobin(weights) builds,
+// copying weights into a's own vector, whose capacity it reuses. On
+// error a is left unchanged.
+func (a *WeightedRoundRobinArbiter) Reset(weights []int) error {
 	if len(weights) == 0 {
-		return nil, fmt.Errorf("bus: weighted round-robin needs at least one weight")
+		return fmt.Errorf("bus: weighted round-robin needs at least one weight")
 	}
 	for i, w := range weights {
 		if w < 1 {
-			return nil, fmt.Errorf("bus: weight[%d] = %d, need ≥ 1", i, w)
+			return fmt.Errorf("bus: weight[%d] = %d, need ≥ 1", i, w)
 		}
 	}
-	return &WeightedRoundRobinArbiter{
-		weights: append([]int(nil), weights...),
-		current: -1,
-	}, nil
+	*a = WeightedRoundRobinArbiter{weights: append(a.weights[:0], weights...), current: -1}
+	return nil
 }
 
 // Pick continues the current processor's window while it has credit and

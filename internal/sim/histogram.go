@@ -18,23 +18,34 @@ const (
 	histBuckets = (histMaxExp - histMinExp) * histSub
 )
 
-// Histogram is a fixed-memory streaming collector for per-observation
-// latency distributions (waiting times, response times): log-bucketed
-// counts plus exact min/max, supporting quantile queries and lossless
-// merging across replications. Unlike Tally it retains the shape of the
-// distribution, not just its first two moments, at a constant ~8 KB
-// regardless of sample count — the tail-latency counterpart of Welford's
-// running mean.
+// Histogram is a streaming collector for per-observation latency
+// distributions (waiting times, response times): log-bucketed counts
+// plus exact min/max, supporting quantile queries and lossless merging
+// across replications. Unlike Tally it retains the shape of the
+// distribution, not just its first two moments, in bounded memory
+// regardless of sample count — the tail-latency counterpart of
+// Welford's running mean.
+//
+// Its counts are a window of the fixed geometry's 1,024 buckets. A live
+// collector takes the whole geometry (8 KB) on its first Add and keeps
+// it through Reset, so a collector recycled from run to run adds
+// without allocating. A snapshot holds exactly the buckets from its
+// first to its last nonzero one, typically a few hundred: Snapshots
+// makes them, and so does Merge into an empty histogram. Equal
+// observations therefore give equal snapshots, whatever the history of
+// the collector they were taken from.
 //
 // Indexing is pure bit manipulation on the float64 representation (the
 // exponent selects the octave, the mantissa's top bits the sub-bucket),
 // so Add costs a few nanoseconds on the simulator's hot path — no
 // logarithms.
 //
-// The zero value is an empty, ready-to-use histogram. Copying the struct
-// snapshots it (the bucket array is embedded, not referenced).
+// The zero value is an empty, ready-to-use histogram. A value copy
+// shares the original's buckets: to keep a histogram's state, take a
+// snapshot, and treat a snapshot as read-only.
 type Histogram struct {
-	counts [histBuckets]uint64
+	counts []uint64 // counts[i] is bucket lo+i; every other bucket is empty
+	lo     int
 	zero   uint64 // observations ≤ 0 (an immediately granted request waits exactly 0)
 	total  uint64
 	min    float64
@@ -82,10 +93,35 @@ func (h *Histogram) Add(x float64) {
 		}
 	}
 	if x > 0 {
+		if len(h.counts) != histBuckets {
+			h.spanAll()
+		}
 		h.counts[histIndex(x)]++
 	} else {
 		h.zero++
 	}
+}
+
+// spanAll widens h's window to the whole geometry, keeping its counts:
+// what a live collector holds from its first Add on.
+func (h *Histogram) spanAll() {
+	all := make([]uint64, histBuckets)
+	copy(all[h.lo:], h.counts)
+	h.counts, h.lo = all, 0
+}
+
+// trimmed returns h's counts from its first to its last nonzero bucket,
+// and the first one's index in the geometry; the slice is empty when no
+// bucket counts anything.
+func (h *Histogram) trimmed() ([]uint64, int) {
+	c, lo := h.counts, h.lo
+	for len(c) > 0 && c[0] == 0 {
+		c, lo = c[1:], lo+1
+	}
+	for len(c) > 0 && c[len(c)-1] == 0 {
+		c = c[:len(c)-1]
+	}
+	return c, lo
 }
 
 // Count returns the number of observations recorded.
@@ -109,32 +145,108 @@ func (h *Histogram) Max() float64 {
 
 // Reset discards every accumulated observation, returning the histogram
 // to its zero state — the warmup-truncation primitive, matching
-// Tally.Reset.
-func (h *Histogram) Reset() { *h = Histogram{} }
+// Tally.Reset. A live collector keeps its buckets, cleared; a narrower
+// window, which a live collector would widen at its next Add anyway, is
+// dropped rather than cleared, so resetting a copy of a snapshot leaves
+// the snapshot alone.
+func (h *Histogram) Reset() {
+	counts := h.counts
+	if len(counts) == histBuckets {
+		clear(counts)
+	} else {
+		counts = nil
+	}
+	*h = Histogram{counts: counts}
+}
 
-// Merge folds other's observations into h. Bucket counts add exactly
-// (the geometry is shared by construction), so merging the per-
-// replication histograms of an experiment yields the same counts as one
-// histogram over the pooled samples.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.total == 0 {
+// Merge folds the observations of others into h, in order; nil and
+// empty ones are skipped. Bucket counts add exactly (the geometry is
+// shared by construction), so merging the per-replication histograms of
+// an experiment yields the same counts as one histogram over the pooled
+// samples. h's window widens at most once, to cover its own buckets and
+// every other's nonzero ones, and h never takes over another's buckets.
+// Merged into an empty histogram, others make it a snapshot of exactly
+// their nonzero buckets.
+func (h *Histogram) Merge(others ...*Histogram) {
+	var n uint64                         // observations to fold in
+	lo, hi := h.lo, h.lo+len(h.counts)-1 // the union window; empty while hi < lo
+	if h.total == 0 {
+		lo, hi = 0, -1 // an empty h has no buckets worth keeping
+	}
+	for _, o := range others {
+		if o == nil || o.total == 0 {
+			continue
+		}
+		n += o.total
+		c, olo := o.trimmed()
+		switch {
+		case len(c) == 0:
+		case hi < lo:
+			lo, hi = olo, olo+len(c)-1
+		default:
+			lo, hi = min(lo, olo), max(hi, olo+len(c)-1)
+		}
+	}
+	if n == 0 {
 		return
 	}
 	if h.total == 0 {
-		*h = *other
-		return
+		h.counts, h.lo = nil, 0
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	if hi >= lo && (len(h.counts) == 0 || lo < h.lo || hi >= h.lo+len(h.counts)) {
+		counts := make([]uint64, hi-lo+1)
+		if len(h.counts) > 0 {
+			copy(counts[h.lo-lo:], h.counts)
+		}
+		h.counts, h.lo = counts, lo
 	}
-	h.zero += other.zero
-	h.total += other.total
-	if other.min < h.min {
-		h.min = other.min
+	for _, o := range others {
+		if o == nil || o.total == 0 {
+			continue
+		}
+		if c, olo := o.trimmed(); len(c) > 0 {
+			dst := h.counts[olo-h.lo:]
+			for i, x := range c {
+				dst[i] += x
+			}
+		}
+		if h.total == 0 {
+			h.min, h.max = o.min, o.max
+		} else {
+			if o.min < h.min {
+				h.min = o.min
+			}
+			if o.max > h.max {
+				h.max = o.max
+			}
+		}
+		h.zero += o.zero
+		h.total += o.total
 	}
-	if other.max > h.max {
-		h.max = other.max
+}
+
+// Snapshots returns a snapshot of each of hs, in order: the same
+// observations, in exactly the buckets from the source's first to its
+// last nonzero one. They share one block of headers and one backing
+// array, so a set of snapshots costs at most two allocations.
+func Snapshots(hs ...*Histogram) []Histogram {
+	out := make([]Histogram, len(hs))
+	n := 0
+	for _, h := range hs {
+		c, _ := h.trimmed()
+		n += len(c)
 	}
+	buf := make([]uint64, n)
+	for i, h := range hs {
+		c, lo := h.trimmed()
+		out[i] = Histogram{zero: h.zero, total: h.total, min: h.min, max: h.max}
+		if len(c) > 0 {
+			out[i].counts, out[i].lo = buf[:len(c):len(c)], lo
+			buf = buf[len(c):]
+			copy(out[i].counts, c)
+		}
+	}
+	return out
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0, 1]) of the
@@ -142,7 +254,7 @@ func (h *Histogram) Merge(other *Histogram) {
 // ⌈q·n⌉-th smallest observation, clamped into [Min, Max] so q = 0 and
 // q = 1 return the exact extrema. Within the tracked span the estimate
 // is within half a bucket (~3%) of the true sample quantile. An empty
-// histogram returns 0.
+// histogram returns 0. It walks only h's window.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -164,7 +276,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			return math.Min(math.Max(histMid(i), h.min), h.max)
+			return math.Min(math.Max(histMid(h.lo+i), h.min), h.max)
 		}
 	}
 	return h.max

@@ -277,10 +277,13 @@ func (w *wheel) refit() bool {
 // revolution there and rebuilds from the head's time, so the head lands
 // in bucket 0. A +Inf head maps nowhere — (+Inf − +Inf)·invW is NaN —
 // so it is placed in bucket 0 directly, and the pop always progresses;
-// every event behind it is +Inf too, so exact (t, seq) order holds.
+// every event behind it is +Inf too, so exact (t, seq) order holds. The
+// next revolution starts at the jump, not at the pop before it, so its
+// mean gap leaves out the idle stretch the jump skipped.
 func (w *wheel) reanchor() {
 	width, n := w.geometry()
-	w.rebuild(w.ev[w.over[0]].t, width, n)
+	t := w.ev[w.over[0]].t
+	w.rebuild(t, width, n)
 	if w.count == 0 {
 		i := w.over[0]
 		w.overPop()
@@ -288,6 +291,7 @@ func (w *wheel) reanchor() {
 		w.migrate()
 	}
 	w.startRevolution()
+	w.revT = t
 }
 
 // startRevolution begins a frontier revolution at the frontier.

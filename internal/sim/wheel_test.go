@@ -232,6 +232,35 @@ func TestWheelRebaseAfterDrain(t *testing.T) {
 	p.drain()
 }
 
+// TestWheelWidthAfterIdleJump drains the wheel, idles to t = 1000 and
+// then runs four self-rescheduling events two time units apart, so the
+// next pop jumps an empty window to the overflow head. The revolution
+// after the jump starts at the jump: were it to start at the pop before
+// it, its mean gap would include the idle stretch, and the width stayed
+// at 32.2 for the rest of the run. With fewer than wheelLongChain
+// pending events nothing else corrects it, and every pop scans them all.
+func TestWheelWidthAfterIdleJump(t *testing.T) {
+	e := NewEngine()
+	for range 100 {
+		e.Schedule(1, func() {})
+	}
+	if err := e.RunUntil(1000); err != nil {
+		t.Fatal(err)
+	}
+	var tick func()
+	tick = func() { e.Schedule(8, tick) }
+	for i := range 4 {
+		e.Schedule(float64(2*i), tick)
+	}
+	if err := e.RunUntil(1300); err != nil {
+		t.Fatal(err)
+	}
+	// Half the gap of 2 between fires, within 2×.
+	if w := e.w.width; w < 0.5 || w > 2 {
+		t.Errorf("width %v after the idle jump, want within 2× of 1", w)
+	}
+}
+
 // TestWheelInfiniteTimes pins the NaN-arithmetic corner: with only
 // +Inf events pending the window re-anchors at an infinite origin,
 // bucket positions are NaN, and the wheel must still fire every event

@@ -464,21 +464,23 @@ type flowStats struct {
 
 // segmentMem is the memory behind a segment's pointers that Fabric.Init
 // keeps from one fabric to the next: the route, the per-station source
-// slice, the round-robin arbiter, the flow's collectors, and the
-// histograms. It lives apart from segment so that the fields the event
-// path reads keep the compact layout they had before fabrics were
-// recycled (docs/perf.md, "Replication recycling").
+// slice, the round-robin and weighted round-robin arbiters, the flow's
+// collectors, and the histograms. It lives apart from segment so that
+// the fields the event path reads keep the compact layout they had
+// before fabrics were recycled (docs/perf.md, "Replication recycling").
 type segmentMem struct {
 	route   path
 	sources []workload.Source
 	rr      bus.RoundRobinArbiter
+	wrr     *bus.WeightedRoundRobinArbiter // nil until a fabric runs explicit weights
 	flow    flowStats
 	hists   *segmentHists // nil until a fabric collects quantiles
 }
 
 // segmentHists is the histogram memory of a segment collecting
 // quantiles: the per-hop wait and response histograms and the flow's
-// end-to-end response histogram.
+// end-to-end response histogram. Each takes its buckets on its first
+// Add and keeps them through Reset.
 type segmentHists struct {
 	wait, resp, flow sim.Histogram
 }
@@ -653,14 +655,20 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 		}
 		// Round-robin runs on the recycled arbiter, and so does weighted
 		// round-robin with its all-ones default: it grants, and counts
-		// scanned slots, exactly as round-robin does.
+		// scanned slots, exactly as round-robin does. Explicit weights
+		// run on the recycled weighted arbiter, which copies them into
+		// its own vector.
 		switch {
 		case sc.Arbiter == bus.FixedPriority:
 			s.arbiter = bus.NewFixedPriority()
 		case sc.Arbiter == bus.WeightedRoundRobin && sc.Weights != nil:
-			if s.arbiter, err = bus.NewWeightedRoundRobin(sc.Weights); err != nil {
+			if m.wrr == nil {
+				m.wrr = new(bus.WeightedRoundRobinArbiter)
+			}
+			if err = m.wrr.Reset(sc.Weights); err != nil {
 				return err
 			}
+			s.arbiter = m.wrr
 		}
 		if cfg.Quantiles {
 			if m.hists == nil {
@@ -1033,8 +1041,9 @@ type SegmentMetrics struct {
 	Issued         uint64    `json:"issued"`
 	Completions    uint64    `json:"completions"`
 	Grants         []uint64  `json:"grants"`
-	// WaitHist and RespHist are snapshot copies of the per-hop latency
-	// histograms; nil unless Config.Quantiles enabled collection.
+	// WaitHist and RespHist are snapshots of the per-hop latency
+	// histograms, carved from one backing array; nil unless
+	// Config.Quantiles enabled collection.
 	WaitHist *sim.Histogram `json:"-"`
 	RespHist *sim.Histogram `json:"-"`
 }
@@ -1047,8 +1056,8 @@ type FlowMetrics struct {
 	MeanResponse   float64 `json:"mean_response"`
 	ResponseStdDev float64 `json:"response_std_dev"`
 	MaxResponse    float64 `json:"max_response"`
-	// RespHist is a snapshot copy of the end-to-end response histogram;
-	// nil unless Config.Quantiles enabled collection.
+	// RespHist is a snapshot of the end-to-end response histogram; nil
+	// unless Config.Quantiles enabled collection.
 	RespHist *sim.Histogram `json:"-"`
 }
 
@@ -1090,9 +1099,8 @@ func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
 	}
 	var waitHist, respHist *sim.Histogram
 	if s.waitHist != nil {
-		wh := *s.waitHist
-		rh := *s.respHist
-		waitHist, respHist = &wh, &rh
+		hs := sim.Snapshots(s.waitHist, s.respHist)
+		waitHist, respHist = &hs[0], &hs[1]
 	}
 	m := SegmentMetrics{
 		Name:           s.name,
@@ -1147,8 +1155,7 @@ func (f *Fabric) Snapshot() Metrics {
 			flow.MaxResponse = fl.resp.Max()
 			flow.RespHist = nil
 			if fl.respHist != nil {
-				fh := *fl.respHist
-				flow.RespHist = &fh
+				flow.RespHist = &sim.Snapshots(fl.respHist)[0]
 			}
 		}
 		m.Flows = append(m.Flows, flow)

@@ -213,11 +213,11 @@ func (s Spec) Validate(baseRate float64) error {
 // to the next arrival, however far past the horizon that lies, so a
 // chain that switches far more often than it arrives stalls the
 // simulator, for hours at an MMPP2 rate of 10⁻¹². On a 2-CPU Xeon VM a
-// switch costs 12–19 ns: one MMPP2 station at the bound took 19 ms on
-// average over 20 seeds to run a horizon of 1 (2.4 ms at 2·10⁵). The
-// repository's scenarios and tests switch at most about 4·10⁴ times
-// per arrival.
-const maxSwitchesPerArrival = 1e6
+// switch costs 12–19 ns: one MMPP2 station at 10⁶ switches per arrival
+// took 19 ms on average over 20 seeds to run a horizon of 1, and one at
+// this bound about 2.4 ms. The repository's scenarios and tests switch
+// at most about 4·10⁴ times per arrival.
+const maxSwitchesPerArrival = 2e5
 
 // checkSwitches refuses a modulated spec of the given kind whose chain
 // switches ratio times per arrival on average, when ratio exceeds

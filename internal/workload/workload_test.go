@@ -49,9 +49,9 @@ func TestSpecValidate(t *testing.T) {
 		{"mmpp2", Spec{Kind: KindMMPP2, Rate0: 0.1, Rate1: 1, Switch01: 0.01, Switch10: 0.02}, 0.1},
 		{"mmpp2 silent state", Spec{Kind: KindMMPP2, Rate0: 0, Rate1: 1, Switch01: 0.01, Switch10: 0.02}, 0},
 		{"onoff", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.2, CycleTime: 50}, 0},
-		// 952 381 switches per arrival, just under the bound.
-		{"mmpp2 just under the switching bound", Spec{Kind: KindMMPP2, Rate0: 2.1e-6, Switch01: 1, Switch10: 1}, 0},
-		{"onoff just under the switching bound", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 4.2e-6}, 0},
+		// 190 476 switches per arrival, just under the bound.
+		{"mmpp2 just under the switching bound", Spec{Kind: KindMMPP2, Rate0: 1.05e-5, Switch01: 1, Switch10: 1}, 0},
+		{"onoff just under the switching bound", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 2.1e-5}, 0},
 	}
 	for _, tt := range valid {
 		t.Run("valid/"+tt.name, func(t *testing.T) {
@@ -84,10 +84,10 @@ func TestSpecValidate(t *testing.T) {
 		{"onoff duty one", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 1, CycleTime: 10}, 0.1},
 		{"onoff zero cycle", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5}, 0.1},
 		{"onoff stray mmpp param", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 10, Switch01: 1}, 0.1},
-		// 1 052 632 switches per arrival, just over the bound; then ratios
+		// 210 526 switches per arrival, just over the bound; then ratios
 		// whose arithmetic underflows to +Inf.
-		{"mmpp2 just over the switching bound", Spec{Kind: KindMMPP2, Rate0: 1.9e-6, Switch01: 1, Switch10: 1}, 0},
-		{"onoff just over the switching bound", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 3.8e-6}, 0},
+		{"mmpp2 just over the switching bound", Spec{Kind: KindMMPP2, Rate0: 9.5e-6, Switch01: 1, Switch10: 1}, 0},
+		{"onoff just over the switching bound", Spec{Kind: KindOnOff, BurstRate: 1, DutyCycle: 0.5, CycleTime: 1.9e-5}, 0},
 		{"mmpp2 infinite switching ratio", Spec{Kind: KindMMPP2, Rate1: 1e-300, Switch01: 1, Switch10: 1e300}, 0},
 		{"onoff infinite switching ratio", Spec{Kind: KindOnOff, BurstRate: 1e-300, DutyCycle: 0.5, CycleTime: 1e-300}, 0},
 	}
@@ -105,12 +105,12 @@ func TestSpecValidate(t *testing.T) {
 	if want := "mmpp2 hidden chain switches 2e+07 times per arrival"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("err = %v, want it to name the ratio: %q", err, want)
 	}
-	for _, ratio := range []float64{math.NaN(), math.Inf(1), 1.000001e6} {
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), 2.000001e5} {
 		if checkSwitches(KindOnOff, ratio) == nil {
 			t.Errorf("switching ratio %v accepted", ratio)
 		}
 	}
-	if err := checkSwitches(KindOnOff, 1e6); err != nil {
+	if err := checkSwitches(KindOnOff, 2e5); err != nil {
 		t.Errorf("switching ratio at the bound refused: %v", err)
 	}
 }

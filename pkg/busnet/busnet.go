@@ -31,10 +31,11 @@ import (
 	"github.com/busnet/busnet/internal/topo"
 )
 
-// Histogram re-exports the fixed-memory streaming latency histogram so
-// callers (and the sweep subpackage) can merge per-run distributions
-// across replications and query arbitrary quantiles without importing
-// internal packages.
+// Histogram re-exports the streaming latency histogram so callers (and
+// the sweep subpackage) can merge per-run distributions across
+// replications and query arbitrary quantiles without importing internal
+// packages. A value copy shares the original's buckets; Merge into an
+// empty Histogram makes one of your own.
 type Histogram = sim.Histogram
 
 // Quantiles summarizes one latency distribution at the tail percentiles
@@ -94,10 +95,12 @@ type Results struct {
 	// were read from ride along unserialized so sweeps can merge
 	// replications and re-query pooled quantiles. All four are nil unless
 	// Config.Quantiles enabled collection — absent from the JSON form
-	// rather than rendered as zero latencies. Once the run has finished
-	// the histograms are read-only snapshots: a sweep's Cache shares them
-	// with every copy it hands out, so merge them into a histogram of
-	// your own rather than adding to them.
+	// rather than rendered as zero latencies. The histograms are
+	// read-only snapshots that keep only the buckets their observations
+	// span, both carved from one backing array. A sweep's Cache shares
+	// them with every copy it hands out, and a value copy of a Histogram
+	// shares its buckets too, so merge them into an empty Histogram of
+	// your own rather than adding to them or to a copy.
 	WaitQuantiles     *Quantiles `json:"wait_quantiles,omitempty"`
 	ResponseQuantiles *Quantiles `json:"response_quantiles,omitempty"`
 	WaitHistogram     *Histogram `json:"-"`

@@ -242,9 +242,12 @@ func ParseWeights(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	ws := make([]int, len(parts))
-	for i, p := range parts {
+	// One scan, cutting the fields in place: the weight vector is the
+	// only allocation.
+	ws := make([]int, strings.Count(s, ",")+1)
+	for i := range ws {
+		var p string
+		p, s, _ = strings.Cut(s, ",")
 		w, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("busnet: weights[%d] = %q, need an integer", i, p)

@@ -2,6 +2,7 @@ package busnet
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -93,12 +94,14 @@ func TestEvaluateDeterministic(t *testing.T) {
 // (Quantiles off) and 75 (on); the flat engine before that, 88 and 94.
 //
 // The shaped cases pin where run state is built: Fabric.Init builds
-// the 16 MMPP2 sources into a recycled slice, and the weighted arbiter
-// from the parsed weights, once per run; with default weights the run
-// recycles the round-robin arbiter, which grants identically. Building
-// them a second time to validate took 39 and 16; building them in the
+// the 16 MMPP2 sources into a recycled slice once per run, and runs
+// explicit weights on a recycled weighted arbiter that copies the
+// parsed vector into its own; with default weights the run recycles
+// the round-robin arbiter, which grants identically. Building them a
+// second time to validate took 39 and 16; building them in the
 // lowering, with a fresh source slice and an all-ones weight vector,
-// 22 and 12, and 9 with default weights.
+// 22 and 12, and 9 with default weights; splitting the weights string
+// and building a weighted arbiter per run, 10.
 func TestEvaluateReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, tt := range []struct {
@@ -112,16 +115,10 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 		{"weighted round-robin", func(c *Config) {
 			c.Arbiter = WeightedRoundRobin.String()
 			c.Weights = "4,2" + strings.Repeat(",1", 14)
-		}, 10},
+		}, 7},
 		{"weighted round-robin, default weights", func(c *Config) { c.Arbiter = WeightedRoundRobin.String() }, 6},
 	} {
-		cfg := DefaultConfig()
-		cfg.Processors = 16
-		cfg.ThinkRate = 0.05
-		cfg.Mode = ModeBuffered
-		cfg.BufferCap = 2
-		cfg.Horizon = 200
-		cfg.Warmup = 20
+		cfg := optimizerJob()
 		tt.mutate(&cfg)
 		var err error
 		got := testing.AllocsPerRun(20, func() { _, err = Evaluate(cfg, BackendSim) })
@@ -162,6 +159,16 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 			t.Errorf("validating a %s config allocates %v times, want 0", tt.name, got)
 		}
 	}
+	// Explicit weights cost the parsed vector alone: ParseWeights cuts
+	// the string in place. Splitting it first took 2.
+	cfg := DefaultConfig()
+	cfg.Processors = 16
+	cfg.Arbiter = WeightedRoundRobin.String()
+	cfg.Weights = "4,2" + strings.Repeat(",1", 14)
+	var err error
+	if got := testing.AllocsPerRun(20, func() { err = cfg.Validate() }); err != nil || got > 1 {
+		t.Errorf("validating explicit weights allocates %v times (err %v), limit 1", got, err)
+	}
 }
 
 // A model backend refuses what it cannot model at a cost independent of
@@ -182,6 +189,36 @@ func TestModelBackendRefusalCostsNothingPerStation(t *testing.T) {
 		if limit := 8.0; got > limit {
 			t.Errorf("%s backend refuses MMPP2 at N = 10⁶ in %v allocations, limit %v", b, got, limit)
 		}
+	}
+}
+
+// TestQuantileReplicationBytes bounds the bytes a warm replication with
+// quantiles on allocates at the job shape above. Its wait and response
+// histograms leave the fabric as snapshots of the buckets they span,
+// carved from one backing array: at this shape about 160 of the 1,024.
+// Copying both histograms whole made the replication allocate 19 672 B,
+// 18 944 of them the two copies.
+func TestQuantileReplicationBytes(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := optimizerJob()
+	cfg.Quantiles = true
+	run := func() {
+		if _, err := Evaluate(cfg, BackendSim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the replication pool
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 6 * 1024.0; perRun > limit {
+		t.Errorf("a warm quantile replication allocates %.0f B, limit %.0f B", perRun, limit)
 	}
 }
 
@@ -220,13 +257,7 @@ func TestEvaluateTopologyReplicationAllocs(t *testing.T) {
 // dominate the pending set. A window anchored where it last drained
 // overflowed 17–42 times per replication, against 281–348 fired events.
 func TestOptimizerJobOverflow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Processors = 16
-	cfg.ThinkRate = 0.05
-	cfg.Mode = ModeBuffered
-	cfg.BufferCap = 2
-	cfg.Horizon = 200
-	cfg.Warmup = 20
+	cfg := optimizerJob()
 	for stream := range uint64(10) {
 		cfg.Stream = stream
 		ev, err := Evaluate(cfg, BackendSim)
@@ -238,6 +269,19 @@ func TestOptimizerJobOverflow(t *testing.T) {
 			t.Errorf("stream %d: %d of %d fired events overflowed the wheel's window, limit 1%%", stream, c.WheelOverflow, c.Fired)
 		}
 	}
+}
+
+// optimizerJob is the optimize scenario's job shape: N = 16,
+// λ = 0.05, buffered depth 2, horizon 200, warmup 20.
+func optimizerJob() Config {
+	cfg := DefaultConfig()
+	cfg.Processors = 16
+	cfg.ThinkRate = 0.05
+	cfg.Mode = ModeBuffered
+	cfg.BufferCap = 2
+	cfg.Horizon = 200
+	cfg.Warmup = 20
+	return cfg
 }
 
 // skipUnderRace skips an allocation lock under the race detector, where

@@ -181,7 +181,7 @@ func FuzzConfigValidate(f *testing.F) {
 // state switches and drawing its Erlang stages. Above 1e6 a legal input
 // runs for seconds: too slow for a fuzz iteration, though not a fault.
 // The inputs that would run for hours, a modulated source whose chain
-// switches more than 10⁶ times per arrival and so walks its switches
+// switches more than 2·10⁵ times per arrival and so walks its switches
 // far past the horizon, Validate refuses.
 func unitHorizonDraws(c Config) float64 {
 	peak, switches := c.ThinkRate, 0.0

@@ -330,13 +330,18 @@ func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
 	}
 	// Pool latency histograms only when the runs collected them
 	// (Config.Quantiles): the quantile fields stay nil otherwise, so the
-	// output says "not measured", not "all-zero latencies".
+	// output says "not measured", not "all-zero latencies". Each pool is
+	// one Merge of every run, which sizes it once, to the union of the
+	// runs' windows.
 	if runs[0].WaitHistogram != nil {
-		var waitHist, respHist busnet.Histogram
-		for _, r := range runs {
-			waitHist.Merge(r.WaitHistogram)
-			respHist.Merge(r.ResponseHistogram)
+		hists := make([]*busnet.Histogram, 2*len(runs))
+		waits, resps := hists[:len(runs)], hists[len(runs):]
+		for i, r := range runs {
+			waits[i], resps[i] = r.WaitHistogram, r.ResponseHistogram
 		}
+		var waitHist, respHist busnet.Histogram
+		waitHist.Merge(waits...)
+		respHist.Merge(resps...)
 		pr.WaitQuantiles = busnet.QuantilesFrom(&waitHist)
 		pr.ResponseQuantiles = busnet.QuantilesFrom(&respHist)
 	}
