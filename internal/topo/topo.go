@@ -316,35 +316,40 @@ func (c Config) Validate() error {
 }
 
 // checkAcyclic runs Kahn's algorithm over the link graph. A cycle of
-// bridges would let blocking-after-service form a circular wait.
+// bridges would let blocking-after-service form a circular wait. Up to
+// 32 segments, its in-degrees and queue live on the stack.
 func (c Config) checkAcyclic() error {
 	if len(c.Links) == 0 {
 		return nil
 	}
-	indeg := make([]int, len(c.Segments))
+	n := len(c.Segments)
+	var small [64]int
+	scratch := small[:]
+	if 2*n > len(small) {
+		scratch = make([]int, 2*n)
+	}
+	indeg, queue := scratch[:n], scratch[n:n]
 	for _, l := range c.Links {
 		indeg[l.To]++
 	}
-	queue := make([]int, 0, len(c.Segments))
 	for k, d := range indeg {
 		if d == 0 {
 			queue = append(queue, k)
 		}
 	}
+	// Each segment joins the queue at most once, so it never outgrows
+	// its n slots.
 	seen := 0
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		seen++
+	for ; seen < len(queue); seen++ {
 		for _, l := range c.Links {
-			if l.From == k {
+			if l.From == queue[seen] {
 				if indeg[l.To]--; indeg[l.To] == 0 {
 					queue = append(queue, l.To)
 				}
 			}
 		}
 	}
-	if seen != len(c.Segments) {
+	if seen != n {
 		return fmt.Errorf("topo: the bridge graph has a cycle — blocking-after-service would deadlock")
 	}
 	return nil
@@ -463,18 +468,78 @@ type flowStats struct {
 }
 
 // segmentMem is the memory behind a segment's pointers that Fabric.Init
-// keeps from one fabric to the next: the route, the per-station source
-// slice, the round-robin and weighted round-robin arbiters, the flow's
-// collectors, and the histograms. It lives apart from segment so that
-// the fields the event path reads keep the compact layout they had
+// keeps from one fabric to the next: the route, the run state built from
+// the segment's specs (sources, service distribution, arbiters), the
+// flow's collectors, and the histograms. It lives apart from segment so
+// that the fields the event path reads keep the compact layout they had
 // before fabrics were recycled (docs/perf.md, "Replication recycling").
 type segmentMem struct {
-	route   path
-	sources []workload.Source
-	rr      bus.RoundRobinArbiter
-	wrr     *bus.WeightedRoundRobinArbiter // nil until a fabric runs explicit weights
-	flow    flowStats
-	hists   *segmentHists // nil until a fabric collects quantiles
+	route path
+	// sources were built from traffic at thinkRate, and service from
+	// serviceSpec at serviceRate: a run of the same specs and rates
+	// reuses them.
+	sources     []workload.Source
+	traffic     workload.Spec
+	thinkRate   float64
+	service     servdist.Dist // nil until built
+	serviceSpec servdist.Spec
+	serviceRate float64
+	rr          bus.RoundRobinArbiter
+	fp          bus.FixedPriorityArbiter
+	wrr         *bus.WeightedRoundRobinArbiter // nil until a fabric runs explicit weights
+	flow        flowStats
+	hists       *segmentHists // nil until a fabric collects quantiles
+}
+
+// buildSources fills m.sources with one source per station of sc, from
+// its traffic spec at its think rate: one shared source for Poisson,
+// which is stateless, and one each for the other kinds. Sources the
+// previous run built from the same spec and rate are reset and reused;
+// the rest are built. On error m keeps no sources.
+func (m *segmentMem) buildSources(sc *SegmentConfig) error {
+	kept := 0
+	if m.traffic == sc.Traffic && m.thinkRate == sc.ThinkRate {
+		kept = min(len(m.sources), sc.Stations)
+	}
+	m.traffic, m.thinkRate = sc.Traffic, sc.ThinkRate
+	shared := sc.Traffic.Normalized().Kind == workload.KindPoisson
+	old := m.sources[:kept]
+	m.sources = reuse(m.sources, sc.Stations)
+	copy(m.sources, old) // a grown slice starts empty
+	for i := range m.sources {
+		switch {
+		case i < kept:
+			workload.Reset(m.sources[i])
+		case i > 0 && shared:
+			// One Poisson source serves every station with the same
+			// draw sequence as one instance each.
+			m.sources[i] = m.sources[0]
+		default:
+			src, err := sc.Traffic.NewSource(sc.ThinkRate)
+			if err != nil {
+				m.sources = m.sources[:0]
+				return err
+			}
+			m.sources[i] = src
+		}
+	}
+	return nil
+}
+
+// buildService sets m.service to sc's service distribution, built from
+// its spec at its rate unless the previous run's was. A distribution
+// is stateless, so reusing one changes no draw.
+func (m *segmentMem) buildService(sc *SegmentConfig) error {
+	if m.service != nil && m.serviceSpec == sc.Service && m.serviceRate == sc.ServiceRate {
+		return nil
+	}
+	d, err := sc.Service.NewDist(sc.ServiceRate)
+	if err != nil {
+		m.service = nil
+		return err
+	}
+	m.service, m.serviceSpec, m.serviceRate = d, sc.Service, sc.ServiceRate
+	return nil
 }
 
 // segmentHists is the histogram memory of a segment collecting
@@ -552,6 +617,9 @@ type Fabric struct {
 	blocks    uint64 // blocking-after-service events
 
 	links []link // the bridges, addressed through pointers elsewhere
+	// snap lists the histograms Snapshot copies; its capacity carries
+	// from one fabric to the next.
+	snap []*sim.Histogram
 }
 
 // New validates cfg and builds the fabric it describes on the given
@@ -575,10 +643,11 @@ func New(cfg Config, eng *sim.Engine, rng *sim.RNG) (*Fabric, error) {
 // from Traffic (one shared source for Poisson, which is stateless, one
 // each for the other kinds), the service distribution from Service, and
 // the arbiter from Arbiter and Weights. It reuses f's memory from any
-// earlier fabric — segment and link arrays, claimant queues, the
-// source slice, the round-robin arbiter, per-station and per-bus
-// callbacks, histograms — wherever the capacity suffices, whatever
-// shape that fabric had, so a worker running replication after
+// earlier fabric — segment and link arrays, claimant queues, arbiters,
+// per-station and per-bus callbacks, histograms — wherever the capacity
+// suffices, whatever shape that fabric had, and the sources and service
+// distribution of a segment whose specs and rates are unchanged, reset
+// to the state a fresh build has, so a worker running replication after
 // replication stops allocating them. What cfg supplies (Sources and its
 // slice, Weights, Route) serves this run only: Init never writes into
 // it, and no later Init reuses it. The earlier fabric's run must be
@@ -599,6 +668,7 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 		eng:        eng,
 		segs:       segs[:len(cfg.Segments)],
 		links:      reuse(f.links, len(cfg.Links)),
+		snap:       f.snap,
 		statsStart: now,
 	}
 	for k, sc := range cfg.Segments {
@@ -633,39 +703,30 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 			grants:    prev.grants,
 			mem:       m,
 		}
-		var err error
 		if s.sources == nil && sc.Stations > 0 {
-			// One stateless Poisson source serves every station with the
-			// same draw sequence as one instance each.
-			shared := sc.Traffic.Normalized().Kind == workload.KindPoisson
-			m.sources = reuse(m.sources, sc.Stations)
-			var src workload.Source
-			for i := range m.sources {
-				if i == 0 || !shared {
-					if src, err = sc.Traffic.NewSource(sc.ThinkRate); err != nil {
-						return err
-					}
-				}
-				m.sources[i] = src
+			if err := m.buildSources(&sc); err != nil {
+				return err
 			}
 			s.sources = m.sources
 		}
-		if s.service, err = sc.Service.NewDist(sc.ServiceRate); err != nil {
+		if err := m.buildService(&sc); err != nil {
 			return err
 		}
-		// Round-robin runs on the recycled arbiter, and so does weighted
+		s.service = m.service
+		// Every arbiter is recycled. Round-robin also serves weighted
 		// round-robin with its all-ones default: it grants, and counts
 		// scanned slots, exactly as round-robin does. Explicit weights
-		// run on the recycled weighted arbiter, which copies them into
-		// its own vector.
+		// run on the weighted arbiter, which copies them into its own
+		// vector.
 		switch {
 		case sc.Arbiter == bus.FixedPriority:
-			s.arbiter = bus.NewFixedPriority()
+			m.fp = *bus.NewFixedPriority()
+			s.arbiter = &m.fp
 		case sc.Arbiter == bus.WeightedRoundRobin && sc.Weights != nil:
 			if m.wrr == nil {
 				m.wrr = new(bus.WeightedRoundRobinArbiter)
 			}
-			if err = m.wrr.Reset(sc.Weights); err != nil {
+			if err := m.wrr.Reset(sc.Weights); err != nil {
 				return err
 			}
 			s.arbiter = m.wrr
@@ -1078,13 +1139,26 @@ func (f *Fabric) Elapsed() float64 { return f.eng.Now() - f.statsStart }
 // Snapshot's Segments, for callers that read a single segment.
 func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
 	s := &f.segs[k]
+	var m SegmentMetrics
+	f.snapshotSegment(s, &m, make([]float64, s.nBuses), make([]uint64, len(s.grants)))
+	if s.waitHist != nil {
+		hs := sim.Snapshots(s.waitHist, s.respHist)
+		m.WaitHist, m.RespHist = &hs[0], &hs[1]
+	}
+	return m
+}
+
+// snapshotSegment writes segment s's metrics as of the engine's current
+// time into m, every field but the histogram snapshots. perBus and
+// grants, one element per bus and per claimant, become its
+// BusUtilization and Grants.
+func (f *Fabric) snapshotSegment(s *segment, m *SegmentMetrics, perBus []float64, grants []uint64) {
 	now := f.eng.Now()
 	elapsed := f.Elapsed()
 	blocked := s.blockedTW
 	blocked.Finish(now)
 	qlen := s.qlen
 	qlen.Finish(now)
-	perBus := make([]float64, s.nBuses)
 	util := 0.0
 	for b := range perBus {
 		slot := &s.buses[b]
@@ -1097,12 +1171,8 @@ func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
 		}
 		util += perBus[b]
 	}
-	var waitHist, respHist *sim.Histogram
-	if s.waitHist != nil {
-		hs := sim.Snapshots(s.waitHist, s.respHist)
-		waitHist, respHist = &hs[0], &hs[1]
-	}
-	m := SegmentMetrics{
+	copy(grants, s.grants)
+	*m = SegmentMetrics{
 		Name:           s.name,
 		Utilization:    util / float64(s.nBuses),
 		Blocked:        blocked.Average(elapsed),
@@ -1115,27 +1185,56 @@ func (f *Fabric) SegmentSnapshot(k int) SegmentMetrics {
 		MeanResponse:   s.resp.Mean(),
 		Issued:         s.issued,
 		Completions:    s.completions,
-		Grants:         append([]uint64(nil), s.grants...),
-		WaitHist:       waitHist,
-		RespHist:       respHist,
+		Grants:         grants,
 	}
 	if elapsed > 0 {
 		m.Throughput = float64(s.completions) / elapsed
 	}
-	return m
 }
 
 // Snapshot computes metrics as of the engine's current time without
 // disturbing the collectors, so the simulation can continue afterwards.
+// Every segment's per-bus utilizations are carved from one block, their
+// grants from another, and, with quantiles on, every segment's and
+// flow's histogram snapshots from one sim.Snapshots call.
 func (f *Fabric) Snapshot() Metrics {
+	var buses, claimants, flows int
+	f.snap = f.snap[:0]
+	for k := range f.segs {
+		s := &f.segs[k]
+		buses += s.nBuses
+		claimants += len(s.grants)
+		if s.stations > 0 {
+			flows++
+		}
+		if s.waitHist != nil {
+			f.snap = append(f.snap, s.waitHist, s.respHist)
+		}
+		if fl := s.flow; fl != nil && fl.respHist != nil {
+			f.snap = append(f.snap, fl.respHist)
+		}
+	}
+	perBus := make([]float64, buses)
+	grants := make([]uint64, claimants)
+	var hists []sim.Histogram
+	if len(f.snap) > 0 {
+		hists = sim.Snapshots(f.snap...)
+	}
 	m := Metrics{
 		Elapsed:  f.Elapsed(),
 		Segments: make([]SegmentMetrics, len(f.segs)),
+		Flows:    make([]FlowMetrics, 0, flows),
 	}
 	for k := range f.segs {
 		s := &f.segs[k]
-		sm := f.SegmentSnapshot(k)
-		m.Segments[k] = sm
+		sm := &m.Segments[k]
+		nb, nc := s.nBuses, len(s.grants)
+		f.snapshotSegment(s, sm, perBus[:nb:nb], grants[:nc:nc])
+		perBus, grants = perBus[nb:], grants[nc:]
+		if s.waitHist != nil {
+			sm.WaitHist, sm.RespHist = &hists[0], &hists[1]
+			hists = hists[2:]
+		}
 		if s.stations == 0 {
 			continue
 		}
@@ -1155,7 +1254,8 @@ func (f *Fabric) Snapshot() Metrics {
 			flow.MaxResponse = fl.resp.Max()
 			flow.RespHist = nil
 			if fl.respHist != nil {
-				flow.RespHist = &sim.Snapshots(fl.respHist)[0]
+				flow.RespHist = &hists[0]
+				hists = hists[1:]
 			}
 		}
 		m.Flows = append(m.Flows, flow)

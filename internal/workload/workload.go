@@ -270,7 +270,8 @@ func (s Spec) Detail() string {
 // one station. Stateful kinds need one instance per station (modulated
 // kinds carry hidden state, deterministic its phase); the Poisson
 // source is stateless, so the stations of one run may share it. All
-// instances of a run share the run's RNG via Next.
+// instances of a run share the run's RNG via Next, and Reset returns
+// an instance to the state built here.
 func (s Spec) NewSource(baseRate float64) (Source, error) {
 	if err := s.Validate(baseRate); err != nil {
 		return nil, err
@@ -292,6 +293,20 @@ func (s Spec) NewSource(baseRate float64) (Source, error) {
 			rate:  [2]float64{s.BurstRate, 0},
 			leave: [2]float64{1 / meanOn, 1 / meanOff},
 		}, nil
+	}
+}
+
+// Reset returns src, a source NewSource built, to the state NewSource
+// built it in, so a run can reuse the sources an earlier run of the same
+// spec and base rate left behind: reset, they draw exactly what fresh
+// ones would. The Poisson source is stateless, and a source NewSource
+// did not build is left as it is.
+func Reset(src Source) {
+	switch s := src.(type) {
+	case *deterministic:
+		*s = deterministic{interval: s.interval}
+	case *modulated:
+		*s = modulated{rate: s.rate, leave: s.leave}
 	}
 }
 

@@ -175,6 +175,37 @@ func TestSourceNames(t *testing.T) {
 	}
 }
 
+// Reset returns a used source to exactly the state NewSource builds, so
+// a reset source draws what a fresh one would.
+func TestResetRestoresTheBuiltSource(t *testing.T) {
+	for _, tt := range []struct {
+		spec Spec
+		base float64
+	}{
+		{Spec{}, 0.2},
+		{Spec{Kind: KindDeterministic}, 4},
+		{Spec{Kind: KindMMPP2, Rate0: 0.05, Rate1: 1.2, Switch01: 0.02, Switch10: 0.1}, 0},
+		{Spec{Kind: KindOnOff, BurstRate: 2, DutyCycle: 0.25, CycleTime: 40}, 0},
+	} {
+		kind := tt.spec.Normalized().Kind
+		src, fresh := mustSource(t, tt.spec, tt.base), mustSource(t, tt.spec, tt.base)
+		rng := sim.NewRNG(3)
+		for range 50 {
+			src.Next(rng)
+		}
+		Reset(src)
+		if !reflect.DeepEqual(src, fresh) {
+			t.Errorf("%s: reset left %#v, NewSource builds %#v", kind, src, fresh)
+		}
+		ra, rb := sim.NewRNG(7), sim.NewRNG(7)
+		for i := range 200 {
+			if x, y := src.Next(ra), fresh.Next(rb); x != y {
+				t.Fatalf("%s: draw %d after Reset: %v, a fresh source drew %v", kind, i, x, y)
+			}
+		}
+	}
+}
+
 // Every source is a deterministic function of its spec and the RNG
 // stream: equal (spec, seed) must reproduce the exact draw sequence.
 func TestSourcesDeterministic(t *testing.T) {

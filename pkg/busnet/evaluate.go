@@ -127,7 +127,8 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 // (Config, Seed, Stream); every field of Results covers the measured
 // interval only, except Diagnostics, which covers the whole run.
 func runSim(cfg Config, fabric topo.Config, rec *obs.Recorder) (Results, error) {
-	run, err := simulate(fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
+	rep := replications.Get().(*replication)
+	run, err := simulate(rep, fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
 	if err != nil {
 		return Results{}, err
 	}
@@ -168,14 +169,17 @@ type simRun struct {
 	rep    *replication
 }
 
-// replication is the memory one simulation runs on: an engine, an RNG
-// and a fabric, recycled through replications so that a worker running
-// job after job reuses the previous job's event objects, wheel buckets
-// and fabric arrays instead of allocating and collecting them per job.
+// replication is the memory one simulation runs on: an engine, an RNG,
+// a fabric, and the fabric config a topology lowers into, recycled
+// through replications so that a worker running job after job reuses
+// the previous job's event objects, wheel buckets, fabric arrays and
+// run state, and a topology's lowered segments, links and routes,
+// instead of allocating and collecting them per job.
 type replication struct {
 	eng *sim.Engine
 	rng *sim.RNG
 	fab topo.Fabric
+	cfg topo.Config
 }
 
 // replications pools replication memory across every BackendSim
@@ -198,26 +202,28 @@ func (r simRun) release() {
 // simulate is the one discrete-event runner behind every BackendSim
 // evaluation, flat or topology: fresh logical state — an engine at time
 // zero, the RNG substream (seed, stream), the fabric cfg describes — on
-// recycled memory, statistics reset at warmup, and a run to the
-// horizon. cfg comes from Config.lowered or Topology.lowered, which
-// checked it, so Fabric.Init takes it without validating it again; the
-// station bound, which only the simulator has, is checked here. A
+// rep, a replication the caller took from the pool, with statistics
+// reset at warmup and a run to the horizon. cfg comes from
+// Config.lowered or Topology.lowered, which checked it, so Fabric.Init
+// takes it without validating it again; the station bound, which only
+// the simulator has, is checked here before anything is built. A
 // non-nil rec is attached to the engine's and fabric's probe seams;
 // attachment never changes the trajectory or the counters. The caller
-// releases the returned run once it has read it.
-func simulate(cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
+// releases the returned run once it has read it. On error rep goes
+// back to the pool if nothing was built on it, and is dropped
+// otherwise: a failed Init or run leaves it in no state worth
+// reasoning about.
+func simulate(rep *replication, cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
 	stations := 0
 	for _, s := range cfg.Segments {
 		stations += s.Stations
 	}
 	if stations > MaxSimProcessors {
+		replications.Put(rep)
 		return simRun{}, fmt.Errorf(
 			"busnet: %d processors exceed the discrete-event backend's %d-station bound; for large-N curves of a flat config, use the %q backend",
 			stations, MaxSimProcessors, BackendFluid)
 	}
-	rep := replications.Get().(*replication)
-	// On error rep is dropped, not pooled: a failed Init or run leaves
-	// it in no state worth reasoning about.
 	eng := rep.eng
 	rep.rng.Reseed(seed, stream)
 	fab := &rep.fab

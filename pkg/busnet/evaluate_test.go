@@ -88,20 +88,20 @@ func TestEvaluateDeterministic(t *testing.T) {
 // the per-job cost above the engine. AllocsPerRun's warm-up call
 // leaves its engine, RNG and fabric in the replication pool, so the
 // lock measures a warm worker: what remains is the Results a caller
-// keeps (per-bus utilization, grants, diagnostics, the histogram
-// copies) plus the run's default source and service distribution. A
-// run that builds its engine and fabric afresh took 69 allocations
-// (Quantiles off) and 75 (on); the flat engine before that, 88 and 94.
+// keeps (the Results block, per-bus utilization, grants, diagnostics,
+// and with quantiles the histogram snapshots and their quantile
+// blocks). A run that builds its engine and fabric afresh took 69
+// allocations (Quantiles off) and 75 (on); the flat engine before that,
+// 88 and 94.
 //
-// The shaped cases pin where run state is built: Fabric.Init builds
-// the 16 MMPP2 sources into a recycled slice once per run, and runs
-// explicit weights on a recycled weighted arbiter that copies the
-// parsed vector into its own; with default weights the run recycles
-// the round-robin arbiter, which grants identically. Building them a
-// second time to validate took 39 and 16; building them in the
-// lowering, with a fresh source slice and an all-ones weight vector,
-// 22 and 12, and 9 with default weights; splitting the weights string
-// and building a weighted arbiter per run, 10.
+// The shaped cases pin where run state lives: Fabric.Init keeps each
+// segment's sources, service distribution and arbiters in recycled
+// memory and reuses them, reset, while the specs and rates are
+// unchanged, so a run of the same shape builds none of them. Building
+// a source and service distribution per run took 6 allocations for
+// Poisson (10 with quantiles) and 21 for MMPP2's 16 sources; a fresh
+// fixed-priority arbiter per run, 7. Explicit weights add their parsed
+// vector alone: the recycled weighted arbiter copies it into its own.
 func TestEvaluateReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, tt := range []struct {
@@ -109,14 +109,15 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 		mutate func(*Config)
 		limit  float64
 	}{
-		{"poisson", func(*Config) {}, 6},
-		{"poisson quantiles", func(c *Config) { c.Quantiles = true }, 10},
-		{"mmpp2", func(c *Config) { c.Traffic = RareBurstMMPP2(0.05, 8, 50, 0.1) }, 21},
+		{"poisson", func(*Config) {}, 4},
+		{"poisson quantiles", func(c *Config) { c.Quantiles = true }, 8},
+		{"mmpp2", func(c *Config) { c.Traffic = RareBurstMMPP2(0.05, 8, 50, 0.1) }, 4},
 		{"weighted round-robin", func(c *Config) {
 			c.Arbiter = WeightedRoundRobin.String()
 			c.Weights = "4,2" + strings.Repeat(",1", 14)
-		}, 7},
-		{"weighted round-robin, default weights", func(c *Config) { c.Arbiter = WeightedRoundRobin.String() }, 6},
+		}, 5},
+		{"weighted round-robin, default weights", func(c *Config) { c.Arbiter = WeightedRoundRobin.String() }, 4},
+		{"fixed priority", func(c *Config) { c.Arbiter = FixedPriority.String() }, 4},
 	} {
 		cfg := optimizerJob()
 		tt.mutate(&cfg)
@@ -222,16 +223,76 @@ func TestQuantileReplicationBytes(t *testing.T) {
 	}
 }
 
+// TestTopologyReplicationBytes bounds the bytes a warm replication of
+// the bridged job shape below allocates: the results it returns, since
+// the lowering writes into the pooled replication's config and the run
+// state is recycled. Lowering the topology afresh and building its
+// sources and service distributions made it allocate 1 904 B.
+func TestTopologyReplicationBytes(t *testing.T) {
+	skipUnderRace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	top := bridgedJob(t)
+	run := func() {
+		if _, err := EvaluateTopology(top, BackendSim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the replication pool
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if limit := 1536.0; perRun > limit {
+		t.Errorf("a warm topology replication allocates %.0f B, limit %.0f B", perRun, limit)
+	}
+}
+
 // TestEvaluateTopologyReplicationAllocs is the same lock for a bridged
-// fabric: the job shape above feeding a transit segment through a
-// 2-deep bridge, horizon 200, on a warm worker. Lowering the topology
-// once (segment and link arrays, the name index, routes) and the
-// snapshot's per-segment and per-flow results account for the count;
-// validating the lowered fabric a second time in Fabric.Init took 19,
-// lowering it a second time to validate 23, and building the engine
-// and fabric afresh 101.
+// fabric, the job shape feeding a transit segment, on a warm worker.
+// What remains is what EvaluateTopology returns: the results block, the
+// normalized topology echo, the hop and flow slices, one block of
+// per-bus utilizations and one of grants for every segment, the
+// diagnostics, and with quantiles one header block and one bucket array
+// for every histogram snapshot. Lowering the topology afresh (segment
+// and link arrays, the name index, routes, the acyclicity check's
+// scratch) and building each segment's sources and service distribution
+// took 17, and 23 with quantiles, when each segment and flow took its
+// own snapshots; validating the lowered fabric a second time in
+// Fabric.Init 19, lowering it a second time to validate 23, and
+// building the engine and fabric afresh 101.
 func TestEvaluateTopologyReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
+	top := bridgedJob(t)
+	quantiles := top
+	quantiles.Quantiles = true
+	for _, tt := range []struct {
+		name  string
+		top   Topology
+		limit float64
+	}{
+		{"tandem", top, 7},
+		{"tandem quantiles", quantiles, 9},
+	} {
+		var err error
+		got := testing.AllocsPerRun(20, func() { _, err = EvaluateTopology(tt.top, BackendSim) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got > tt.limit {
+			t.Errorf("%s: EvaluateTopology allocates %v times per replication, limit %v", tt.name, got, tt.limit)
+		}
+	}
+}
+
+// bridgedJob is the optimizer's job shape feeding a transit segment
+// through a 2-deep bridge: cpu (N = 16, λ = 0.05, buffered depth 2) →
+// mem, horizon 200.
+func bridgedJob(t *testing.T) Topology {
+	t.Helper()
 	top, err := NewTopology().
 		BufferedSourceNode("cpu", 16, 0.05, 1, 2, "mem").
 		TransitNode("mem", 1).
@@ -241,13 +302,7 @@ func TestEvaluateTopologyReplicationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(20, func() { _, err = EvaluateTopology(top, BackendSim) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limit := 17.0; got > limit {
-		t.Errorf("EvaluateTopology allocates %v times per replication, limit %v", got, limit)
-	}
+	return top
 }
 
 // TestOptimizerJobOverflow locks the timing wheel's overflow traffic

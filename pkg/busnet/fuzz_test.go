@@ -265,8 +265,8 @@ func FuzzTopologyValidate(f *testing.F) {
 			return // rejected cleanly; nothing more to hold
 		}
 		lower := top // normalizing in place gives lower its own nodes
-		fabric, err := lower.lowered()
-		if err != nil {
+		var fabric topo.Config
+		if err := lower.lowered(&fabric); err != nil {
 			t.Fatalf("accepted topology does not lower: %v\n%+v", err, top)
 		}
 		if err := fabric.Validate(); err != nil {

@@ -25,6 +25,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/busnet/busnet/pkg/busnet"
 	"github.com/busnet/busnet/pkg/busnet/sweep"
@@ -186,13 +187,17 @@ func (c Candidate) Label() string {
 	return s
 }
 
-// FormatCost renders a candidate cost for tables and JSON: "%g" for
-// finite values, "inf" for the infinite-buffer case.
+// FormatCost renders a candidate cost for tables and JSON: the
+// shortest "%g" form for finite values, "inf" for the infinite-buffer
+// case.
 func FormatCost(c float64) string {
 	if math.IsInf(c, 1) {
 		return "inf"
 	}
-	return fmt.Sprintf("%g", c)
+	// strconv.FormatFloat(c, 'g', -1, 64) in a buffer on the stack: the
+	// string is the one allocation.
+	var buf [32]byte
+	return string(strconv.AppendFloat(buf[:0], c, 'g', -1, 64))
 }
 
 // Enumerate expands the space into its full candidate list — every
@@ -227,7 +232,17 @@ func (p Problem) Enumerate() ([]Candidate, error) {
 	if len(weights) == 0 {
 		weights = []string{base.Weights}
 	}
-	var out []Candidate
+	// One candidate per (mode, m, depth, weights), or per (mode, m,
+	// weights) when unbuffered; a mode that does not parse fails below.
+	n := 0
+	for _, mode := range modes {
+		if mode, _ := busnet.ParseMode(mode); mode == busnet.ModeBuffered {
+			n += len(buses) * len(depths) * len(weights)
+		} else {
+			n += len(buses) * len(weights)
+		}
+	}
+	out := make([]Candidate, 0, n)
 	for _, mode := range modes {
 		mode, err := busnet.ParseMode(mode)
 		if err != nil {

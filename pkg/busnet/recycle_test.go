@@ -2,6 +2,7 @@ package busnet_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/busnet/busnet/pkg/busnet"
@@ -15,7 +16,10 @@ import (
 
 // recycleFlats is a mix of flat configs that leave their memory in
 // different shapes: few and many stations, stalled interfaces, a second
-// bus, histograms, shaped service and traffic, a weighted arbiter.
+// bus, histograms, shaped service and traffic, every arbiter. Each
+// stateful traffic shape and the fixed-priority arbiter appear twice in
+// a row, at different station counts, so that in every order one run
+// reuses the sources and arbiter the run before it left.
 func recycleFlats() []busnet.Config {
 	base := busnet.DefaultConfig().AtHorizon(3000)
 	base.Seed = 11
@@ -24,6 +28,8 @@ func recycleFlats() []busnet.Config {
 		edit(&c)
 		return c
 	}
+	mmpp2 := busnet.RareBurstMMPP2(0.08, 8, 50, 0.1)
+	onoff := busnet.OnOffTraffic(0.5, 0.25, 100)
 	return []busnet.Config{
 		with(func(c *busnet.Config) { c.Processors = 2 }),
 		with(func(c *busnet.Config) { c.Processors = 64 }),
@@ -39,7 +45,30 @@ func recycleFlats() []busnet.Config {
 		with(func(c *busnet.Config) { c.Service = busnet.HyperexpService(4) }),
 		with(func(c *busnet.Config) {
 			c.Mode, c.BufferCap = busnet.ModeBuffered, busnet.Infinite
-			c.Traffic = busnet.RareBurstMMPP2(0.08, 8, 50, 0.1)
+			c.Traffic = mmpp2
+		}),
+		with(func(c *busnet.Config) {
+			c.Processors = 12
+			c.Mode, c.BufferCap = busnet.ModeBuffered, busnet.Infinite
+			c.Traffic = mmpp2
+		}),
+		with(func(c *busnet.Config) {
+			c.Processors = 6
+			c.Mode, c.BufferCap = busnet.ModeBuffered, 2
+			c.Traffic = onoff
+		}),
+		with(func(c *busnet.Config) { c.Processors, c.Traffic = 4, onoff }),
+		with(func(c *busnet.Config) { c.Traffic = busnet.DeterministicTraffic() }),
+		with(func(c *busnet.Config) {
+			c.Processors = 6
+			c.Mode, c.BufferCap = busnet.ModeBuffered, 1
+			c.Traffic = busnet.DeterministicTraffic()
+		}),
+		with(func(c *busnet.Config) { c.Arbiter = busnet.FixedPriority.String() }),
+		with(func(c *busnet.Config) {
+			c.Processors, c.Buses = 12, 2
+			c.Mode, c.BufferCap = busnet.ModeBuffered, 2
+			c.Arbiter = busnet.FixedPriority.String()
 		}),
 		with(func(c *busnet.Config) {
 			c.Processors = 4
@@ -48,8 +77,11 @@ func recycleFlats() []busnet.Config {
 	}
 }
 
-// recycleTopologies adds fabrics: a depth-1 tandem that blocks, and the
-// tree-merge fabric with two sources and fan-in blocking, histograms on.
+// recycleTopologies adds fabrics whose shape changes from one to the
+// next, 2 → 4 → 3 nodes, with different routes and bridge depths: a
+// depth-1 tandem that blocks; the tree-merge fabric with two sources
+// and fan-in blocking, histograms on; and two sources merging into a
+// memory node over depth-2 bridges, arbitrated by explicit weights.
 func recycleTopologies(t *testing.T) []busnet.Topology {
 	t.Helper()
 	tandem, err := busnet.NewTopology().
@@ -77,7 +109,20 @@ func recycleTopologies(t *testing.T) []busnet.Topology {
 		t.Fatal(err)
 	}
 	tree.Quantiles = true
-	return []busnet.Topology{tandem, tree}
+	merge, err := busnet.NewTopology().
+		BufferedSourceNode("cpuA", 6, 0.06, 1.5, 2, "mem").
+		BufferedSourceNode("cpuB", 10, 0.05, 1.5, 1, "mem").
+		TransitNode("mem", 1).
+		Bridge("cpuA", "mem", 2).
+		Bridge("cpuB", "mem", 2).
+		Seed(11).
+		Horizon(3000).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge.Nodes[2].Arbiter, merge.Nodes[2].Weights = busnet.WeightedRoundRobin.String(), "3,1"
+	return []busnet.Topology{tandem, tree, merge}
 }
 
 // recycleJob is one entry of the mixed list: a flat config or a
@@ -119,8 +164,11 @@ func recorderState(rec *busnet.FlightRecorder) []any {
 // and with a traced run of the next entry before every entry. Every
 // evaluation, Results and Diagnostics and histograms included, must be
 // identical in all three orders, and a recorder must capture nothing
-// once its traced run has returned.
+// once its traced run has returned. It runs on one P, so that every
+// run takes the replication the run before it released: its lowered
+// topology, sources, service distribution and arbiters.
 func TestRecycledRunsIgnoreHistory(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var jobs []recycleJob
 	for _, c := range recycleFlats() {
 		jobs = append(jobs, recycleJob{flat: &c})
@@ -139,8 +187,8 @@ func TestRecycledRunsIgnoreHistory(t *testing.T) {
 	if d := forwards[2].(busnet.Evaluation).Diagnostics; d.Stalls == 0 {
 		t.Fatal("the depth-1 buffered config never stalled")
 	}
-	for _, i := range []int{n - 2, n - 1} {
-		if d := forwards[i].(busnet.TopologyEvaluation).Diagnostics; d.BridgeBlocks == 0 {
+	for i, out := range forwards {
+		if ev, ok := out.(busnet.TopologyEvaluation); ok && ev.Diagnostics.BridgeBlocks == 0 {
 			t.Fatalf("fabric %d never blocked a bus after service", i)
 		}
 	}

@@ -200,3 +200,34 @@ func BenchmarkBurstySweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTopologySweep measures the topology replication path: one op
+// is one single-worker sweep over the fabric workload's bridge-depth
+// tandems (cpu, N = 16 at λ = 0.04, buffered without bound → mem over a
+// bridge of depth 1, 2, 4, 8, 16 or 32), 10 replications each of
+// horizon 1 000. The replications are short, so B/op and allocs/op gate
+// what each topology replication allocates besides its results: its
+// lowering and its run state.
+func BenchmarkTopologySweep(b *testing.B) {
+	var points []busnet.Topology
+	for _, depth := range []int{1, 2, 4, 8, 16, 32} {
+		top, err := busnet.NewTopology().
+			BufferedSourceNode("cpu", 16, 0.04, 1, busnet.Infinite, "mem").
+			TransitNode("mem", 1).
+			Bridge("cpu", "mem", depth).
+			Seed(42).
+			Horizon(1_000).
+			Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		points = append(points, top)
+	}
+	spec := TopologySpec{Points: points, Replications: 10, Workers: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunTopology(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package busnet
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/busnet/busnet/internal/analytic"
 	"github.com/busnet/busnet/internal/bus"
@@ -130,67 +131,80 @@ func (t Topology) Normalized() Topology {
 // acyclicity, routes following existing links, no dead links or
 // unreachable transit nodes.
 func (t Topology) Validate() error {
-	_, err := t.lowered()
-	return err
+	var cfg topo.Config
+	return t.lowered(&cfg)
 }
 
 // lowered is the one lowering of a topology: it normalizes t in place,
-// checks it, and returns the run-ready fabric config. Node names resolve
-// to segment indices once, here, for links and routes alike; each node's
-// strings are parsed by Node.lower. The rules on the lowered specs and
-// the graph-level invariants are the fabric's own checks
-// (topo.Config.Validate), so the two layers cannot drift apart.
-func (t *Topology) lowered() (topo.Config, error) {
+// checks it, and writes the run-ready fabric config into cfg, reusing
+// the capacity of cfg's segment, link and route slices, so a replication
+// that lowers into its own config allocates none of them again. Node
+// names resolve to segment indices once, here, for links and routes
+// alike, by scanning the nodes: fabrics are small, and the fabric's own
+// name check scans too. Each node's strings are parsed by Node.lower.
+// The rules on the lowered specs and the graph-level invariants are the
+// fabric's own checks (topo.Config.Validate), so the two layers cannot
+// drift apart. On error cfg holds a partial lowering.
+func (t *Topology) lowered(cfg *topo.Config) error {
 	t.normalize()
 	if err := checkRun(t.Horizon, t.Warmup); err != nil {
-		return topo.Config{}, err
+		return err
 	}
 	if len(t.Nodes) == 0 {
-		return topo.Config{}, fmt.Errorf("busnet: topology has no nodes")
+		return fmt.Errorf("busnet: topology has no nodes")
 	}
-	idx := make(map[string]int, len(t.Nodes))
-	for k, n := range t.Nodes {
-		if n.Name == "" {
-			return topo.Config{}, fmt.Errorf("busnet: node %d has no name", k)
+	for k := range t.Nodes {
+		name := t.Nodes[k].Name
+		if name == "" {
+			return fmt.Errorf("busnet: node %d has no name", k)
 		}
-		if prev, dup := idx[n.Name]; dup {
-			return topo.Config{}, fmt.Errorf("busnet: nodes %d and %d share the name %q", prev, k, n.Name)
+		if prev := t.index(name); prev != k {
+			return fmt.Errorf("busnet: nodes %d and %d share the name %q", prev, k, name)
 		}
-		idx[n.Name] = k
 	}
-	cfg := topo.Config{
-		Segments:  make([]topo.SegmentConfig, len(t.Nodes)),
-		Links:     make([]topo.LinkConfig, len(t.Links)),
+	*cfg = topo.Config{
+		Segments:  slices.Grow(cfg.Segments[:0], len(t.Nodes))[:len(t.Nodes)],
+		Links:     slices.Grow(cfg.Links[:0], len(t.Links))[:len(t.Links)],
 		Quantiles: t.Quantiles,
 	}
 	for i, l := range t.Links {
-		from, ok := idx[l.From]
-		if !ok {
-			return topo.Config{}, fmt.Errorf("busnet: link %d: no node named %q", i, l.From)
+		from := t.index(l.From)
+		if from < 0 {
+			return fmt.Errorf("busnet: link %d: no node named %q", i, l.From)
 		}
-		to, ok := idx[l.To]
-		if !ok {
-			return topo.Config{}, fmt.Errorf("busnet: link %d: no node named %q", i, l.To)
+		to := t.index(l.To)
+		if to < 0 {
+			return fmt.Errorf("busnet: link %d: no node named %q", i, l.To)
 		}
 		cfg.Links[i] = topo.LinkConfig{From: from, To: to, Depth: l.Buffer}
 	}
 	for k := range t.Nodes {
 		n := &t.Nodes[k]
-		if err := n.lower(&cfg.Segments[k]); err != nil {
-			return topo.Config{}, fmt.Errorf("busnet: node %q: %w", n.Name, err)
+		sc := &cfg.Segments[k]
+		route := sc.Route[:0]
+		if err := n.lower(sc); err != nil {
+			return fmt.Errorf("busnet: node %q: %w", n.Name, err)
 		}
 		for h, hop := range n.Route {
-			to, ok := idx[hop]
-			if !ok {
-				return topo.Config{}, fmt.Errorf("busnet: node %q route hop %d: no node named %q", n.Name, h, hop)
+			to := t.index(hop)
+			if to < 0 {
+				return fmt.Errorf("busnet: node %q route hop %d: no node named %q", n.Name, h, hop)
 			}
-			cfg.Segments[k].Route = append(cfg.Segments[k].Route, to)
+			route = append(route, to)
+		}
+		sc.Route = route
+	}
+	return cfg.Validate()
+}
+
+// index returns the index of the first node named name, or -1.
+func (t *Topology) index(name string) int {
+	for k := range t.Nodes {
+		if t.Nodes[k].Name == name {
+			return k
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return topo.Config{}, err
-	}
-	return cfg, nil
+	return -1
 }
 
 // lower is the one lowering of a node, without its route, into the
@@ -202,9 +216,9 @@ func (t *Topology) lowered() (topo.Config, error) {
 // topo.Config.Validate; lower adds only what the strings say and that a
 // transit node leaves the processors' fields unset, since nothing would
 // read them there: a NaN or an unknown kind would run and then fail to
-// encode. It writes every field of sc but Route and Sources, which the
-// caller's zero segment keeps nil until the route is resolved, and
-// writes nothing on error.
+// encode. It writes every field of sc but Route, which the caller
+// resolves, and Sources, which no lowering sets, and writes nothing on
+// error.
 func (n *Node) lower(sc *topo.SegmentConfig) error {
 	if n.Processors == 0 && n.stationField() != "" {
 		return fmt.Errorf("%s is set, but the node has no processors to apply it to", n.stationField())
@@ -346,19 +360,19 @@ func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 }
 
 // evaluateTopology runs t on the resolved backend b; rec as in evaluate.
-// It lowers t once, for whichever backend answers.
+// It lowers t once, for whichever backend answers: the simulator into
+// its pooled replication's config, the product form into a fresh one.
 func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluation, error) {
-	if b == BackendFluid {
+	switch b {
+	case BackendFluid:
 		return TopologyEvaluation{}, fmt.Errorf(
 			"busnet: no fluid model for topologies — the mean-field balance covers the flat single-segment config only (use %q or %q)",
 			BackendSim, BackendAnalytic)
-	}
-	cfg, err := t.lowered()
-	if err != nil {
-		return TopologyEvaluation{}, err
-	}
-	switch b {
 	case BackendAnalytic:
+		var cfg topo.Config
+		if err := t.lowered(&cfg); err != nil {
+			return TopologyEvaluation{}, err
+		}
 		p, err := predictTopology(t, cfg)
 		if err != nil {
 			return TopologyEvaluation{}, err
@@ -370,7 +384,7 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 			Analytic:     &p,
 		}, nil
 	default:
-		res, err := runTopologySim(t, cfg, rec)
+		res, err := runTopologySim(t, rec)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}
@@ -393,10 +407,17 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 	}
 }
 
-// runTopologySim is the discrete-event backend for topologies: cfg, the
-// normalized topology t's lowered fabric, run by simulate.
-func runTopologySim(t Topology, cfg topo.Config, rec *obs.Recorder) (TopologyResults, error) {
-	run, err := simulate(cfg, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
+// runTopologySim is the discrete-event backend for topologies: it takes
+// a pooled replication, lowers t into the replication's fabric config,
+// and runs it with simulate. The results echo t normalized, in a Nodes
+// slice of their own.
+func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
+	rep := replications.Get().(*replication)
+	if err := t.lowered(&rep.cfg); err != nil {
+		replications.Put(rep) // nothing ran on it
+		return TopologyResults{}, err
+	}
+	run, err := simulate(rep, rep.cfg, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
 	if err != nil {
 		return TopologyResults{}, err
 	}

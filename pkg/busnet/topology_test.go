@@ -247,7 +247,8 @@ func TestNodeSegmentReturnsConstructionErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			top := chainTopology(2, 0.1, 1, 1, 2)
 			tt.mutate(&top)
-			if _, err := top.lowered(); err == nil || !strings.Contains(err.Error(), tt.want) {
+			var fabric topo.Config
+			if err := top.lowered(&fabric); err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("lowered() of %+v: err = %v, want %q", top, err, tt.want)
 			}
 			if err := top.Validate(); err == nil || !strings.Contains(err.Error(), tt.want) {
