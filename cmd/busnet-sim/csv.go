@@ -41,14 +41,107 @@ var csvHeader = []string{
 	"stalls", "arb_scan_slots", "bridge_crossings", "bridge_blocks",
 }
 
-// writeCSV flattens a report to CSV. Floats are rendered with
-// strconv's shortest round-trip formatting, so CSV output is as
-// deterministic as the JSON report. "Not measured" is always an empty
-// cell, never a meaningless 0: an undefined confidence interval (single
+// csvRow is what one CSV row renders: a node's configuration, the run
+// interval and replication count, the node's reduced statistics, the
+// pooled quantiles, the analytic and fluid overlays, the topology
+// columns and the diagnostics. A flat point is its config's one node.
+// Nil quantiles, overlays and diagnostics blank their cells, and a nil
+// endToEnd blanks the topology columns, as on flat rows.
+type csvRow struct {
+	node            busnet.Node
+	seed            int64
+	horizon, warmup float64
+	replications    int
+	stat            sweep.HopStat
+	waitQ, respQ    *busnet.Quantiles
+	analytic        *busnet.Prediction
+	fluid           *busnet.FluidPrediction
+	// The topology columns beyond stat's node name and blocked fraction:
+	// the depth of the node's one inbound bridge (blank on source nodes
+	// and on merges) and the point's end-to-end response, repeated on
+	// each of its rows as provenance.
+	inbound     string
+	endToEnd    *sweep.Stat
+	diagnostics *busnet.Diagnostics
+}
+
+// cells renders r as the row of point p of curve in scenario. Floats
+// use strconv's shortest round-trip formatting, so CSV output is as
+// deterministic as the JSON report.
+func (r *csvRow) cells(scenario string, curve CurveResult, p int) []string {
+	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	i := strconv.Itoa
+	stat := func(s sweep.Stat) []string {
+		if s.CIUndefined {
+			return []string{f(s.Mean), ""}
+		}
+		return []string{f(s.Mean), f(s.CI95)}
+	}
+	n, h := &r.node, &r.stat
+	meanRate := ""
+	if n.Processors > 0 {
+		meanRate = f(n.Traffic.MeanRate(n.ThinkRate))
+	}
+	row := []string{
+		scenario, curve.Name, string(curve.Backend), i(p),
+		i(n.Processors), i(n.Buses), f(n.ThinkRate), f(n.ServiceRate),
+		string(n.Service.Kind), n.Service.Detail(),
+		n.Mode, i(n.BufferCap), n.Arbiter,
+		n.Weights, string(n.Traffic.Kind), n.Traffic.Detail(),
+		meanRate,
+		strconv.FormatInt(r.seed, 10), f(r.horizon), f(r.warmup),
+		i(r.replications),
+	}
+	row = append(row, stat(h.Utilization)...)
+	row = append(row, stat(h.Throughput)...)
+	row = append(row, stat(h.MeanWait)...)
+	row = append(row, stat(h.MeanQueueLen)...)
+	row = append(row, stat(h.MeanResponse)...)
+	for _, q := range []*busnet.Quantiles{r.waitQ, r.respQ} {
+		if q != nil {
+			row = append(row, f(q.P50), f(q.P95), f(q.P99))
+		} else {
+			row = append(row, "", "", "")
+		}
+	}
+	if a := r.analytic; a != nil {
+		row = append(row, f(a.Utilization), f(a.Throughput), f(a.MeanWait),
+			f(a.MeanQueueLen), f(a.MeanResponse))
+	} else {
+		row = append(row, "", "", "", "", "")
+	}
+	if fl := r.fluid; fl != nil {
+		row = append(row, f(fl.Utilization), f(fl.Throughput), f(fl.MeanWait),
+			f(fl.MeanQueueLen), f(fl.MeanResponse), f(fl.Blocked))
+	} else {
+		row = append(row, "", "", "", "", "", "")
+	}
+	if r.endToEnd != nil {
+		row = append(row, h.Node, r.inbound)
+		row = append(row, stat(h.Blocked)...)
+		row = append(row, stat(*r.endToEnd)...)
+	} else {
+		row = append(row, "", "", "", "", "", "")
+	}
+	if d := r.diagnostics; d != nil {
+		u := func(x uint64) string { return strconv.FormatUint(x, 10) }
+		return append(row,
+			u(d.Engine.Scheduled), u(d.Engine.Fired), u(d.Engine.Cancelled),
+			u(d.Engine.PoolHits), u(d.Engine.PoolMisses),
+			u(d.Engine.WheelOverflow), u(d.Engine.WheelRebases), u(d.Engine.WheelResizes),
+			u(d.Stalls), u(d.ArbScanSlots), u(d.BridgeCrossings), u(d.BridgeBlocks))
+	}
+	return append(row, make([]string, 12)...)
+}
+
+// writeCSV flattens a report to CSV, one csvRow per flat point and per
+// (topology point, hop). "Not measured" is always an empty cell, never
+// a meaningless 0: an undefined confidence interval (single
 // replication, or a model backend's point estimate) blanks its ci95
 // cell, disabled quantile collection blanks the six percentile cells,
-// and a point outside the analytic/fluid model's domain blanks that
-// overlay's cells.
+// as hop rows do, having no pooled quantiles, and a point outside the
+// analytic/fluid model's domain blanks that overlay's cells; the fluid
+// model has no topology form.
 func writeCSV(w io.Writer, report Report) error {
 	if report.Optimize != nil {
 		// Optimizer scenarios have a ranked-candidate shape, not a
@@ -59,134 +152,47 @@ func writeCSV(w io.Writer, report Report) error {
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
-	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	i := strconv.Itoa
-	stat := func(s sweep.Stat) []string {
-		if s.CIUndefined {
-			return []string{f(s.Mean), ""}
-		}
-		return []string{f(s.Mean), f(s.CI95)}
-	}
-	quantiles := func(q *busnet.Quantiles) []string {
-		if q == nil {
-			return []string{"", "", ""}
-		}
-		return []string{f(q.P50), f(q.P95), f(q.P99)}
-	}
-	diagnostics := func(d *busnet.Diagnostics) []string {
-		if d == nil {
-			return make([]string, 12)
-		}
-		u := func(x uint64) string { return strconv.FormatUint(x, 10) }
-		return []string{
-			u(d.Engine.Scheduled), u(d.Engine.Fired), u(d.Engine.Cancelled),
-			u(d.Engine.PoolHits), u(d.Engine.PoolMisses),
-			u(d.Engine.WheelOverflow), u(d.Engine.WheelRebases), u(d.Engine.WheelResizes),
-			u(d.Stalls), u(d.ArbScanSlots), u(d.BridgeCrossings), u(d.BridgeBlocks),
-		}
-	}
-	// writeTopologyRows renders one row per (point, hop): the hop's node
-	// configuration in the shared config columns, its reduced statistics
-	// in the shared metric columns, and the topology-only columns — node
-	// name, inbound bridge depth (blank on source nodes and merges with
-	// more than one inbound bridge), blocked fraction, and the point's
-	// end-to-end response repeated on each of its rows as provenance.
-	writeTopologyRows := func(curve CurveResult) error {
-		res := curve.Topology
-		for p, pt := range res.Points {
-			top := pt.Topology
-			for k, h := range pt.Hops {
-				node := top.Nodes[k]
-				meanRate := ""
-				if node.Processors > 0 {
-					meanRate = f(node.Traffic.MeanRate(node.ThinkRate))
-				}
-				inbound := ""
-				for _, l := range top.Links {
-					if l.To != node.Name {
-						continue
-					}
-					if inbound != "" {
-						inbound = "" // merge point: no single inbound depth
-						break
-					}
-					inbound = i(l.Buffer)
-				}
-				row := []string{
-					report.Scenario, curve.Name, string(curve.Backend), i(p),
-					i(node.Processors), i(node.Buses), f(node.ThinkRate), f(node.ServiceRate),
-					string(node.Service.Kind), node.Service.Detail(),
-					node.Mode, i(node.BufferCap), node.Arbiter,
-					node.Weights, string(node.Traffic.Kind), node.Traffic.Detail(),
-					meanRate,
-					strconv.FormatInt(top.Seed, 10), f(top.Horizon), f(top.Warmup),
-					i(res.Replications),
-				}
-				row = append(row, stat(h.Utilization)...)
-				row = append(row, stat(h.Throughput)...)
-				row = append(row, stat(h.MeanWait)...)
-				row = append(row, stat(h.MeanQueueLen)...)
-				row = append(row, stat(h.MeanResponse)...)
-				row = append(row, "", "", "", "", "", "") // no pooled quantile columns per hop
-				if a := pt.Analytic; a != nil {
-					an := a.Nodes[k]
-					row = append(row, f(an.Utilization), f(an.Throughput), f(an.MeanWait),
-						f(an.MeanQueueLen), f(an.MeanResponse))
-				} else {
-					row = append(row, "", "", "", "", "")
-				}
-				row = append(row, "", "", "", "", "", "") // fluid model has no topology form
-				row = append(row, h.Node, inbound)
-				row = append(row, stat(h.Blocked)...)
-				row = append(row, stat(pt.EndToEnd)...)
-				row = append(row, diagnostics(pt.Diagnostics)...)
-				if err := cw.Write(row); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
 	for _, curve := range report.Curves {
-		if curve.Topology != nil {
-			if err := writeTopologyRows(curve); err != nil {
-				return err
+		write := func(p int, r *csvRow) error { return cw.Write(r.cells(report.Scenario, curve, p)) }
+		if res := curve.Topology; res != nil {
+			for p, pt := range res.Points {
+				top := pt.Topology
+				for k, h := range pt.Hops {
+					r := csvRow{
+						node: top.Nodes[k], seed: top.Seed, horizon: top.Horizon, warmup: top.Warmup,
+						replications: res.Replications, stat: h, endToEnd: &pt.EndToEnd,
+						diagnostics: pt.Diagnostics,
+					}
+					for _, l := range top.Links {
+						if l.To != r.node.Name {
+							continue
+						}
+						if r.inbound != "" {
+							r.inbound = "" // merge point: no single inbound depth
+							break
+						}
+						r.inbound = strconv.Itoa(l.Buffer)
+					}
+					if a := pt.Analytic; a != nil {
+						r.analytic = &a.Nodes[k].Prediction
+					}
+					if err := write(p, &r); err != nil {
+						return err
+					}
+				}
 			}
-			continue
 		}
 		for p, pt := range curve.Result.Points {
-			row := []string{
-				report.Scenario, curve.Name, string(curve.Backend), i(p),
-				i(pt.Config.Processors), i(pt.Config.Buses), f(pt.Config.ThinkRate), f(pt.Config.ServiceRate),
-				string(pt.Config.Service.Kind), pt.Config.Service.Detail(),
-				pt.Config.Mode, i(pt.Config.BufferCap), pt.Config.Arbiter,
-				pt.Config.Weights, string(pt.Config.Traffic.Kind), pt.Config.Traffic.Detail(),
-				f(pt.Config.MeanThinkRate()),
-				strconv.FormatInt(pt.Config.Seed, 10), f(pt.Config.Horizon), f(pt.Config.Warmup),
-				i(curve.Result.Replications),
-			}
-			row = append(row, stat(pt.Utilization)...)
-			row = append(row, stat(pt.Throughput)...)
-			row = append(row, stat(pt.MeanWait)...)
-			row = append(row, stat(pt.MeanQueueLen)...)
-			row = append(row, stat(pt.MeanResponse)...)
-			row = append(row, quantiles(pt.WaitQuantiles)...)
-			row = append(row, quantiles(pt.ResponseQuantiles)...)
-			if a := pt.Analytic; a != nil {
-				row = append(row, f(a.Utilization), f(a.Throughput), f(a.MeanWait),
-					f(a.MeanQueueLen), f(a.MeanResponse))
-			} else {
-				row = append(row, "", "", "", "", "")
-			}
-			if fl := pt.Fluid; fl != nil {
-				row = append(row, f(fl.Utilization), f(fl.Throughput), f(fl.MeanWait),
-					f(fl.MeanQueueLen), f(fl.MeanResponse), f(fl.Blocked))
-			} else {
-				row = append(row, "", "", "", "", "", "")
-			}
-			row = append(row, "", "", "", "", "", "") // topology columns are blank on flat rows
-			row = append(row, diagnostics(pt.Diagnostics)...)
-			if err := cw.Write(row); err != nil {
+			c := pt.Config
+			err := write(p, &csvRow{
+				node: c.Topology().Nodes[0], seed: c.Seed, horizon: c.Horizon, warmup: c.Warmup,
+				replications: curve.Result.Replications,
+				stat: sweep.HopStat{Utilization: pt.Utilization, Throughput: pt.Throughput,
+					MeanWait: pt.MeanWait, MeanQueueLen: pt.MeanQueueLen, MeanResponse: pt.MeanResponse},
+				waitQ: pt.WaitQuantiles, respQ: pt.ResponseQuantiles,
+				analytic: pt.Analytic, fluid: pt.Fluid, diagnostics: pt.Diagnostics,
+			})
+			if err != nil {
 				return err
 			}
 		}

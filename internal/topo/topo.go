@@ -71,7 +71,7 @@ type SegmentConfig struct {
 	// order. The zero value is round-robin.
 	Arbiter bus.ArbiterKind
 	// Weights are the weighted-round-robin arbiter's weights, one ≥ 1
-	// per claimant; nil means all ones. Other arbiters ignore them.
+	// per claimant; empty means all ones. Other arbiters ignore them.
 	Weights []int
 	// Stations is the number of local request-generating stations ≥ 0.
 	// Zero makes this a pure transit segment (a bridge hop).
@@ -308,7 +308,7 @@ func (c Config) Validate() error {
 	// plus inbound bridges.
 	for k := range c.Segments {
 		s := &c.Segments[k]
-		if s.Arbiter == bus.WeightedRoundRobin && s.Weights != nil && len(s.Weights) != c.claimants(k) {
+		if s.Arbiter == bus.WeightedRoundRobin && len(s.Weights) > 0 && len(s.Weights) != c.claimants(k) {
 			return fmt.Errorf("topo: segment %d: %d weights for %d claimants (stations + inbound bridges)", k, len(s.Weights), c.claimants(k))
 		}
 	}
@@ -722,7 +722,7 @@ func (f *Fabric) Init(cfg Config, eng *sim.Engine, rng *sim.RNG) error {
 		case sc.Arbiter == bus.FixedPriority:
 			m.fp = *bus.NewFixedPriority()
 			s.arbiter = &m.fp
-		case sc.Arbiter == bus.WeightedRoundRobin && sc.Weights != nil:
+		case sc.Arbiter == bus.WeightedRoundRobin && len(sc.Weights) > 0:
 			if m.wrr == nil {
 				m.wrr = new(bus.WeightedRoundRobinArbiter)
 			}

@@ -66,33 +66,26 @@ func QuantilesFrom(h *Histogram) *Quantiles {
 	}
 }
 
-// Results summarizes one simulation run over the measured interval
-// [warmup, horizon]. Waiting time runs from a request's issue to its
-// service start (including any stall at a full interface); response time
-// additionally includes service. Queue length counts requests waiting at
-// the interfaces, excluding those in service. Utilization is the
-// time-averaged fraction of busy buses (the plain busy fraction of the
-// single bus when Config.Buses is 1); BusUtilization breaks it down per
-// bus, skewed toward bus 0 by the lowest-free-bus dispatch, and
-// Utilization is exactly its mean.
+// Results summarizes one simulation run of a flat config: the one
+// segment's HopResult over the measured interval [warmup, horizon],
+// named "bus", plus the run's own fields. Waiting time runs from a
+// request's issue to its service start (including any stall at a full
+// interface); response time additionally includes service. Queue
+// length counts requests waiting at the interfaces, excluding those in
+// service. Utilization is the time-averaged fraction of busy buses (the
+// plain busy fraction of the single bus when Config.Buses is 1);
+// BusUtilization breaks it down per bus, skewed toward bus 0 by the
+// lowest-free-bus dispatch, and Utilization is exactly its mean.
+// Blocked is always zero: a flat run has no bridge to block on. The
+// config is not echoed: the caller has it, and Config.Normalized gives
+// its canonical spelling.
 type Results struct {
-	Config         Config    `json:"config"`
-	MeasuredTime   float64   `json:"measured_time"`
-	Events         uint64    `json:"events"`
-	Issued         uint64    `json:"issued"`
-	Completions    uint64    `json:"completions"`
-	Throughput     float64   `json:"throughput"`
-	Utilization    float64   `json:"utilization"`
-	BusUtilization []float64 `json:"bus_utilization"`
-	MeanQueueLen   float64   `json:"mean_queue_len"`
-	MaxQueueLen    float64   `json:"max_queue_len"`
-	MeanWait       float64   `json:"mean_wait"`
-	WaitStdDev     float64   `json:"wait_std_dev"`
-	MaxWait        float64   `json:"max_wait"`
-	MeanResponse   float64   `json:"mean_response"`
+	MeasuredTime float64 `json:"measured_time"`
+	Events       uint64  `json:"events"`
+	HopResult
 	// WaitQuantiles and ResponseQuantiles summarize the measured latency
-	// distributions (p50/p90/p95/p99); the full streaming histograms they
-	// were read from ride along unserialized so sweeps can merge
+	// distributions (p50/p90/p95/p99) read off the hop's WaitHist and
+	// RespHist, which ride along unserialized so sweeps can merge
 	// replications and re-query pooled quantiles. All four are nil unless
 	// Config.Quantiles enabled collection — absent from the JSON form
 	// rather than rendered as zero latencies. The histograms are
@@ -103,9 +96,6 @@ type Results struct {
 	// your own rather than adding to them or to a copy.
 	WaitQuantiles     *Quantiles `json:"wait_quantiles,omitempty"`
 	ResponseQuantiles *Quantiles `json:"response_quantiles,omitempty"`
-	WaitHistogram     *Histogram `json:"-"`
-	ResponseHistogram *Histogram `json:"-"`
-	Grants            []uint64   `json:"grants"`
 	// Diagnostics carries the run's deterministic engine and model
 	// counters; unlike every field above it covers the whole run from
 	// time zero, not the warmup-truncated measured interval.

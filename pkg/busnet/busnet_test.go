@@ -59,22 +59,22 @@ func TestAtHorizonPreservesWarmupFraction(t *testing.T) {
 	}
 }
 
-// A Config is a value: mutating the caller's copy after a run must not
-// reach into the Results it echoed, and empty mode/arbiter strings
-// normalize.
+// A Config is a value: a run leaves the caller's copy as it was, empty
+// mode/arbiter strings normalize, and a literal runs exactly as its
+// normalized spelling.
 func TestConfigIsImmutableValue(t *testing.T) {
-	cfg := DefaultConfig().AtHorizon(5000)
-	cfg.Warmup = 0
-	res := mustSim(t, cfg)
-	cfg.Processors = 999
-	if res.Config.Processors == 999 {
-		t.Fatal("mutating the caller's Config leaked into the Results")
+	lit := Config{Processors: 4, ThinkRate: 0.1, ServiceRate: 1, Horizon: 1000}
+	before := lit
+	res := mustSim(t, lit)
+	if lit != before {
+		t.Fatalf("a run changed the caller's Config: %+v, was %+v", lit, before)
 	}
-	lit := mustSim(t, Config{
-		Processors: 4, ThinkRate: 0.1, ServiceRate: 1, Horizon: 1000,
-	})
-	if got := lit.Config; got.Mode != ModeUnbuffered || got.Arbiter != RoundRobin.String() {
-		t.Fatalf("empty mode/arbiter not normalized: %+v", got)
+	canon := lit.Normalized()
+	if canon.Mode != ModeUnbuffered || canon.Arbiter != RoundRobin.String() {
+		t.Fatalf("empty mode/arbiter not normalized: %+v", canon)
+	}
+	if !reflect.DeepEqual(res, mustSim(t, canon)) {
+		t.Fatal("a literal and its normalized spelling ran different trajectories")
 	}
 }
 
@@ -94,9 +94,6 @@ func TestStreamsAreIndependentReplications(t *testing.T) {
 	}
 	if again := run(1); !reflect.DeepEqual(s1, again) {
 		t.Fatal("same (seed, stream) produced different Results")
-	}
-	if s0.Config.Stream != 0 || s1.Config.Stream != 1 {
-		t.Fatal("stream id not echoed in Results.Config")
 	}
 }
 
@@ -147,16 +144,19 @@ func TestConfigEchoAndDefaults(t *testing.T) {
 	cfg.Processors = 16
 	cfg.Mode, cfg.BufferCap = ModeBuffered, 4
 	cfg.Seed = 42
-	echo := mustSim(t, cfg).Config
+	echo := cfg.Normalized()
 	if echo.Processors != 16 || echo.BufferCap != 4 || echo.Seed != 42 {
 		t.Fatalf("config echo mismatch: %+v", echo)
 	}
 	if echo.Buses != 1 {
 		t.Fatalf("default buses = %d, want 1", echo.Buses)
 	}
+	if res := mustSim(t, cfg); len(res.BusUtilization) != 1 || len(res.Grants) != 16 || res.Name != "bus" {
+		t.Fatalf("run of %+v reported hop %q, %d buses and %d claimants", echo, res.Name, len(res.BusUtilization), len(res.Grants))
+	}
 	cfg.Buses = 4
-	if got := mustSim(t, cfg).Config.Buses; got != 4 {
-		t.Fatalf("Buses = 4 echoed %d", got)
+	if got := mustSim(t, cfg).BusUtilization; len(got) != 4 {
+		t.Fatalf("Buses = 4 ran %d buses", len(got))
 	}
 	if echo.Mode != "buffered" || echo.Arbiter != "round-robin" {
 		t.Fatalf("mode/arbiter = %q/%q, want buffered/round-robin", echo.Mode, echo.Arbiter)
@@ -223,9 +223,10 @@ func TestTrafficAndWeightsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"processors":2,"think_rate":0.1,"service_rate":1,"horizon":1000}`), &legacy); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustSim(t, legacy).Config.Traffic.Kind; got != TrafficPoisson {
+	if got := legacy.Normalized().Traffic.Kind; got != TrafficPoisson {
 		t.Fatalf("legacy config traffic normalized to %q, want %q", got, TrafficPoisson)
 	}
+	mustSim(t, legacy)
 }
 
 // Weights on a non-weighted arbiter are documented as inert: the run
@@ -236,9 +237,7 @@ func TestWeightsInertForOtherArbiters(t *testing.T) {
 	cfg.Seed = 42
 	with := cfg
 	with.Weights = "5,1,1,1,1,1,1,1"
-	a, b := mustSim(t, cfg), mustSim(t, with)
-	a.Config, b.Config = Config{}, Config{}
-	if !reflect.DeepEqual(a, b) {
+	if a, b := mustSim(t, cfg), mustSim(t, with); !reflect.DeepEqual(a, b) {
 		t.Fatal("weights changed a round-robin run; they must be inert off the weighted arbiter")
 	}
 	// But malformed weights are rejected even when inert.
@@ -277,14 +276,12 @@ func TestWeightedRoundRobinFacade(t *testing.T) {
 	}
 
 	// Empty weights on the weighted arbiter ≡ plain round-robin, grant
-	// for grant: identical Results except the echoed config.
+	// for grant: identical Results.
 	base := DefaultConfig().AtHorizon(5000)
 	base.Seed = 42
 	weighted := base
 	weighted.Arbiter = WeightedRoundRobin.String()
-	a, b := mustSim(t, base), mustSim(t, weighted)
-	a.Config, b.Config = Config{}, Config{}
-	if !reflect.DeepEqual(a, b) {
+	if a, b := mustSim(t, base), mustSim(t, weighted); !reflect.DeepEqual(a, b) {
 		t.Fatal("weighted round-robin with default weights diverged from round-robin")
 	}
 }

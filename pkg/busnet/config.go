@@ -3,6 +3,7 @@ package busnet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -238,14 +239,18 @@ func (c Config) AtHorizon(h float64) Config {
 // ParseWeights parses a Config.Weights string — comma-separated integer
 // weights ≥ 1, e.g. "4,2,1,1" — into the weight vector. The empty
 // string parses as (nil, nil): use all-ones weights.
-func ParseWeights(s string) ([]int, error) {
+func ParseWeights(s string) ([]int, error) { return appendWeights(nil, s) }
+
+// appendWeights appends the weights s lists to ws, growing it at most
+// once, so a lowering can parse into its segment's previous vector. It
+// cuts the fields in place, in one scan.
+func appendWeights(ws []int, s string) ([]int, error) {
 	if s == "" {
-		return nil, nil
+		return ws, nil
 	}
-	// One scan, cutting the fields in place: the weight vector is the
-	// only allocation.
-	ws := make([]int, strings.Count(s, ",")+1)
-	for i := range ws {
+	n := strings.Count(s, ",") + 1
+	ws = slices.Grow(ws, n)
+	for i := range n {
 		var p string
 		p, s, _ = strings.Cut(s, ",")
 		w, err := strconv.Atoi(strings.TrimSpace(p))
@@ -255,7 +260,7 @@ func ParseWeights(s string) ([]int, error) {
 		if w < 1 {
 			return nil, fmt.Errorf("busnet: weights[%d] = %d, need ≥ 1", i, w)
 		}
-		ws[i] = w
+		ws = append(ws, w)
 	}
 	return ws, nil
 }
@@ -287,7 +292,7 @@ func parseMode(s string) (bus.Mode, error) {
 }
 
 // normalize fills the empty-string Mode/Arbiter/Traffic.Kind and
-// zero-Buses defaults in place so every run echoes canonical names.
+// zero-Buses defaults in place, for Normalized and Topology.
 func (c *Config) normalize() {
 	if c.Mode == "" {
 		c.Mode = ModeUnbuffered
@@ -304,9 +309,10 @@ func (c *Config) normalize() {
 
 // Normalized returns the config with empty Mode/Arbiter/Traffic/Service
 // strings and zero Buses filled with their canonical defaults — the
-// exact value a simulation of c echoes in Results.Config. Useful
-// for comparing configs from different sources (literals, JSON, CLI
-// flags) that mean the same operating point.
+// value a sweep point echoes once as PointResult.Config; a run's
+// Results echo no config. Useful for comparing configs from different
+// sources (literals, JSON, CLI flags) that mean the same operating
+// point.
 func (c Config) Normalized() Config {
 	c.normalize()
 	return c
@@ -328,24 +334,38 @@ func (c Config) Validate() error {
 	return c.lowered(&topo.Config{Segments: seg[:]})
 }
 
-// lowered is the one lowering of a flat config: it normalizes c in
-// place, checks it, and lowers its one node into fc.Segments[0], the
-// run-ready fabric's only segment. The run interval and the processor
-// count come first; the node's strings are parsed by Node.lower, and
-// the rules on its specs are the fabric's own (topo.Config.Validate).
-// The fabric goes to the caller's slot rather than back by value:
-// Validate runs once per sweep point and optimizer candidate, and
-// copying the segment out through two frames made it 20–35% slower.
+// lowered is the one lowering of a flat config: it checks c and lowers
+// its one node, normalized on the stack, into fc, a one-segment fabric
+// with no links or routes, reusing the capacity of fc's segment slice
+// and of the segment's route and weight vectors, so a replication that
+// lowers into its own config allocates none of them again. It does not
+// write c. The run interval and the processor count come first; the
+// node's strings are parsed by Node.lower, and the rules on its specs
+// are the fabric's own (topo.Config.Validate). The fabric goes to the
+// caller's slot rather than back by value: Validate runs once per
+// sweep point and optimizer candidate, and copying the segment out
+// through two frames made it 20–35% slower.
 func (c *Config) lowered(fc *topo.Config) error {
-	c.normalize()
 	if err := checkRun(c.Horizon, c.Warmup); err != nil {
 		return err
 	}
 	if c.Processors < 1 {
 		return fmt.Errorf("busnet: processors = %d, need ≥ 1", c.Processors)
 	}
+	// Field by field, each slice resliced in place: a literal assigned
+	// to *fc would make the caller's segment array escape, and Validate
+	// lowers into one on its stack.
+	if cap(fc.Segments) == 0 {
+		fc.Segments = make([]topo.SegmentConfig, 1)
+	}
+	fc.Segments = fc.Segments[:1]
+	fc.Links = fc.Links[:0]
+	fc.Quantiles = c.Quantiles
+	sc := &fc.Segments[0]
+	sc.Route = sc.Route[:0]
 	n := c.node()
-	if err := n.lower(&fc.Segments[0]); err != nil {
+	n.normalize()
+	if err := n.lower(sc); err != nil {
 		return err
 	}
 	return fc.Validate()

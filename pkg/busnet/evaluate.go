@@ -64,18 +64,46 @@ func Evaluate(cfg Config, backend Backend) (Evaluation, error) {
 	return EvaluateTraced(cfg, backend, nil)
 }
 
-// evaluate runs cfg on the resolved backend b. It lowers cfg once, into
-// a one-segment fabric on its own stack that every backend reads. A
-// non-nil rec, which callers pass only with BackendSim, is attached to
-// the simulation's probe seams.
+// evaluate runs cfg on the resolved backend b. It lowers cfg once: the
+// simulator into its pooled replication's config (simulate), the
+// closed forms into a one-segment fabric on the stack. The simulator's
+// Results are read off segment 0's snapshot; deterministic in (Config,
+// Seed, Stream), every field covers the measured interval only, except
+// Diagnostics, which covers the whole run. A non-nil rec, which callers
+// pass only with BackendSim, is attached to the simulation's probe
+// seams.
 func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
+	if b == BackendSim {
+		run, err := simulate(cfg.lowered, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
+		if err != nil {
+			return Evaluation{}, err
+		}
+		defer run.release()
+		m := run.fabric.SegmentSnapshot(0)
+		res := Results{
+			MeasuredTime:      run.fabric.Elapsed(),
+			Events:            run.events,
+			HopResult:         m,
+			WaitQuantiles:     QuantilesFrom(m.WaitHist),
+			ResponseQuantiles: QuantilesFrom(m.RespHist),
+			Diagnostics:       run.diag,
+		}
+		return Evaluation{
+			Backend:      b,
+			Utilization:  res.Utilization,
+			Throughput:   res.Throughput,
+			MeanWait:     res.MeanWait,
+			MeanResponse: res.MeanResponse,
+			MeanQueueLen: res.MeanQueueLen,
+			Results:      &res,
+			Diagnostics:  res.Diagnostics,
+		}, nil
+	}
 	var seg [1]topo.SegmentConfig
-	fabric := topo.Config{Segments: seg[:], Quantiles: cfg.Quantiles}
-	if err := cfg.lowered(&fabric); err != nil {
+	if err := cfg.lowered(&topo.Config{Segments: seg[:]}); err != nil {
 		return Evaluation{}, err
 	}
-	switch b {
-	case BackendAnalytic:
+	if b == BackendAnalytic {
 		p, err := predict(&seg[0])
 		if err != nil {
 			return Evaluation{}, err
@@ -89,72 +117,19 @@ func evaluate(cfg Config, b Backend, rec *obs.Recorder) (Evaluation, error) {
 			MeanQueueLen: p.MeanQueueLen,
 			Analytic:     &p,
 		}, nil
-	case BackendFluid:
-		p, err := fluidPredict(&seg[0], cfg.Weights)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		return Evaluation{
-			Backend:      b,
-			Utilization:  p.Utilization,
-			Throughput:   p.Throughput,
-			MeanWait:     p.MeanWait,
-			MeanResponse: p.MeanResponse,
-			MeanQueueLen: p.MeanQueueLen,
-			Fluid:        &p,
-		}, nil
-	default:
-		res, err := runSim(cfg, fabric, rec)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		return Evaluation{
-			Backend:      b,
-			Utilization:  res.Utilization,
-			Throughput:   res.Throughput,
-			MeanWait:     res.MeanWait,
-			MeanResponse: res.MeanResponse,
-			MeanQueueLen: res.MeanQueueLen,
-			Results:      &res,
-			Diagnostics:  res.Diagnostics,
-		}, nil
 	}
-}
-
-// runSim is the discrete-event backend for a flat config: simulate runs
-// fabric, the normalized config cfg's lowered one-segment fabric
-// (Config.lowered), and Results are read off segment 0. Deterministic in
-// (Config, Seed, Stream); every field of Results covers the measured
-// interval only, except Diagnostics, which covers the whole run.
-func runSim(cfg Config, fabric topo.Config, rec *obs.Recorder) (Results, error) {
-	rep := replications.Get().(*replication)
-	run, err := simulate(rep, fabric, cfg.Seed, cfg.Stream, cfg.Warmup, cfg.Horizon, rec)
+	p, err := fluidPredict(&seg[0], cfg.Weights)
 	if err != nil {
-		return Results{}, err
+		return Evaluation{}, err
 	}
-	defer run.release()
-	m := run.fabric.SegmentSnapshot(0)
-	return Results{
-		Config:            cfg,
-		MeasuredTime:      run.fabric.Elapsed(),
-		Events:            run.events,
-		Issued:            m.Issued,
-		Completions:       m.Completions,
-		Throughput:        m.Throughput,
-		Utilization:       m.Utilization,
-		BusUtilization:    m.BusUtilization,
-		MeanQueueLen:      m.MeanQueueLen,
-		MaxQueueLen:       m.MaxQueueLen,
-		MeanWait:          m.MeanWait,
-		WaitStdDev:        m.WaitStdDev,
-		MaxWait:           m.MaxWait,
-		MeanResponse:      m.MeanResponse,
-		WaitQuantiles:     QuantilesFrom(m.WaitHist),
-		ResponseQuantiles: QuantilesFrom(m.RespHist),
-		WaitHistogram:     m.WaitHist,
-		ResponseHistogram: m.RespHist,
-		Grants:            m.Grants,
-		Diagnostics:       run.diag,
+	return Evaluation{
+		Backend:      b,
+		Utilization:  p.Utilization,
+		Throughput:   p.Throughput,
+		MeanWait:     p.MeanWait,
+		MeanResponse: p.MeanResponse,
+		MeanQueueLen: p.MeanQueueLen,
+		Fluid:        &p,
 	}, nil
 }
 
@@ -170,11 +145,12 @@ type simRun struct {
 }
 
 // replication is the memory one simulation runs on: an engine, an RNG,
-// a fabric, and the fabric config a topology lowers into, recycled
-// through replications so that a worker running job after job reuses
-// the previous job's event objects, wheel buckets, fabric arrays and
-// run state, and a topology's lowered segments, links and routes,
-// instead of allocating and collecting them per job.
+// a fabric, and the fabric config a flat config or a topology lowers
+// into, recycled through replications so that a worker running job
+// after job reuses the previous job's event objects, wheel buckets,
+// fabric arrays and run state, and its lowered segments, links, routes
+// and weight vectors, instead of allocating and collecting them per
+// job.
 type replication struct {
 	eng *sim.Engine
 	rng *sim.RNG
@@ -200,20 +176,27 @@ func (r simRun) release() {
 }
 
 // simulate is the one discrete-event runner behind every BackendSim
-// evaluation, flat or topology: fresh logical state — an engine at time
-// zero, the RNG substream (seed, stream), the fabric cfg describes — on
-// rep, a replication the caller took from the pool, with statistics
-// reset at warmup and a run to the horizon. cfg comes from
-// Config.lowered or Topology.lowered, which checked it, so Fabric.Init
-// takes it without validating it again; the station bound, which only
-// the simulator has, is checked here before anything is built. A
-// non-nil rec is attached to the engine's and fabric's probe seams;
-// attachment never changes the trajectory or the counters. The caller
-// releases the returned run once it has read it. On error rep goes
-// back to the pool if nothing was built on it, and is dropped
-// otherwise: a failed Init or run leaves it in no state worth
+// evaluation, flat or topology: it takes a replication from the pool,
+// has lower — Config.lowered or Topology.lowered, which checks what it
+// lowers — write the fabric config into the replication's own, and
+// runs it from fresh logical state — an engine at time zero, the RNG
+// substream (seed, stream), the fabric the config describes — with
+// statistics reset at warmup and a run to the horizon. Fabric.Init
+// takes the config without validating it again; the station bound,
+// which only the simulator has, is checked here before anything is
+// built. A non-nil rec is attached to the engine's and fabric's probe
+// seams; attachment never changes the trajectory or the counters. The
+// caller releases the returned run once it has read it. On error the
+// replication goes back to the pool if nothing was built on it, and is
+// dropped otherwise: a failed Init or run leaves it in no state worth
 // reasoning about.
-func simulate(rep *replication, cfg topo.Config, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
+func simulate(lower func(*topo.Config) error, seed int64, stream uint64, warmup, horizon float64, rec *obs.Recorder) (simRun, error) {
+	rep := replications.Get().(*replication)
+	cfg := &rep.cfg
+	if err := lower(cfg); err != nil {
+		replications.Put(rep)
+		return simRun{}, err
+	}
 	stations := 0
 	for _, s := range cfg.Segments {
 		stations += s.Stations
@@ -227,7 +210,7 @@ func simulate(rep *replication, cfg topo.Config, seed int64, stream uint64, warm
 	eng := rep.eng
 	rep.rng.Reseed(seed, stream)
 	fab := &rep.fab
-	if err := fab.Init(cfg, eng, rep.rng); err != nil {
+	if err := fab.Init(*cfg, eng, rep.rng); err != nil {
 		return simRun{}, err
 	}
 	if rec != nil {

@@ -86,11 +86,11 @@ func TestEvaluateDeterministic(t *testing.T) {
 // λ = 0.05, buffered depth 2, horizon 200, warmup 20 — a job the
 // optimizer runs tens of thousands of times per pass, so its garbage is
 // the per-job cost above the engine. AllocsPerRun's warm-up call
-// leaves its engine, RNG and fabric in the replication pool, so the
-// lock measures a warm worker: what remains is the Results a caller
-// keeps (the Results block, per-bus utilization, grants, diagnostics,
-// and with quantiles the histogram snapshots and their quantile
-// blocks). A run that builds its engine and fabric afresh took 69
+// leaves its engine, RNG, fabric and lowered config in the replication
+// pool, so the lock measures a warm worker: what remains is the Results
+// a caller keeps (the Results block, per-bus utilization, grants,
+// diagnostics, and with quantiles the histogram snapshots and their
+// quantile blocks). A run that builds its engine and fabric afresh took 69
 // allocations (Quantiles off) and 75 (on); the flat engine before that,
 // 88 and 94.
 //
@@ -100,8 +100,10 @@ func TestEvaluateDeterministic(t *testing.T) {
 // unchanged, so a run of the same shape builds none of them. Building
 // a source and service distribution per run took 6 allocations for
 // Poisson (10 with quantiles) and 21 for MMPP2's 16 sources; a fresh
-// fixed-priority arbiter per run, 7. Explicit weights add their parsed
-// vector alone: the recycled weighted arbiter copies it into its own.
+// fixed-priority arbiter per run, 7. Explicit weights add nothing: the
+// lowering parses them into the pooled config's previous vector, and
+// the recycled weighted arbiter copies that into its own. Parsing them
+// into a fresh vector on every replication took 5.
 func TestEvaluateReplicationAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, tt := range []struct {
@@ -115,7 +117,7 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 		{"weighted round-robin", func(c *Config) {
 			c.Arbiter = WeightedRoundRobin.String()
 			c.Weights = "4,2" + strings.Repeat(",1", 14)
-		}, 5},
+		}, 4},
 		{"weighted round-robin, default weights", func(c *Config) { c.Arbiter = WeightedRoundRobin.String() }, 4},
 		{"fixed priority", func(c *Config) { c.Arbiter = FixedPriority.String() }, 4},
 	} {
@@ -193,41 +195,54 @@ func TestModelBackendRefusalCostsNothingPerStation(t *testing.T) {
 	}
 }
 
-// TestQuantileReplicationBytes bounds the bytes a warm replication with
-// quantiles on allocates at the job shape above. Its wait and response
-// histograms leave the fabric as snapshots of the buckets they span,
-// carved from one backing array: at this shape about 160 of the 1,024.
-// Copying both histograms whole made the replication allocate 19 672 B,
-// 18 944 of them the two copies.
+// TestQuantileReplicationBytes bounds the bytes a warm replication
+// allocates at the job shape above, with quantiles off and on. Off, it
+// is the Results block with the segment's HopResult inline, per-bus
+// utilization, grants and diagnostics: 440 B, where a Results echoing
+// its Config made it 648 B. On, its wait and response histograms leave
+// the fabric as snapshots of the buckets they span, carved from one
+// backing array: at this shape about 160 of the 1,024. Copying both
+// histograms whole made the replication allocate 19 672 B, 18 944 of
+// them the two copies.
 func TestQuantileReplicationBytes(t *testing.T) {
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	cfg := optimizerJob()
-	cfg.Quantiles = true
-	run := func() {
-		if _, err := Evaluate(cfg, BackendSim); err != nil {
-			t.Fatal(err)
+	for _, tt := range []struct {
+		quantiles bool
+		limit     float64
+	}{
+		{false, 512},
+		{true, 6 * 1024},
+	} {
+		cfg := optimizerJob()
+		cfg.Quantiles = tt.quantiles
+		run := func() {
+			if _, err := Evaluate(cfg, BackendSim); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	run() // warm the replication pool
-	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if limit := 6 * 1024.0; perRun > limit {
-		t.Errorf("a warm quantile replication allocates %.0f B, limit %.0f B", perRun, limit)
+		run() // warm the replication pool
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if perRun > tt.limit {
+			t.Errorf("quantiles %v: a warm replication allocates %.0f B, limit %.0f B", tt.quantiles, perRun, tt.limit)
+		}
 	}
 }
 
 // TestTopologyReplicationBytes bounds the bytes a warm replication of
 // the bridged job shape below allocates: the results it returns, since
 // the lowering writes into the pooled replication's config and the run
-// state is recycled. Lowering the topology afresh and building its
-// sources and service distributions made it allocate 1 904 B.
+// state is recycled. Echoing the normalized topology in every
+// replication's results made it allocate 1 312 B (752 B without), and
+// lowering the topology afresh and building its sources and service
+// distributions 1 904 B.
 func TestTopologyReplicationBytes(t *testing.T) {
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -246,7 +261,7 @@ func TestTopologyReplicationBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	if limit := 1536.0; perRun > limit {
+	if limit := 896.0; perRun > limit {
 		t.Errorf("a warm topology replication allocates %.0f B, limit %.0f B", perRun, limit)
 	}
 }
@@ -254,10 +269,11 @@ func TestTopologyReplicationBytes(t *testing.T) {
 // TestEvaluateTopologyReplicationAllocs is the same lock for a bridged
 // fabric, the job shape feeding a transit segment, on a warm worker.
 // What remains is what EvaluateTopology returns: the results block, the
-// normalized topology echo, the hop and flow slices, one block of
-// per-bus utilizations and one of grants for every segment, the
-// diagnostics, and with quantiles one header block and one bucket array
-// for every histogram snapshot. Lowering the topology afresh (segment
+// hop and flow slices, one block of per-bus utilizations and one of
+// grants for every segment, the diagnostics, and with quantiles one
+// header block and one bucket array for every histogram snapshot.
+// Echoing the normalized topology, a Nodes copy per replication, took
+// 7, and 9 with quantiles. Lowering the topology afresh (segment
 // and link arrays, the name index, routes, the acyclicity check's
 // scratch) and building each segment's sources and service distribution
 // took 17, and 23 with quantiles, when each segment and flow took its
@@ -274,8 +290,8 @@ func TestEvaluateTopologyReplicationAllocs(t *testing.T) {
 		top   Topology
 		limit float64
 	}{
-		{"tandem", top, 7},
-		{"tandem quantiles", quantiles, 9},
+		{"tandem", top, 6},
+		{"tandem quantiles", quantiles, 8},
 	} {
 		var err error
 		got := testing.AllocsPerRun(20, func() { _, err = EvaluateTopology(tt.top, BackendSim) })

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/busnet/busnet/internal/topo"
@@ -203,9 +205,14 @@ func unitHorizonDraws(c Config) float64 {
 // (Fabric.Init does not check it again), marshal, hash with
 // CanonicalHash, validate again after a JSON round trip that re-encodes
 // to the same bytes, and simulate without error over a unit horizon:
-// what Validate accepts, the lowering and the fabric run.
-// FuzzTopologyJSON cannot reach most of these inputs: JSON carries no
-// NaN, and the kind decoders reject unknown names before Validate runs.
+// what Validate accepts, the lowering and the fabric run. Lowering
+// never writes its input: Validate, lowered and EvaluateTopology leave
+// the caller's nodes deep-equal to a copy taken before (normalizing
+// through a pointer into t.Nodes would write the caller's backing
+// array), and lowering the topology and lowering its Normalized form
+// give deep-equal fabrics. FuzzTopologyJSON cannot reach most of these
+// inputs: JSON carries no NaN, and the kind decoders reject unknown
+// names before Validate runs.
 func FuzzTopologyValidate(f *testing.F) {
 	seed := func(mutate func(cpu, mem *Node, link *Link)) {
 		cpu := Node{Name: "cpu", Processors: 8, ThinkRate: 0.05, ServiceRate: 1,
@@ -261,16 +268,36 @@ func FuzzTopologyValidate(f *testing.F) {
 			Horizon: horizon,
 			Warmup:  warmup,
 		}
+		// A copy of the nodes with Route slices of their own. Only
+		// accepted topologies are compared: a rejected one may hold a NaN,
+		// which deep equality never matches.
+		nodes := make([]Node, len(top.Nodes))
+		for k, n := range top.Nodes {
+			n.Route = slices.Clone(n.Route)
+			nodes[k] = n
+		}
+		unwritten := func(call string) {
+			t.Helper()
+			if !reflect.DeepEqual(top.Nodes, nodes) {
+				t.Fatalf("%s wrote the caller's nodes:\n%+v\nwas\n%+v", call, top.Nodes, nodes)
+			}
+		}
 		if err := top.Validate(); err != nil {
 			return // rejected cleanly; nothing more to hold
 		}
-		lower := top // normalizing in place gives lower its own nodes
+		unwritten("Validate")
 		var fabric topo.Config
-		if err := lower.lowered(&fabric); err != nil {
+		if err := top.lowered(&fabric); err != nil {
 			t.Fatalf("accepted topology does not lower: %v\n%+v", err, top)
 		}
+		unwritten("lowered")
 		if err := fabric.Validate(); err != nil {
 			t.Fatalf("accepted topology lowers to a fabric topo refuses: %v\n%+v", err, top)
+		}
+		var canon topo.Config
+		norm := top.Normalized()
+		if err := norm.lowered(&canon); err != nil || !reflect.DeepEqual(fabric, canon) {
+			t.Fatalf("the topology and its normalized form lower differently (%v):\n%+v\nvs\n%+v", err, fabric, canon)
 		}
 		blob, err := json.Marshal(top)
 		if err != nil {
@@ -300,5 +327,6 @@ func FuzzTopologyValidate(f *testing.F) {
 		if _, err := EvaluateTopology(top, BackendSim); err != nil {
 			t.Fatalf("accepted topology does not simulate: %v\n%+v", err, top)
 		}
+		unwritten("EvaluateTopology")
 	})
 }

@@ -206,10 +206,10 @@ func TestSingleBusBitIdenticalToPreFabricEngine(t *testing.T) {
 			// normalize to the same single-bus run.
 			legacy := cfg
 			legacy.Buses = 0
-			again := mustSim(t, legacy)
-			if again.Config.Buses != 1 {
-				t.Fatalf("Buses = 0 normalized to %d, want 1", again.Config.Buses)
+			if got := legacy.Normalized().Buses; got != 1 {
+				t.Fatalf("Buses = 0 normalized to %d, want 1", got)
 			}
+			again := mustSim(t, legacy)
 			if again.MeanWait != res.MeanWait || again.Completions != res.Completions {
 				t.Fatal("Buses = 0 and Buses = 1 ran different trajectories")
 			}

@@ -30,8 +30,8 @@ func TestExponentialServiceBitIdenticalToDefault(t *testing.T) {
 			t.Errorf("%s exponential service diverged from the default trajectory", name)
 		}
 	}
-	if z.Config.Service != ExponentialService() {
-		t.Errorf("zero-value service normalized to %+v, want exponential", z.Config.Service)
+	if got := zero.Normalized().Service; got != ExponentialService() {
+		t.Errorf("zero-value service normalized to %+v, want exponential", got)
 	}
 }
 
@@ -171,12 +171,12 @@ func TestRunReportsLatencyQuantiles(t *testing.T) {
 	if r.P50 < 0.95 {
 		t.Errorf("deterministic-service response p50 = %v, want ≥ ~1 service time", r.P50)
 	}
-	if res.WaitHistogram == nil || res.WaitHistogram.Count() == 0 {
+	if res.WaitHist == nil || res.WaitHist.Count() == 0 {
 		t.Fatal("wait histogram missing from Results")
 	}
-	if res.ResponseHistogram.Count() != res.Completions {
+	if res.RespHist.Count() != res.Completions {
 		t.Fatalf("response histogram has %d samples, want one per completion %d",
-			res.ResponseHistogram.Count(), res.Completions)
+			res.RespHist.Count(), res.Completions)
 	}
 	// The p50 estimate must sit near the tally mean's scale — a gross
 	// unit error (e.g. log-bucket misindexing) would throw it orders of

@@ -48,9 +48,11 @@ func KeyFor(cfg busnet.Config) (Key, error) {
 //
 // A sweep stores the Results its job simulated by pointer and its
 // reductions read that entry in place, so an entry costs one pointer
-// beyond the Results the job allocated anyway. Results leave the
-// sweep only as copies (Spec.KeepRuns), so no caller edit changes what
-// a later sweep returns.
+// beyond the Results the job allocated anyway. Results echo no config:
+// the key names the operating point, an entry serves every spelling of
+// it, and each sweep point echoes its own normalized config. Results
+// leave the sweep only as copies (Spec.KeepRuns), so no caller edit
+// changes what a later sweep returns.
 //
 // Entries are never evicted: the intended lifetime is one process.
 // Hits and Misses expose the running effectiveness counts; Misses is

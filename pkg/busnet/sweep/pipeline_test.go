@@ -476,7 +476,9 @@ func skipUnderRace(t *testing.T) {
 
 // A cold replication through a cached sweep allocates little beyond
 // what Evaluate returns: the job hands that Results to the run buffer
-// and to the cache by pointer, so neither keeps a copy of its own.
+// and to the cache by pointer, so neither keeps a copy of its own. It
+// allocated 707 B while every Results echoed its Config (499 B
+// without).
 func TestColdCachedReplicationBytes(t *testing.T) {
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -503,7 +505,7 @@ func TestColdCachedReplicationBytes(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / sweeps
 	}
 	perRep := (bytesPerSweep(40) - bytesPerSweep(10)) / 30
-	if limit := 1024.0; perRep > limit {
+	if limit := 576.0; perRep > limit {
 		t.Errorf("a cold cached replication allocates %.0f B, limit %.0f B", perRep, limit)
 	}
 }

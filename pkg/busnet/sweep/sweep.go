@@ -51,10 +51,11 @@ type Spec struct {
 	// semantics are identical to a grid of the same points.
 	Points []busnet.Config `json:"points,omitempty"`
 	// KeepRuns retains every replication's full Results in the point
-	// (large output; off by default). Each kept run is a copy the caller
-	// owns, except its WaitHistogram and ResponseHistogram: those are
-	// shared with the sweep's Cache and must be treated as read-only
-	// snapshots.
+	// (large output; off by default). Replication r's run is the
+	// Results of the point's config at Stream base.Stream + r, which no
+	// run echoes. Each kept run is a copy the caller owns, except its
+	// WaitHist and RespHist: those are shared with the sweep's Cache and
+	// must be treated as read-only snapshots.
 	KeepRuns bool `json:"keep_runs,omitempty"`
 	// Backend selects how points are evaluated. BackendSim (the default)
 	// simulates every (point, replication) job as always. BackendFluid
@@ -289,55 +290,38 @@ func runJob(cfg busnet.Config, rep int, cache *Cache, hash string) (*busnet.Resu
 // attaches the closed-form prediction when one exists. It only reads
 // runs, which may be shared with the sweep's Cache.
 func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
-	// The five picks share one scratch slice: summarize keeps no
-	// reference to it.
-	xs := make([]float64, len(runs))
-	pick := func(f func(*busnet.Results) float64) Stat {
-		for i, r := range runs {
-			xs[i] = f(r)
-		}
-		return summarize(xs)
-	}
+	hop := reduceHop(make([]float64, len(runs)), func(i int) *busnet.HopResult { return &runs[i].HopResult })
 	pr := PointResult{
-		// The point's canonical normalized config as echoed by
-		// replication 0's run; its Stream is the grid base's stream
-		// (replication r ran base.Stream + r).
-		Config:       runs[0].Config,
-		Utilization:  pick(func(r *busnet.Results) float64 { return r.Utilization }),
-		Throughput:   pick(func(r *busnet.Results) float64 { return r.Throughput }),
-		MeanWait:     pick(func(r *busnet.Results) float64 { return r.MeanWait }),
-		MeanQueueLen: pick(func(r *busnet.Results) float64 { return r.MeanQueueLen }),
-		MeanResponse: pick(func(r *busnet.Results) float64 { return r.MeanResponse }),
-		Grants:       make([]uint64, len(runs[0].Grants)),
-		BusUtilization: func() []float64 {
-			bu := make([]float64, len(runs[0].BusUtilization))
-			for _, r := range runs {
-				for b, u := range r.BusUtilization {
-					bu[b] += u / float64(len(runs))
-				}
-			}
-			return bu
-		}(),
+		// The point's canonical config; its Stream is the grid base's
+		// stream (replication r ran base.Stream + r).
+		Config:         cfg.Normalized(),
+		Utilization:    hop.Utilization,
+		Throughput:     hop.Throughput,
+		MeanWait:       hop.MeanWait,
+		MeanQueueLen:   hop.MeanQueueLen,
+		MeanResponse:   hop.MeanResponse,
+		Grants:         make([]uint64, len(runs[0].Grants)),
+		BusUtilization: make([]float64, len(runs[0].BusUtilization)),
+		Diagnostics:    sumDiagnostics(len(runs), func(i int) *busnet.Diagnostics { return runs[i].Diagnostics }),
 	}
 	for _, r := range runs {
 		for i, g := range r.Grants {
 			pr.Grants[i] += g
 		}
-	}
-	pr.Diagnostics = new(busnet.Diagnostics)
-	for _, r := range runs {
-		pr.Diagnostics.Accumulate(*r.Diagnostics)
+		for b, u := range r.BusUtilization {
+			pr.BusUtilization[b] += u / float64(len(runs))
+		}
 	}
 	// Pool latency histograms only when the runs collected them
 	// (Config.Quantiles): the quantile fields stay nil otherwise, so the
 	// output says "not measured", not "all-zero latencies". Each pool is
 	// one Merge of every run, which sizes it once, to the union of the
 	// runs' windows.
-	if runs[0].WaitHistogram != nil {
+	if runs[0].WaitHist != nil {
 		hists := make([]*busnet.Histogram, 2*len(runs))
 		waits, resps := hists[:len(runs)], hists[len(runs):]
 		for i, r := range runs {
-			waits[i], resps[i] = r.WaitHistogram, r.ResponseHistogram
+			waits[i], resps[i] = r.WaitHist, r.RespHist
 		}
 		var waitHist, respHist busnet.Histogram
 		waitHist.Merge(waits...)
@@ -358,4 +342,36 @@ func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
 		}
 	}
 	return pr
+}
+
+// reduceHop is the one hop reduction behind flat and topology points:
+// it reduces one hop across the replications, hop(i) being replication
+// i's, with one summarize per HopStat statistic. xs is scratch, one
+// element per replication: summarize keeps no reference to it.
+func reduceHop(xs []float64, hop func(i int) *busnet.HopResult) HopStat {
+	stat := func(f func(*busnet.HopResult) float64) Stat {
+		for i := range xs {
+			xs[i] = f(hop(i))
+		}
+		return summarize(xs)
+	}
+	return HopStat{
+		Node:         hop(0).Name,
+		Utilization:  stat(func(h *busnet.HopResult) float64 { return h.Utilization }),
+		Blocked:      stat(func(h *busnet.HopResult) float64 { return h.Blocked }),
+		Throughput:   stat(func(h *busnet.HopResult) float64 { return h.Throughput }),
+		MeanQueueLen: stat(func(h *busnet.HopResult) float64 { return h.MeanQueueLen }),
+		MeanWait:     stat(func(h *busnet.HopResult) float64 { return h.MeanWait }),
+		MeanResponse: stat(func(h *busnet.HopResult) float64 { return h.MeanResponse }),
+	}
+}
+
+// sumDiagnostics sums n replications' diagnostics, diag(i) being
+// replication i's.
+func sumDiagnostics(n int, diag func(i int) *busnet.Diagnostics) *busnet.Diagnostics {
+	d := new(busnet.Diagnostics)
+	for i := range n {
+		d.Accumulate(*diag(i))
+	}
+	return d
 }

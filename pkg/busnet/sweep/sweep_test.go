@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -253,8 +254,14 @@ func TestReplicationsAreIndependent(t *testing.T) {
 	}
 	seen := map[float64]bool{}
 	for r, run := range pt.Runs {
-		if run.Config.Stream != uint64(r) {
-			t.Fatalf("replication %d ran stream %d, want %d", r, run.Config.Stream, r)
+		cfg := testBase()
+		cfg.Stream = uint64(r)
+		ev, err := busnet.Evaluate(cfg, busnet.BackendSim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(run, *ev.Results) {
+			t.Fatalf("replication %d is not the run of stream %d", r, r)
 		}
 		seen[run.MeanWait] = true
 	}

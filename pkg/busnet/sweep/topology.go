@@ -175,34 +175,16 @@ func reduceTopology(t busnet.Topology, runs []busnet.TopologyEvaluation) Topolog
 		return summarize(xs)
 	}
 	pr := TopologyPointResult{
-		// The canonical normalized topology as echoed by replication 0;
-		// its Stream is the spec base's (replication r ran base + r).
-		Topology:   runs[0].Results.Topology,
-		Throughput: pick(func(r busnet.TopologyEvaluation) float64 { return r.Throughput }),
-		EndToEnd:   pick(func(r busnet.TopologyEvaluation) float64 { return r.MeanResponse }),
-		Hops:       make([]HopStat, len(runs[0].Results.Hops)),
-	}
-	pr.Topology.Stream = t.Stream
-	hop := func(k int, f func(busnet.HopResult) float64) Stat {
-		for i, r := range runs {
-			xs[i] = f(r.Results.Hops[k])
-		}
-		return summarize(xs)
+		// The point's canonical topology; its Stream is the spec base's
+		// (replication r ran base + r).
+		Topology:    t.Normalized(),
+		Throughput:  pick(func(r busnet.TopologyEvaluation) float64 { return r.Throughput }),
+		EndToEnd:    pick(func(r busnet.TopologyEvaluation) float64 { return r.MeanResponse }),
+		Hops:        make([]HopStat, len(runs[0].Results.Hops)),
+		Diagnostics: sumDiagnostics(len(runs), func(i int) *busnet.Diagnostics { return runs[i].Diagnostics }),
 	}
 	for k := range pr.Hops {
-		pr.Hops[k] = HopStat{
-			Node:         runs[0].Results.Hops[k].Name,
-			Utilization:  hop(k, func(h busnet.HopResult) float64 { return h.Utilization }),
-			Blocked:      hop(k, func(h busnet.HopResult) float64 { return h.Blocked }),
-			Throughput:   hop(k, func(h busnet.HopResult) float64 { return h.Throughput }),
-			MeanQueueLen: hop(k, func(h busnet.HopResult) float64 { return h.MeanQueueLen }),
-			MeanWait:     hop(k, func(h busnet.HopResult) float64 { return h.MeanWait }),
-			MeanResponse: hop(k, func(h busnet.HopResult) float64 { return h.MeanResponse }),
-		}
-	}
-	pr.Diagnostics = new(busnet.Diagnostics)
-	for _, r := range runs {
-		pr.Diagnostics.Accumulate(*r.Diagnostics)
+		pr.Hops[k] = reduceHop(xs, func(i int) *busnet.HopResult { return &runs[i].Results.Hops[k] })
 	}
 	if ev, err := busnet.EvaluateTopology(t, busnet.BackendAnalytic); err == nil {
 		pr.Analytic = ev.Analytic

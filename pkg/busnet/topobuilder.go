@@ -1,7 +1,5 @@
 package busnet
 
-import "github.com/busnet/busnet/internal/topo"
-
 // TopologyBuilder assembles a Topology fluently. Methods return the
 // builder for chaining and never fail individually; Build validates the
 // assembled topology and reports the first error. Fields the methods do
@@ -72,10 +70,8 @@ func (b *TopologyBuilder) Horizon(h float64) *TopologyBuilder {
 
 // Build validates the assembled topology and returns it normalized.
 func (b *TopologyBuilder) Build() (Topology, error) {
-	t := b.t
-	var cfg topo.Config
-	if err := t.lowered(&cfg); err != nil {
+	if err := b.t.Validate(); err != nil {
 		return Topology{}, err
 	}
-	return t, nil
+	return b.t.Normalized(), nil
 }

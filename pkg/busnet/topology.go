@@ -94,34 +94,36 @@ func (c Config) Topology() Topology {
 	}
 }
 
-// normalize fills each node's empty Mode/Arbiter/Traffic/Service and
-// zero Buses with canonical defaults, mirroring Config.normalize. It
-// writes a fresh Nodes slice, never the caller's.
-func (t *Topology) normalize() {
+// normalize fills the node's empty Mode/Arbiter/Traffic/Service and
+// zero Buses with canonical defaults, mirroring Config.normalize; a
+// transit node keeps its processors' fields as they are.
+func (n *Node) normalize() {
+	if n.Buses == 0 {
+		n.Buses = 1
+	}
+	if n.Processors > 0 {
+		if n.Mode == "" {
+			n.Mode = ModeUnbuffered
+		}
+		n.Traffic = n.Traffic.Normalized()
+	}
+	if n.Arbiter == "" {
+		n.Arbiter = RoundRobin.String()
+	}
+	n.Service = n.Service.Normalized()
+}
+
+// Normalized returns the topology with canonical defaults filled in
+// (Node.normalize), in a Nodes slice of its own — the value a sweep
+// point echoes once as TopologyPointResult.Topology; a run's
+// TopologyResults echo no topology.
+func (t Topology) Normalized() Topology {
 	nodes := make([]Node, len(t.Nodes))
 	for k, n := range t.Nodes {
-		if n.Buses == 0 {
-			n.Buses = 1
-		}
-		if n.Processors > 0 {
-			if n.Mode == "" {
-				n.Mode = ModeUnbuffered
-			}
-			n.Traffic = n.Traffic.Normalized()
-		}
-		if n.Arbiter == "" {
-			n.Arbiter = RoundRobin.String()
-		}
-		n.Service = n.Service.Normalized()
+		n.normalize()
 		nodes[k] = n
 	}
 	t.Nodes = nodes
-}
-
-// Normalized returns the topology with canonical defaults filled in —
-// the value EvaluateTopology echoes back in its results.
-func (t Topology) Normalized() Topology {
-	t.normalize()
 	return t
 }
 
@@ -135,18 +137,19 @@ func (t Topology) Validate() error {
 	return t.lowered(&cfg)
 }
 
-// lowered is the one lowering of a topology: it normalizes t in place,
-// checks it, and writes the run-ready fabric config into cfg, reusing
-// the capacity of cfg's segment, link and route slices, so a replication
-// that lowers into its own config allocates none of them again. Node
-// names resolve to segment indices once, here, for links and routes
-// alike, by scanning the nodes: fabrics are small, and the fabric's own
-// name check scans too. Each node's strings are parsed by Node.lower.
-// The rules on the lowered specs and the graph-level invariants are the
-// fabric's own checks (topo.Config.Validate), so the two layers cannot
-// drift apart. On error cfg holds a partial lowering.
+// lowered is the one lowering of a topology: it checks t and writes the
+// run-ready fabric config into cfg, reusing the capacity of cfg's
+// segment, link and route slices and of each segment's weight vector,
+// so a replication that lowers into its own config allocates none of
+// them again. It does not write t: each node is normalized in a copy on
+// the stack as it is lowered. Node names resolve to segment indices
+// once, here, for links and routes alike, by scanning the nodes:
+// fabrics are small, and the fabric's own name check scans too. Each
+// node's strings are parsed by Node.lower. The rules on the lowered
+// specs and the graph-level invariants are the fabric's own checks
+// (topo.Config.Validate), so the two layers cannot drift apart. On
+// error cfg holds a partial lowering.
 func (t *Topology) lowered(cfg *topo.Config) error {
-	t.normalize()
 	if err := checkRun(t.Horizon, t.Warmup); err != nil {
 		return err
 	}
@@ -179,7 +182,8 @@ func (t *Topology) lowered(cfg *topo.Config) error {
 		cfg.Links[i] = topo.LinkConfig{From: from, To: to, Depth: l.Buffer}
 	}
 	for k := range t.Nodes {
-		n := &t.Nodes[k]
+		n := t.Nodes[k]
+		n.normalize()
 		sc := &cfg.Segments[k]
 		route := sc.Route[:0]
 		if err := n.lower(sc); err != nil {
@@ -217,8 +221,9 @@ func (t *Topology) index(name string) int {
 // transit node leaves the processors' fields unset, since nothing would
 // read them there: a NaN or an unknown kind would run and then fail to
 // encode. It writes every field of sc but Route, which the caller
-// resolves, and Sources, which no lowering sets, and writes nothing on
-// error.
+// resolves, and Sources, which no lowering sets. The weights are parsed
+// into sc's previous weight vector; on error sc holds a partial
+// lowering.
 func (n *Node) lower(sc *topo.SegmentConfig) error {
 	if n.Processors == 0 && n.stationField() != "" {
 		return fmt.Errorf("%s is set, but the node has no processors to apply it to", n.stationField())
@@ -231,7 +236,7 @@ func (n *Node) lower(sc *topo.SegmentConfig) error {
 	if err != nil {
 		return err
 	}
-	weights, err := ParseWeights(n.Weights)
+	weights, err := appendWeights(sc.Weights[:0], n.Weights)
 	if err != nil {
 		return err
 	}
@@ -268,20 +273,24 @@ func (n *Node) stationField() string {
 	return ""
 }
 
-// HopResult summarizes one node over the measured interval — the flat
-// Results fields plus Blocked, the time-averaged fraction of its buses
-// held by blocking-after-service (a subset of Utilization: a blocked
-// bus is occupied but transfers nothing). Wait and response are per
-// visit to this node (bridge-arrival to grant, and to departure).
+// HopResult summarizes one node over the measured interval, with the
+// meanings flat Results documents — flat Results is a HopResult plus
+// the run's fields — and Blocked, the time-averaged fraction of its
+// buses held by blocking-after-service (a subset of Utilization: a
+// blocked bus is occupied but transfers nothing). Wait and response are
+// per visit to this node (bridge-arrival to grant, and to departure).
 type HopResult = topo.SegmentMetrics
 
 // FlowResult summarizes the end-to-end (issue → fabric exit) response
 // of the requests originating at one processor-bearing node.
 type FlowResult = topo.FlowMetrics
 
-// TopologyResults is the simulation payload of one topology run.
+// TopologyResults is the simulation payload of one topology run: one
+// HopResult per node in Topology.Nodes order and one FlowResult per
+// processor-bearing node, in the same order. The topology is not
+// echoed: the caller has it, and Topology.Normalized gives its
+// canonical spelling.
 type TopologyResults struct {
-	Topology     Topology     `json:"topology"`
 	MeasuredTime float64      `json:"measured_time"`
 	Events       uint64       `json:"events"`
 	Hops         []HopResult  `json:"hops"`
@@ -361,7 +370,8 @@ func EvaluateTopology(t Topology, backend Backend) (TopologyEvaluation, error) {
 
 // evaluateTopology runs t on the resolved backend b; rec as in evaluate.
 // It lowers t once, for whichever backend answers: the simulator into
-// its pooled replication's config, the product form into a fresh one.
+// its pooled replication's config (simulate), the product form into a
+// fresh one.
 func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluation, error) {
 	switch b {
 	case BackendFluid:
@@ -373,7 +383,7 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 		if err := t.lowered(&cfg); err != nil {
 			return TopologyEvaluation{}, err
 		}
-		p, err := predictTopology(t, cfg)
+		p, err := predictTopology(cfg)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}
@@ -384,9 +394,18 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 			Analytic:     &p,
 		}, nil
 	default:
-		res, err := runTopologySim(t, rec)
+		run, err := simulate(t.lowered, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
 		if err != nil {
 			return TopologyEvaluation{}, err
+		}
+		defer run.release()
+		m := run.fabric.Snapshot()
+		res := TopologyResults{
+			MeasuredTime: m.Elapsed,
+			Events:       run.events,
+			Hops:         m.Segments,
+			Flows:        m.Flows,
+			Diagnostics:  run.diag,
 		}
 		// The shared summary: total exit rate and the rate-weighted mean
 		// end-to-end response across flows.
@@ -407,92 +426,66 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 	}
 }
 
-// runTopologySim is the discrete-event backend for topologies: it takes
-// a pooled replication, lowers t into the replication's fabric config,
-// and runs it with simulate. The results echo t normalized, in a Nodes
-// slice of their own.
-func runTopologySim(t Topology, rec *obs.Recorder) (TopologyResults, error) {
-	rep := replications.Get().(*replication)
-	if err := t.lowered(&rep.cfg); err != nil {
-		replications.Put(rep) // nothing ran on it
-		return TopologyResults{}, err
-	}
-	run, err := simulate(rep, rep.cfg, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
-	if err != nil {
-		return TopologyResults{}, err
-	}
-	defer run.release()
-	m := run.fabric.Snapshot()
-	return TopologyResults{
-		Topology:     t,
-		MeasuredTime: m.Elapsed,
-		Events:       run.events,
-		Hops:         m.Segments,
-		Flows:        m.Flows,
-		Diagnostics:  run.diag,
-	}, nil
-}
-
 // predictTopology is the product-form backend behind EvaluateTopology:
 // the Jackson steady state of a topology, with the domain
-// EvaluateTopology documents. Finite bridges can only hold requests
-// longer (blocking after service), never shorter, which is why the
-// form is an optimistic bound wherever a bridge is finite. It reads
-// routes off cfg, the normalized topology t's lowered fabric.
-func predictTopology(t Topology, cfg topo.Config) (TopologyPrediction, error) {
-	for k, n := range t.Nodes {
-		if n.Processors == 0 {
+// EvaluateTopology documents, read off cfg, the topology's lowered
+// fabric, as predict reads a flat config's. Finite bridges can only
+// hold requests longer (blocking after service), never shorter, which
+// is why the form is an optimistic bound wherever a bridge is finite.
+func predictTopology(cfg topo.Config) (TopologyPrediction, error) {
+	for _, sc := range cfg.Segments {
+		if sc.Stations == 0 {
 			continue
 		}
-		if kind := n.Traffic.Kind; kind != TrafficPoisson {
-			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: no product-form model for %s traffic", n.Name, kind)
+		if kind := sc.Traffic.Kind; kind != TrafficPoisson {
+			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: no product-form model for %s traffic", sc.Name, kind)
 		}
-		if cfg.Segments[k].Mode != bus.Buffered || n.BufferCap != Infinite {
+		if sc.Mode != bus.Buffered || sc.BufferCap != Infinite {
 			return TopologyPrediction{}, fmt.Errorf(
-				"busnet: node %q: the product-form overlay needs buffered-infinite interfaces (open network); finite or blocking interfaces make arrivals non-Poisson", n.Name)
+				"busnet: node %q: the product-form overlay needs buffered-infinite interfaces (open network); finite or blocking interfaces make arrivals non-Poisson", sc.Name)
 		}
 	}
-	for _, n := range t.Nodes {
-		if kind := n.Service.Kind; kind != ServiceExponential {
-			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: no product-form model for %s service", n.Name, kind)
+	for _, sc := range cfg.Segments {
+		if kind := sc.Service.Kind; kind != ServiceExponential {
+			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: no product-form model for %s service", sc.Name, kind)
 		}
 	}
 	// Traffic equations: every flow contributes its aggregate external
 	// rate to each node on its lowered route (feed-forward, so no fixed
 	// point to solve).
-	arrival := make([]float64, len(t.Nodes))
-	for k, n := range t.Nodes {
-		if n.Processors == 0 {
+	arrival := make([]float64, len(cfg.Segments))
+	for k, sc := range cfg.Segments {
+		if sc.Stations == 0 {
 			continue
 		}
-		rate := float64(n.Processors) * n.ThinkRate
+		rate := float64(sc.Stations) * sc.ThinkRate
 		arrival[k] += rate
-		for _, hop := range cfg.Segments[k].Route {
+		for _, hop := range sc.Route {
 			arrival[hop] += rate
 		}
 	}
-	p := TopologyPrediction{Nodes: make([]NodePrediction, len(t.Nodes))}
-	for k, n := range t.Nodes {
-		node, err := analytic.JacksonNode(arrival[k], n.ServiceRate, n.Buses)
+	p := TopologyPrediction{Nodes: make([]NodePrediction, len(cfg.Segments))}
+	for k, sc := range cfg.Segments {
+		node, err := analytic.JacksonNode(arrival[k], sc.ServiceRate, sc.Buses)
 		if err != nil {
-			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: %w", n.Name, err)
+			return TopologyPrediction{}, fmt.Errorf("busnet: node %q: %w", sc.Name, err)
 		}
 		p.Nodes[k] = NodePrediction{
-			Node:          n.Name,
+			Node:          sc.Name,
 			HopPrediction: analytic.HopPrediction{ArrivalRate: arrival[k], Prediction: node},
 		}
 	}
 	var weighted float64
-	for k, n := range t.Nodes {
-		if n.Processors == 0 {
+	for k, sc := range cfg.Segments {
+		if sc.Stations == 0 {
 			continue
 		}
-		rate := float64(n.Processors) * n.ThinkRate
+		rate := float64(sc.Stations) * sc.ThinkRate
 		resp := p.Nodes[k].MeanResponse
-		for _, hop := range cfg.Segments[k].Route {
+		for _, hop := range sc.Route {
 			resp += p.Nodes[hop].MeanResponse
 		}
-		p.Flows = append(p.Flows, FlowPrediction{Node: n.Name, Rate: rate, MeanResponse: resp})
+		p.Flows = append(p.Flows, FlowPrediction{Node: sc.Name, Rate: rate, MeanResponse: resp})
 		p.Throughput += rate
 		weighted += rate * resp
 	}

@@ -21,60 +21,54 @@ func openTandemFor(lambda float64, mu []float64) (analytic.TandemPrediction, err
 // The topology subsystem's backward-compatibility contract: lifting a
 // flat Config into its one-node Topology and evaluating it replays the
 // flat simulation bit for bit — same RNG draws, same event order, same
-// statistics. Runs over the same goldenRuns table that pins the flat
-// path to the pre-fabric engine, so the chain golden → flat → topology
-// is pinned end to end.
+// statistics. Flat Results is the hop's HopResult plus the run's
+// fields, so the whole hop compares as one value, histogram snapshots
+// included, with quantile collection off and on. Runs over the same
+// goldenRuns table that pins the flat path to the pre-fabric engine, so
+// the chain golden → flat → topology is pinned end to end.
 func TestOneNodeTopologyBitIdenticalToFlat(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			cfg := DefaultConfig().AtHorizon(5000)
-			cfg.Seed = 42
-			g.mutate(&cfg)
-			flat := mustSim(t, cfg)
-			ev, err := EvaluateTopology(cfg.Topology(), BackendSim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := ev.Results
-			if res == nil || len(res.Hops) != 1 || len(res.Flows) != 1 {
-				t.Fatalf("one-node topology produced %+v", ev)
-			}
-			hop := res.Hops[0]
-			exact := []struct {
-				name      string
-				got, want float64
-			}{
-				{"utilization", hop.Utilization, flat.Utilization},
-				{"throughput", hop.Throughput, flat.Throughput},
-				{"mean_queue_len", hop.MeanQueueLen, flat.MeanQueueLen},
-				{"max_queue_len", hop.MaxQueueLen, flat.MaxQueueLen},
-				{"mean_wait", hop.MeanWait, flat.MeanWait},
-				{"wait_std_dev", hop.WaitStdDev, flat.WaitStdDev},
-				{"max_wait", hop.MaxWait, flat.MaxWait},
-				{"mean_response", hop.MeanResponse, flat.MeanResponse},
-				{"flow_mean_response", res.Flows[0].MeanResponse, flat.MeanResponse},
-				{"measured_time", res.MeasuredTime, flat.MeasuredTime},
-				{"summary_throughput", ev.Throughput, flat.Throughput},
-				{"summary_mean_response", ev.MeanResponse, flat.MeanResponse},
-			}
-			for _, f := range exact {
-				if f.got != f.want {
-					t.Errorf("%s = %v, want the flat path's %v (diff %g)",
-						f.name, f.got, f.want, math.Abs(f.got-f.want))
+			for _, quantiles := range []bool{false, true} {
+				cfg := DefaultConfig().AtHorizon(5000)
+				cfg.Seed = 42
+				cfg.Quantiles = quantiles
+				g.mutate(&cfg)
+				flat := mustSim(t, cfg)
+				ev, err := EvaluateTopology(cfg.Topology(), BackendSim)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if hop.Issued != flat.Issued || hop.Completions != flat.Completions || res.Events != flat.Events {
-				t.Errorf("issued/completions/events = %d/%d/%d, want flat %d/%d/%d",
-					hop.Issued, hop.Completions, res.Events, flat.Issued, flat.Completions, flat.Events)
-			}
-			if !reflect.DeepEqual(hop.Grants, flat.Grants) {
-				t.Errorf("grants = %v, want %v", hop.Grants, flat.Grants)
-			}
-			if !reflect.DeepEqual(hop.BusUtilization, flat.BusUtilization) {
-				t.Errorf("bus utilization = %v, want %v", hop.BusUtilization, flat.BusUtilization)
-			}
-			if hop.Blocked != 0 {
-				t.Errorf("one-node topology reported blocked = %v", hop.Blocked)
+				res := ev.Results
+				if res == nil || len(res.Hops) != 1 || len(res.Flows) != 1 {
+					t.Fatalf("quantiles %v: one-node topology produced %+v", quantiles, ev)
+				}
+				if (flat.WaitHist != nil) != quantiles {
+					t.Fatalf("quantiles %v: the flat run's wait histogram is %v", quantiles, flat.WaitHist)
+				}
+				if !reflect.DeepEqual(res.Hops[0], flat.HopResult) {
+					t.Errorf("quantiles %v: hop = %+v, want the flat run's %+v", quantiles, res.Hops[0], flat.HopResult)
+				}
+				if res.MeasuredTime != flat.MeasuredTime || res.Events != flat.Events {
+					t.Errorf("quantiles %v: measured time/events = %v/%d, want flat %v/%d",
+						quantiles, res.MeasuredTime, res.Events, flat.MeasuredTime, flat.Events)
+				}
+				if !reflect.DeepEqual(res.Diagnostics, flat.Diagnostics) {
+					t.Errorf("quantiles %v: diagnostics = %+v, want %+v", quantiles, *res.Diagnostics, *flat.Diagnostics)
+				}
+				// Without bridges the hop's collectors are the flow's.
+				if f := res.Flows[0]; f.Segment != flat.Name || f.Completed != flat.Completions ||
+					f.MeanResponse != flat.MeanResponse || !reflect.DeepEqual(f.RespHist, flat.RespHist) {
+					t.Errorf("quantiles %v: flow = %+v, want the flat hop's completions, mean response and histogram", quantiles, f)
+				}
+				if ev.Throughput != flat.Throughput || ev.MeanResponse != flat.MeanResponse {
+					t.Errorf("quantiles %v: summary throughput/response = %v/%v, want flat %v/%v (diff %g/%g)",
+						quantiles, ev.Throughput, ev.MeanResponse, flat.Throughput, flat.MeanResponse,
+						math.Abs(ev.Throughput-flat.Throughput), math.Abs(ev.MeanResponse-flat.MeanResponse))
+				}
+				if flat.Blocked != 0 {
+					t.Errorf("quantiles %v: one-node run reported blocked = %v", quantiles, flat.Blocked)
+				}
 			}
 		})
 	}
@@ -92,14 +86,14 @@ func TestOneNodeTopologyQuantilesMatchFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	hop := ev.Results.Hops[0]
-	if hop.WaitHist == nil || flat.WaitHistogram == nil {
+	if hop.WaitHist == nil || flat.WaitHist == nil || flat.RespHist == nil {
 		t.Fatal("quantile collection did not run on both paths")
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got, want := hop.WaitHist.Quantile(q), flat.WaitHistogram.Quantile(q); got != want {
+		if got, want := hop.WaitHist.Quantile(q), flat.WaitHist.Quantile(q); got != want {
 			t.Errorf("wait p%v = %v, want %v", 100*q, got, want)
 		}
-		if got, want := ev.Results.Flows[0].RespHist.Quantile(q), flat.ResponseHistogram.Quantile(q); got != want {
+		if got, want := ev.Results.Flows[0].RespHist.Quantile(q), flat.RespHist.Quantile(q); got != want {
 			t.Errorf("flow response p%v = %v, want %v", 100*q, got, want)
 		}
 	}
