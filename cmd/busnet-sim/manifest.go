@@ -33,9 +33,10 @@ type Manifest struct {
 	OutputSHA256    string   `json:"output_sha256"`
 }
 
-// configHash derives the manifest's invocation fingerprint via the
-// canonical hash the sweep result cache also keys on, so the two
-// subsystems can never disagree about what "same configuration" means.
+// configHash derives the manifest's invocation fingerprint via
+// busnet.CanonicalHash, the canonical hash behind Config.Hash, so the
+// manifest and the library can never disagree about what "same
+// configuration" means.
 func configHash(scenario string, p Params) (string, error) {
 	return busnet.CanonicalHash(struct {
 		Scenario string `json:"scenario"`

@@ -14,8 +14,8 @@ import (
 // interval and the replications behind it, the closed-form prune
 // estimate where one existed, and the race's job ledger (identical on
 // every row, as provenance — des_jobs is what the race actually
-// simulated, exhaustive_jobs what brute force at the replication cap
-// would have).
+// simulated, cache_hits the replications it reused from earlier rounds,
+// exhaustive_jobs what brute force at the replication cap would have).
 var optimizeCSVHeader = []string{
 	"scenario", "goal", "rank", "status",
 	"mode", "buffer_cap", "buses", "weights", "cost", "over_budget",

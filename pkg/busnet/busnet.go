@@ -90,10 +90,9 @@ type Results struct {
 	// Config.Quantiles enabled collection — absent from the JSON form
 	// rather than rendered as zero latencies. The histograms are
 	// read-only snapshots that keep only the buckets their observations
-	// span, both carved from one backing array. A sweep's Cache shares
-	// them with every copy it hands out, and a value copy of a Histogram
-	// shares its buckets too, so merge them into an empty Histogram of
-	// your own rather than adding to them or to a copy.
+	// span, both carved from one backing array. A value copy of a
+	// Histogram shares its buckets, so merge them into an empty Histogram
+	// of your own rather than adding to them or to a copy.
 	WaitQuantiles     *Quantiles `json:"wait_quantiles,omitempty"`
 	ResponseQuantiles *Quantiles `json:"response_quantiles,omitempty"`
 	// Diagnostics carries the run's deterministic engine and model

@@ -287,7 +287,7 @@ func FuzzTopologyValidate(f *testing.F) {
 		}
 		unwritten("Validate")
 		var fabric topo.Config
-		if err := top.lowered(&fabric); err != nil {
+		if err := top.lowered(&fabric, nil); err != nil {
 			t.Fatalf("accepted topology does not lower: %v\n%+v", err, top)
 		}
 		unwritten("lowered")
@@ -296,7 +296,7 @@ func FuzzTopologyValidate(f *testing.F) {
 		}
 		var canon topo.Config
 		norm := top.Normalized()
-		if err := norm.lowered(&canon); err != nil || !reflect.DeepEqual(fabric, canon) {
+		if err := norm.lowered(&canon, nil); err != nil || !reflect.DeepEqual(fabric, canon) {
 			t.Fatalf("the topology and its normalized form lower differently (%v):\n%+v\nvs\n%+v", err, fabric, canon)
 		}
 		blob, err := json.Marshal(top)

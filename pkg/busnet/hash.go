@@ -30,7 +30,7 @@ func CanonicalHash(v any) (string, error) {
 // including Seed and Stream, which select the exact realization — and
 // the engine is bit-reproducible in all of them, so equal hashes mean
 // equal Results to the last bit. Consumers that want the operating
-// point alone (the sweep cache's (config-hash, seed, stream) key) zero
+// point alone (sweep.KeyFor's (config-hash, seed, stream) job key) zero
 // the identity fields before hashing.
 func (c Config) Hash() (string, error) {
 	return CanonicalHash(c.Normalized())

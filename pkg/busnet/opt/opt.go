@@ -15,8 +15,9 @@
 // separate it from the leader. When intervals still overlap, the race
 // escalates replications instead of guessing; candidates the data
 // cannot distinguish at the replication cap are reported as ties, not
-// silently ranked. A shared sweep.Cache carries replications across
-// escalation rounds, so racing 4 then 8 then 16 replications costs 16
+// silently ranked. The race keeps each candidate's objective value per
+// replication and each escalation simulates only the new streams
+// (sweep.Replicate), so racing 4 then 8 then 16 replications costs 16
 // simulations per surviving candidate, not 28 — and Outcome reports
 // exactly how many simulations the race spent against what exhaustive
 // enumeration at full replications would have.
@@ -142,8 +143,9 @@ type Race struct {
 	// Workers bounds the sweep pool during racing; ≤ 0 means GOMAXPROCS.
 	Workers int `json:"-"`
 	// Progress, when non-nil, receives live job/point counts from each
-	// racing round's sweep in turn (every round resets it). Like
-	// Workers, an execution detail: attaching it never changes the
+	// racing round's sweep in turn (every round resets it); a round
+	// counts only the replications it simulates, not those it reuses.
+	// Like Workers, an execution detail: attaching it never changes the
 	// outcome.
 	Progress *sweep.Progress `json:"-"`
 }

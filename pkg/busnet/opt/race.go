@@ -75,11 +75,13 @@ type Outcome struct {
 	// the winner is then the best point estimate among the tied set,
 	// and every StatusTie row is an equally defensible pick.
 	Tie bool `json:"tie,omitempty"`
-	// DESJobs is the number of simulations the race actually executed
-	// (the shared cache's miss count). ExhaustiveJobs is what brute
-	// force would have spent — every within-budget candidate at the
-	// full replication cap — so DESJobs/ExhaustiveJobs is the measured
-	// saving.
+	// DESJobs is the number of replications the race simulated, each
+	// candidate's streams once. CacheHits is the number of replications
+	// it reused from earlier rounds: a round that raises a candidate from
+	// r to 2r replications simulates r and reuses r. ExhaustiveJobs is
+	// what brute force would have spent — every within-budget candidate
+	// at the full replication cap — so DESJobs/ExhaustiveJobs is the
+	// measured saving.
 	DESJobs        uint64 `json:"des_jobs"`
 	CacheHits      uint64 `json:"cache_hits"`
 	ExhaustiveJobs uint64 `json:"exhaustive_jobs"`
@@ -98,14 +100,17 @@ type state struct {
 	Evaluated
 	enumIdx int
 	sortKey float64 // minimize-direction comparison key
+	// values holds the objective metric, native direction, of each
+	// replication raced so far: values[k] is stream base + k's.
+	values []float64
 }
 
 // Solve runs the full search: enumerate, budget-filter, model-prune,
 // then race the survivors under the simulator with common random
 // numbers, eliminating a candidate only when its confidence interval
-// separates from the leader's and escalating replications (through a
-// shared result cache, so earlier replications are never re-simulated)
-// while intervals overlap. Deterministic for a fixed problem: the same
+// separates from the leader's and escalating replications (simulating
+// only the new streams: earlier replications' values are kept) while
+// intervals overlap. Deterministic for a fixed problem: the same
 // spec yields the same outcome bit for bit, regardless of Race.Workers.
 func Solve(p Problem) (Outcome, error) {
 	goal, err := ParseGoal(string(p.Objective.Goal))
@@ -154,20 +159,17 @@ func Solve(p Problem) (Outcome, error) {
 	racers, pruned := prune(p, goal, racers)
 	retired = append(retired, pruned...)
 
-	cache := sweep.NewCache()
-	final, err := race(p, goal, racers, cache, r0, rMax)
+	out := Outcome{
+		Goal:            goal,
+		SLOMeanResponse: p.Objective.SLOMeanResponse,
+		ExhaustiveJobs:  exhaustive,
+	}
+	final, err := race(p, goal, racers, r0, rMax, &out)
 	if err != nil {
 		return Outcome{}, err
 	}
 	retired = append(retired, final...)
 
-	out := Outcome{
-		Goal:            goal,
-		SLOMeanResponse: p.Objective.SLOMeanResponse,
-		DESJobs:         cache.Misses(),
-		CacheHits:       cache.Hits(),
-		ExhaustiveJobs:  exhaustive,
-	}
 	for _, s := range retired {
 		if s.Status == StatusTie {
 			out.Tie = true
@@ -257,40 +259,52 @@ func direction(goal Goal) float64 {
 }
 
 // race runs the successive-halving loop over the in-budget,
-// prune-surviving candidates: simulate everyone still active at the
-// current replication level (cached replications are free, so each
-// escalation only pays for the new substreams), then retire whoever the
-// intervals can decide about, then double. Every candidate returns with
-// a terminal Status.
-func race(p Problem, goal Goal, racers []*state, cache *sweep.Cache, r0, rMax int) ([]*state, error) {
+// prune-surviving candidates: bring everyone still active up to the
+// current replication level, simulating only the streams a candidate
+// has not run (its earlier replications' values are kept), then retire
+// whoever the intervals can decide about, then double. Every candidate
+// returns with a terminal Status; out's DESJobs and CacheHits count the
+// replications simulated and reused.
+func race(p Problem, goal Goal, racers []*state, r0, rMax int, out *Outcome) ([]*state, error) {
 	dir := direction(goal)
+	// Every candidate's values share one backing array, rMax apiece.
+	values := make([]float64, len(racers)*rMax)
+	for i, s := range racers {
+		s.values = values[i*rMax : i*rMax : (i+1)*rMax]
+	}
 	active := racers
 	var retired []*state
 	var cheapestFeasible *state // MinCostAtSLO: best decided-feasible so far
-	for r := r0; len(active) > 0; r = min(2*r, rMax) {
-		cfgs := make([]busnet.Config, len(active))
-		for i, s := range active {
-			cfgs[i] = s.Config
+	cfgs := make([]busnet.Config, 0, len(racers))
+	// Every active candidate has run replications 0 … from−1: all
+	// entered the race together, and each round brings every survivor
+	// up to r.
+	for from, r := 0, r0; len(active) > 0; from, r = r, min(2*r, rMax) {
+		cfgs = cfgs[:0]
+		for _, s := range active {
+			// Replication k of the sweep runs stream base + from + k.
+			cfg := s.Config
+			cfg.Stream += uint64(from)
+			cfgs = append(cfgs, cfg)
+			s.values = s.values[:r]
 		}
-		res, err := sweep.Run(sweep.Spec{
+		err := sweep.Replicate(sweep.Spec{
 			Points:       cfgs,
-			Replications: r,
+			Replications: r - from,
 			Workers:      p.Race.Workers,
 			Progress:     p.Race.Progress,
-			Cache:        cache,
-			KeepRuns:     goal == MinP99Response,
+		}, func(pt, rep int, res *busnet.Results) {
+			active[pt].values[from+rep] = objective(goal, res)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("opt: racing at %d replications: %w", r, err)
+			return nil, fmt.Errorf("opt: racing replications %d to %d: %w", from, r-1, err)
 		}
-		for i, s := range active {
-			score, err := score(goal, res.Points[i])
-			if err != nil {
-				return nil, err
-			}
-			s.Score = score
+		out.DESJobs += uint64(len(active) * (r - from))
+		out.CacheHits += uint64(len(active) * from)
+		for _, s := range active {
+			s.Score = sweep.Summarize(s.values)
 			s.Evaluated.Replications = r
-			s.sortKey = dir * score.Mean
+			s.sortKey = dir * s.Score.Mean
 		}
 		if goal == MinCostAtSLO {
 			active, retired, cheapestFeasible = decideSLO(p.Objective.SLOMeanResponse, active, retired, cheapestFeasible, r == rMax)
@@ -397,25 +411,18 @@ func decideSLO(slo float64, active, retired []*state, cheapest *state, atCap boo
 	return next, retired, cheapest
 }
 
-// score extracts the objective metric from one raced point, native
-// direction, CI from the replication spread.
-func score(goal Goal, pt sweep.PointResult) (sweep.Stat, error) {
+// objective reads the objective metric, native direction, from one
+// raced replication of a candidate Solve configured for goal.
+func objective(goal Goal, r *busnet.Results) float64 {
 	switch goal {
 	case MaxThroughput:
-		return pt.Throughput, nil
-	case MinMeanResponse, MinCostAtSLO:
-		return pt.MeanResponse, nil
+		return r.Throughput
 	case MinP99Response:
-		xs := make([]float64, len(pt.Runs))
-		for i, r := range pt.Runs {
-			if r.ResponseQuantiles == nil {
-				return sweep.Stat{}, fmt.Errorf("opt: candidate ran without quantile collection")
-			}
-			xs[i] = r.ResponseQuantiles.P99
-		}
-		return sweep.Summarize(xs), nil
+		// Solve turns quantile collection on for this goal.
+		return r.ResponseQuantiles.P99
+	default: // MinMeanResponse, MinCostAtSLO
+		return r.MeanResponse
 	}
-	return sweep.Stat{}, fmt.Errorf("opt: unknown goal %q", goal)
 }
 
 // rank orders the final table best-first: winner, ties, feasible (by

@@ -13,7 +13,9 @@ import (
 // worker counts. Jobs are independent simulations with no shared state,
 // so speedup should stay near-linear until the pool exhausts the
 // hardware. The repo's timed record is bench/ (bench/README.md) and
-// docs/perf.md.
+// docs/perf.md. Each worker count runs the sweep once untimed first, so
+// every worker's replication pool is warm before the clock starts and
+// B/op does not depend on whether a timed op had to fill one.
 func BenchmarkSweepParallel(b *testing.B) {
 	base := busnet.DefaultConfig().AtHorizon(20_000)
 	base.Seed = 42
@@ -32,7 +34,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			s := spec
 			s.Workers = w
+			if _, err := Run(s); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(s); err != nil {
 					b.Fatal(err)
@@ -85,25 +91,29 @@ func BenchmarkShortReplications(b *testing.B) {
 	}
 }
 
-// BenchmarkCachedEscalation measures the optimizer's escalation path:
-// one op races shortCandidates through one fresh Cache at 10, then 20,
-// then 40 replications, on one worker, as the optimizer's schedule
-// does. Each escalation serves the replications it has seen from the
-// cache and simulates the rest, so B/op gates what a cache entry and a
-// hit cost on top of the simulations themselves.
-func BenchmarkCachedEscalation(b *testing.B) {
-	points := shortCandidates()
+// BenchmarkEscalation measures the optimizer's escalation path: one op
+// runs shortCandidates' replications 0–9, then 10–19, then 20–39
+// through Replicate on one worker, as the race's 10 → 20 → 40 schedule
+// asks for only the streams it has not run. Nothing is reduced, so B/op
+// gates what the sweep adds to the replications themselves.
+func BenchmarkEscalation(b *testing.B) {
+	candidates := shortCandidates()
+	points := make([]busnet.Config, len(candidates))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cache := NewCache()
-		for _, reps := range []int{10, 20, 40} {
-			spec := Spec{Points: points, Replications: reps, Workers: 1, Cache: cache}
-			if _, err := Run(spec); err != nil {
+		jobs := 0
+		for from, to := 0, 10; to <= 40; from, to = to, 2*to {
+			for k, cfg := range candidates {
+				cfg.Stream += uint64(from)
+				points[k] = cfg
+			}
+			spec := Spec{Points: points, Replications: to - from, Workers: 1}
+			if err := Replicate(spec, func(int, int, *busnet.Results) { jobs++ }); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if got, want := cache.Misses(), uint64(8*40); got != want {
-			b.Fatalf("escalation simulated %d jobs, want %d", got, want)
+		if want := 8 * 40; jobs != want {
+			b.Fatalf("escalation simulated %d jobs, want %d", jobs, want)
 		}
 	}
 }
@@ -131,43 +141,6 @@ func shortCandidates() []busnet.Config {
 		}
 	}
 	return points
-}
-
-// BenchmarkSweepCached pins the cache-hit fast path: the same sweep as
-// BenchmarkSweepParallel's single-worker case, answered entirely from a
-// pre-warmed Cache. Every job is a map read — each point's config is
-// hashed once per sweep, and no job simulates — so per-op time is the
-// pipeline + reduce overhead the optimizer pays when it re-races
-// survivors it has already measured.
-func BenchmarkSweepCached(b *testing.B) {
-	base := busnet.DefaultConfig().AtHorizon(20_000)
-	base.Seed = 42
-	spec := Spec{
-		Grid: Grid{
-			Base:       base,
-			Processors: []int{2, 4, 8, 12, 16, 24, 32, 64},
-		},
-		Replications: 4,
-		Workers:      1,
-		Cache:        NewCache(),
-	}
-	if _, err := Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	if spec.Cache.Misses() == 0 {
-		b.Fatal("warm-up run recorded no misses")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if got, want := spec.Cache.Misses(), uint64(8*4); got != want {
-		b.Fatalf("timed runs missed the cache: misses = %d, want %d (warm-up only)", got, want)
-	}
 }
 
 // BenchmarkBurstySweep measures the bursty-traffic path end to end: a

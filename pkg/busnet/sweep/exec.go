@@ -12,11 +12,11 @@ import (
 // executor runs a planned sweep of points P on the pipeline, for either
 // backend kind. A simulated sweep runs reps jobs per point, simulate
 // running replication rep of point pt, and reduces a point's
-// replications the moment its last one lands. A model-backend sweep
-// runs one job per point, and that job builds the point with model.
-// Either way every job runs on the pool of workers, a point with a
-// failed job is never delivered, and the error returned is the lowest
-// failed job's.
+// replications the moment its last one lands, or hands them over
+// unreduced (replicate). A model-backend sweep runs one job per point,
+// and that job builds the point with model. Either way every job runs
+// on the pool of workers, a point with a failed job is never delivered,
+// and the error returned is the lowest failed job's.
 type executor[P, R, D any] struct {
 	plan[P]
 	workers  int
@@ -44,13 +44,20 @@ func (e *executor[P, R, D]) run(deliver func(pt int, point D)) error {
 			},
 		}).execute()
 	}
+	return e.replicate(func(pt int, runs []R) { deliver(pt, e.reduce(e.points[pt], runs)) })
+}
+
+// replicate runs a simulated sweep's jobs, handing each point's runs to
+// deliver, unreduced and in replication order, the moment its last one
+// lands: calls are serialized, in completion order.
+func (e *executor[P, R, D]) replicate(deliver func(pt int, runs []R)) error {
 	return (&pipeline[P, R]{
 		points:   e.points,
 		reps:     e.reps,
 		workers:  e.workers,
 		progress: e.progress,
 		run:      e.simulate,
-		deliver:  func(pt int, runs []R) { deliver(pt, e.reduce(e.points[pt], runs)) },
+		deliver:  deliver,
 		wrapErr: func(pt, rep int, err error) error {
 			return fmt.Errorf("sweep: %s %d replication %d: %w", e.label, pt, rep, err)
 		},

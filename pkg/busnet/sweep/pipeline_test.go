@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -20,90 +21,6 @@ func pipelineSpec(workers int) Spec {
 		},
 		Replications: 3,
 		Workers:      workers,
-	}
-}
-
-// The cache's correctness contract: a warm sweep is byte-identical to a
-// cold one. Cold fills the cache (every job a miss, stored under the key
-// KeyFor gives the job's config), warm answers every job from it (every
-// job a hit, zero new simulations), and both runs marshal to the same
-// bytes as a cache-free sweep.
-func TestCacheWarmSweepIsByteIdenticalToCold(t *testing.T) {
-	spec := pipelineSpec(3)
-	plain, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewCache()
-	spec.Cache = cache
-	cold, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := uint64(3 * 3)
-	if cache.Misses() != jobs || cache.Hits() != 0 {
-		t.Fatalf("cold run: hits=%d misses=%d, want 0/%d", cache.Hits(), cache.Misses(), jobs)
-	}
-	// The sweep keys each job exactly as KeyFor keys the job's config.
-	points, err := spec.Grid.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, cfg := range points {
-		for rep := range spec.Replications {
-			cfg.Stream = points[p].Stream + uint64(rep)
-			if key, err := KeyFor(cfg); err != nil || cache.m[key] == nil {
-				t.Errorf("point %d replication %d: no entry under KeyFor's key (%v)", p, rep, err)
-			}
-		}
-	}
-	warm, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() != jobs || cache.Misses() != jobs {
-		t.Fatalf("warm run: hits=%d misses=%d, want %d/%d", cache.Hits(), cache.Misses(), jobs, jobs)
-	}
-	enc := func(r Result) []byte {
-		blob, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	if !bytes.Equal(enc(plain), enc(cold)) {
-		t.Error("cold cached run differs from cache-free run")
-	}
-	if !bytes.Equal(enc(plain), enc(warm)) {
-		t.Error("warm cached run differs from cache-free run")
-	}
-}
-
-// Common random numbers across sweeps: the cache keys on the exact
-// (config-hash, seed, stream) triple, so a second sweep sharing points
-// with the first reuses their jobs and only simulates the new ones.
-func TestCacheReusesSharedPointsAcrossSweeps(t *testing.T) {
-	cache := NewCache()
-	first := pipelineSpec(2)
-	first.Grid.Processors = []int{4, 8}
-	first.Cache = cache
-	if _, err := Run(first); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Misses() != 6 {
-		t.Fatalf("first sweep misses = %d, want 6", cache.Misses())
-	}
-	second := pipelineSpec(2)
-	second.Grid.Processors = []int{8, 12} // 8 shared, 12 new
-	second.Cache = cache
-	if _, err := Run(second); err != nil {
-		t.Fatal(err)
-	}
-	if hits := cache.Hits(); hits != 3 {
-		t.Errorf("shared point replications hit = %d, want 3", hits)
-	}
-	if misses := cache.Misses(); misses != 9 {
-		t.Errorf("total misses = %d, want 9 (6 first sweep + 3 new point)", misses)
 	}
 }
 
@@ -166,6 +83,64 @@ func TestRunCollectsStreamIntoGridOrder(t *testing.T) {
 		if pr.Config.Processors != want[p] {
 			t.Errorf("point %d has N=%d, want grid order %v", p, pr.Config.Processors, want)
 		}
+	}
+}
+
+// Replicate hands over every (point, replication) exactly once, each
+// the very run Run keeps for it, at any worker count; a spec whose
+// points start at stream base + from runs replications from … of the
+// base spec, which is how the optimizer's race asks only for new
+// streams. Progress counts the jobs Replicate ran, and a model backend,
+// which runs no replications, is refused.
+func TestReplicateHandsOverEveryReplication(t *testing.T) {
+	const reps, from = 6, 2
+	base := testBase()
+	base.Quantiles = true
+	var points []busnet.Config
+	for _, n := range []int{4, 8, 12} {
+		cfg := base
+		cfg.Processors = n
+		points = append(points, cfg)
+	}
+	kept, err := Run(Spec{Points: points, Replications: reps, Workers: 1, KeepRuns: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := make([]busnet.Config, len(points))
+	for i, cfg := range points {
+		cfg.Stream += from
+		later[i] = cfg
+	}
+	for _, workers := range []int{1, 4} {
+		var p Progress
+		seen := make(map[[2]int]int)
+		err := Replicate(Spec{Points: later, Replications: reps - from, Workers: workers, Progress: &p},
+			func(pt, rep int, r *busnet.Results) {
+				seen[[2]int{pt, rep}]++
+				if !reflect.DeepEqual(*r, kept.Points[pt].Runs[from+rep]) {
+					t.Errorf("workers=%d: point %d replication %d is not Run's replication %d", workers, pt, rep, from+rep)
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(points) * (reps - from); len(seen) != want {
+			t.Errorf("workers=%d: %d replications handed over, want %d", workers, len(seen), want)
+		}
+		for k, n := range seen {
+			if n != 1 {
+				t.Errorf("workers=%d: point %d replication %d handed over %d times", workers, k[0], k[1], n)
+			}
+		}
+		if s := p.Snapshot(); s.TotalJobs != int64(len(seen)) || !p.Done() {
+			t.Errorf("workers=%d: progress = %+v, want %d jobs done", workers, s, len(seen))
+		}
+	}
+	err = Replicate(Spec{Points: points, Backend: busnet.BackendAnalytic}, func(int, int, *busnet.Results) {
+		t.Error("a model backend handed over a replication")
+	})
+	if want := "sweep: the analytic backend runs no replications"; err == nil || err.Error() != want {
+		t.Errorf("analytic Replicate: err = %v, want %q", err, want)
 	}
 }
 
@@ -430,40 +405,6 @@ func TestPipelineFailureContract(t *testing.T) {
 	}
 }
 
-// A warm cache hit costs a map read: each point's config is hashed once
-// per sweep, so replications beyond the first add no allocations of
-// their own (the point's buffers grow in size, not in number).
-func TestWarmCachedReplicationsDoNotAllocate(t *testing.T) {
-	cache := NewCache()
-	spec := func(reps int) Spec {
-		return Spec{
-			Grid:         Grid{Base: testBase(), Processors: []int{4}},
-			Replications: reps,
-			Workers:      1,
-			Cache:        cache,
-		}
-	}
-	// Streams 0…39 cover every job of both measured sweeps.
-	if _, err := Run(spec(40)); err != nil {
-		t.Fatal(err)
-	}
-	allocs := func(reps int) float64 {
-		s := spec(reps)
-		return testing.AllocsPerRun(20, func() {
-			if _, err := Run(s); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	perRep := (allocs(40) - allocs(10)) / 30
-	if perRep >= 0.5 {
-		t.Errorf("a warm cached replication allocates %.2f times, want < 0.5", perRep)
-	}
-	if cache.Misses() != 40 {
-		t.Errorf("cache misses = %d, want 40 (the warm-up only)", cache.Misses())
-	}
-}
-
 // skipUnderRace skips an allocation lock under the race detector, where
 // sync.Pool drops a random share of Puts by design, so a warm worker's
 // replication pool is not warm.
@@ -474,12 +415,12 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// A cold replication through a cached sweep allocates little beyond
-// what Evaluate returns: the job hands that Results to the run buffer
-// and to the cache by pointer, so neither keeps a copy of its own. It
-// allocated 707 B while every Results echoed its Config (499 B
-// without).
-func TestColdCachedReplicationBytes(t *testing.T) {
+// A replication through a sweep allocates little beyond what Evaluate
+// returns: the job hands that Results to the run buffer by pointer, so
+// the sweep keeps no copy of its own. It allocates 360 B; through a
+// result cache it allocated 707 B while every Results echoed its
+// Config, and 499 B without the echo.
+func TestSweepReplicationBytes(t *testing.T) {
 	skipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	bytesPerSweep := func(reps int) float64 {
@@ -489,7 +430,6 @@ func TestColdCachedReplicationBytes(t *testing.T) {
 			Workers:      1,
 		}
 		run := func() {
-			spec.Cache = NewCache()
 			if _, err := Run(spec); err != nil {
 				t.Fatal(err)
 			}
@@ -505,14 +445,14 @@ func TestColdCachedReplicationBytes(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / sweeps
 	}
 	perRep := (bytesPerSweep(40) - bytesPerSweep(10)) / 30
-	if limit := 576.0; perRep > limit {
-		t.Errorf("a cold cached replication allocates %.0f B, limit %.0f B", perRep, limit)
+	if limit := 448.0; perRep > limit {
+		t.Errorf("a sweep replication allocates %.0f B, limit %.0f B", perRep, limit)
 	}
 }
 
-// Results that leave the sweep are the caller's own: editing any copied
-// part of a kept run changes nothing a later warm sweep returns. Only
-// the histograms stay shared, as read-only snapshots.
+// Results that leave the sweep are the caller's own: editing any part
+// of a kept run changes nothing a later sweep returns, so no part of it
+// is shared with the replication's pooled run state.
 func TestResultsLeavingTheSweepAreCallersOwn(t *testing.T) {
 	edits := []struct {
 		part string
@@ -534,23 +474,18 @@ func TestResultsLeavingTheSweepAreCallersOwn(t *testing.T) {
 	}
 	for _, e := range edits {
 		t.Run("keep_runs/"+e.part, func(t *testing.T) {
-			s := spec
-			s.Cache = NewCache()
-			cold, err := Run(s)
+			first, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := marshalIndent(t, cold)
-			e.edit(&cold.Points[0].Runs[0])
-			warm, err := Run(s)
+			want := marshalIndent(t, first)
+			e.edit(&first.Points[0].Runs[0])
+			again, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Cache.Hits() == 0 {
-				t.Fatal("warm sweep missed the cache")
-			}
-			if got := marshalIndent(t, warm); !bytes.Equal(got, want) {
-				t.Errorf("editing %s of a kept run changed the warm sweep", e.part)
+			if got := marshalIndent(t, again); !bytes.Equal(got, want) {
+				t.Errorf("editing %s of a kept run changed a later sweep", e.part)
 			}
 		})
 	}

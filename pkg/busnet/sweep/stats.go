@@ -26,10 +26,11 @@ type Stat struct {
 }
 
 // Summarize reduces independent per-replication values of one metric
-// into a Stat — exported for consumers that derive metrics a
-// PointResult does not pre-reduce (the optimizer's per-replication
-// p99s, read from kept Runs). Semantics match every built-in column:
-// Student-t 95% interval, single values collapse to CIUndefined.
+// into a Stat — exported for consumers that keep their own
+// per-replication values (the optimizer's race, which reads one value
+// per replication from Replicate). Semantics match every built-in
+// column: Student-t 95% interval, single values collapse to
+// CIUndefined.
 func Summarize(xs []float64) Stat { return summarize(xs) }
 
 // summarize reduces the replication values of one metric. Two-pass mean

@@ -12,22 +12,26 @@
 // fans the jobs over the worker pool and streams each point out the
 // moment its last job lands; reduce collapses a simulated point's
 // replications into CI statistics. A simulated sweep runs one job per
-// (point, replication), an (operating point, seed, stream) work unit
-// that consults an optional result Cache keyed on that triple; a model
-// sweep (analytic or fluid) runs one job per point, and that job builds
-// the point. Run and RunTopology collect the stream back into grid
-// order, while RunStream/RunTopologyStream hand points to consumers
-// that want them as they land.
+// (point, replication), an (operating point, seed, stream) work unit; a
+// model sweep (analytic or fluid) runs one job per point, and that job
+// builds the point. Run and RunTopology collect the stream back into
+// grid order, while RunStream/RunTopologyStream hand points to
+// consumers that want them as they land, and Replicate hands over each
+// replication unreduced, to callers that keep their own
+// per-replication values.
 //
 // Results are deterministic: replication r of every point runs RNG
 // substream base.Stream + r of the spec's seed (common random numbers
 // across points, independence across replications), and workers only
 // ever write to their job's own slot, so the output is bit-identical
-// for any worker count — and, with a Cache attached, for any mix of
-// warm and cold entries.
+// for any worker count.
 package sweep
 
-import "github.com/busnet/busnet/pkg/busnet"
+import (
+	"fmt"
+
+	"github.com/busnet/busnet/pkg/busnet"
+)
 
 // DefaultReplications is used when Spec.Replications is unset; ten
 // replications give a t-based CI enough degrees of freedom to be
@@ -53,9 +57,8 @@ type Spec struct {
 	// KeepRuns retains every replication's full Results in the point
 	// (large output; off by default). Replication r's run is the
 	// Results of the point's config at Stream base.Stream + r, which no
-	// run echoes. Each kept run is a copy the caller owns, except its
-	// WaitHist and RespHist: those are shared with the sweep's Cache and
-	// must be treated as read-only snapshots.
+	// run echoes. Kept runs are the caller's own: the sweep keeps no
+	// reference to any part of them.
 	KeepRuns bool `json:"keep_runs,omitempty"`
 	// Backend selects how points are evaluated. BackendSim (the default)
 	// simulates every (point, replication) job as always. BackendFluid
@@ -75,13 +78,6 @@ type Spec struct {
 	// Attaching it never changes the sweep's output. Model backends
 	// count one job per point.
 	Progress *Progress `json:"-"`
-	// Cache, when non-nil, is consulted before and populated after
-	// every simulation job. Bit-exact reproducibility makes the
-	// (config-hash, seed, stream) key exact, so a warm sweep is
-	// byte-identical to a cold one — repeated points across optimizer
-	// iterations or recurring specs cost a lookup, not a simulation.
-	// Ignored by model backends, whose evaluations are already cheap.
-	Cache *Cache `json:"-"`
 }
 
 // PointResult is one grid point reduced across its replications.
@@ -177,38 +173,58 @@ func RunStream(spec Spec, deliver func(PointDelivery)) error {
 	})
 }
 
+// Replicate executes the spec's simulation jobs and hands each finished
+// replication to fn, reducing nothing: fn(pt, rep, r) receives
+// replication rep of point pt, the Results of the point's config at
+// Stream base.Stream + rep. It is the door for callers that keep their
+// own per-replication values: the optimizer's race asks each round only
+// for the streams it has not run yet. Calls to fn are serialized; a
+// point's replications arrive together, in replication order, once the
+// last of them lands, and points arrive in completion order. A point
+// with a failed job is never handed over, and after the pool drains the
+// first failing job (in job order) is returned, as from RunStream.
+// Replicate reads the spec's points, Replications, Workers and
+// Progress; a model Backend, which runs no replications, is refused,
+// and KeepRuns has nothing to keep: each r is fn's own.
+func Replicate(spec Spec, fn func(pt, rep int, r *busnet.Results)) error {
+	e, err := spec.prepare()
+	if err != nil {
+		return err
+	}
+	if e.backend != busnet.BackendSim {
+		return fmt.Errorf("sweep: the %s backend runs no replications", e.backend)
+	}
+	return e.replicate(func(pt int, runs []*busnet.Results) {
+		for rep, r := range runs {
+			fn(pt, rep, r)
+		}
+	})
+}
+
 // prepare plans the spec — its explicit Points, or else its Grid's —
-// and wires the plan to the executor: a simulated point's jobs go
-// through the optional cache and reduce, a model point is built by
+// and wires the plan to the executor: a simulated point's jobs run
+// replications that reduce collapses, a model point is built by
 // modelPoint.
-//
-// With a cache attached, each point's config is hashed once here rather
-// than once per job: a point's replications differ only in Stream, which
-// the config hash excludes, so every job key is that hash plus the job's
-// (Seed, Stream) — exactly what KeyFor derives for the job's config.
 func (spec Spec) prepare() (*executor[busnet.Config, *busnet.Results, PointResult], error) {
 	p, err := newPlan(spec.Backend, spec.Replications, spec.Points, spec.Grid.Points,
 		func(cfg busnet.Config) int { return cfg.Processors })
 	if err != nil {
 		return nil, err
 	}
-	hashes := make([]string, len(p.points))
-	if spec.Cache != nil && p.backend == busnet.BackendSim {
-		for i, cfg := range p.points {
-			// A config that does not marshal keeps an empty hash and runs
-			// uncached; Validate rejects such configs at plan time anyway.
-			if k, err := KeyFor(cfg); err == nil {
-				hashes[i] = k.ConfigHash
-			}
-		}
-	}
 	return &executor[busnet.Config, *busnet.Results, PointResult]{
 		plan:     p,
 		workers:  spec.Workers,
 		progress: spec.Progress,
 		label:    "point",
-		simulate: func(cfg busnet.Config, pt, rep int) (*busnet.Results, error) {
-			return runJob(cfg, rep, spec.Cache, hashes[pt])
+		// Replication rep runs RNG substream base.Stream + rep: seeds are
+		// a function of the experiment seed and the replication index
+		// alone, shared across points (common random numbers) and
+		// independent within a point. Each job's Results travels by
+		// pointer to reduce, or to Replicate's caller, uncopied.
+		simulate: func(cfg busnet.Config, _, rep int) (*busnet.Results, error) {
+			cfg.Stream += uint64(rep)
+			ev, err := busnet.Evaluate(cfg, busnet.BackendSim)
+			return ev.Results, err
 		},
 		reduce: func(cfg busnet.Config, runs []*busnet.Results) PointResult {
 			return reduce(cfg, runs, spec.KeepRuns)
@@ -255,40 +271,9 @@ func modelPoint(backend busnet.Backend, cfg busnet.Config) (PointResult, error) 
 // CSV/JSON already renders undefined intervals as empty cells.
 func estimate(x float64) Stat { return Stat{Mean: x, Lo: x, Hi: x, CIUndefined: true} }
 
-// runJob simulates replication rep of one grid point on RNG substream
-// base.Stream + rep: replication seeds are a function of the experiment
-// seed and the replication index alone, shared across points (common
-// random numbers) and independent within a point. With a cache and the
-// point's config hash, the job's (config-hash, seed, stream) key is
-// consulted first and the fresh result stored after — determinism makes
-// the cached and simulated results interchangeable to the bit.
-//
-// The Results travel by pointer: a simulated job returns the one
-// Evaluate allocated, and the cache stores that same pointer, so a
-// replication's Results is never copied on its way to reduce. Nothing
-// on this path writes through it.
-func runJob(cfg busnet.Config, rep int, cache *Cache, hash string) (*busnet.Results, error) {
-	cfg.Stream += uint64(rep)
-	cached := cache != nil && hash != ""
-	key := Key{ConfigHash: hash, Seed: cfg.Seed, Stream: cfg.Stream}
-	if cached {
-		if res, ok := cache.get(key); ok {
-			return res, nil
-		}
-	}
-	ev, err := busnet.Evaluate(cfg, busnet.BackendSim)
-	if err != nil {
-		return nil, err
-	}
-	if cached {
-		cache.put(key, ev.Results)
-	}
-	return ev.Results, nil
-}
-
 // reduce collapses one point's replications into CI statistics and
-// attaches the closed-form prediction when one exists. It only reads
-// runs, which may be shared with the sweep's Cache.
+// attaches the closed-form prediction when one exists. Only the sweep
+// holds runs, so kept runs are handed over as they are.
 func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
 	hop := reduceHop(make([]float64, len(runs)), func(i int) *busnet.HopResult { return &runs[i].HopResult })
 	pr := PointResult{
@@ -338,7 +323,7 @@ func reduce(cfg busnet.Config, runs []*busnet.Results, keep bool) PointResult {
 	if keep {
 		pr.Runs = make([]busnet.Results, len(runs))
 		for i, r := range runs {
-			pr.Runs[i] = detach(r)
+			pr.Runs[i] = *r
 		}
 	}
 	return pr

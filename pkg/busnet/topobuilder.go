@@ -1,5 +1,7 @@
 package busnet
 
+import "github.com/busnet/busnet/internal/topo"
+
 // TopologyBuilder assembles a Topology fluently. Methods return the
 // builder for chaining and never fail individually; Build validates the
 // assembled topology and reports the first error. Fields the methods do
@@ -68,10 +70,15 @@ func (b *TopologyBuilder) Horizon(h float64) *TopologyBuilder {
 	return b
 }
 
-// Build validates the assembled topology and returns it normalized.
+// Build validates the assembled topology and returns it normalized, in
+// a Nodes slice of its own: one lowering checks the topology and hands
+// over each node as it normalized it.
 func (b *TopologyBuilder) Build() (Topology, error) {
-	if err := b.t.Validate(); err != nil {
+	t := b.t
+	t.Nodes = make([]Node, len(b.t.Nodes))
+	var cfg topo.Config
+	if err := b.t.lowered(&cfg, t.Nodes); err != nil {
 		return Topology{}, err
 	}
-	return b.t.Normalized(), nil
+	return t, nil
 }

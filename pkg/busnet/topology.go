@@ -134,7 +134,7 @@ func (t Topology) Normalized() Topology {
 // unreachable transit nodes.
 func (t Topology) Validate() error {
 	var cfg topo.Config
-	return t.lowered(&cfg)
+	return t.lowered(&cfg, nil)
 }
 
 // lowered is the one lowering of a topology: it checks t and writes the
@@ -147,9 +147,11 @@ func (t Topology) Validate() error {
 // fabrics are small, and the fabric's own name check scans too. Each
 // node's strings are parsed by Node.lower. The rules on the lowered
 // specs and the graph-level invariants are the fabric's own checks
-// (topo.Config.Validate), so the two layers cannot drift apart. On
-// error cfg holds a partial lowering.
-func (t *Topology) lowered(cfg *topo.Config) error {
+// (topo.Config.Validate), so the two layers cannot drift apart. A
+// non-nil normalized, one element per node, receives each node's
+// normalized copy as it is lowered, so TopologyBuilder.Build normalizes
+// each node once. On error cfg holds a partial lowering.
+func (t *Topology) lowered(cfg *topo.Config, normalized []Node) error {
 	if err := checkRun(t.Horizon, t.Warmup); err != nil {
 		return err
 	}
@@ -197,6 +199,9 @@ func (t *Topology) lowered(cfg *topo.Config) error {
 			route = append(route, to)
 		}
 		sc.Route = route
+		if normalized != nil {
+			normalized[k] = n
+		}
 	}
 	return cfg.Validate()
 }
@@ -380,7 +385,7 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 			BackendSim, BackendAnalytic)
 	case BackendAnalytic:
 		var cfg topo.Config
-		if err := t.lowered(&cfg); err != nil {
+		if err := t.lowered(&cfg, nil); err != nil {
 			return TopologyEvaluation{}, err
 		}
 		p, err := predictTopology(cfg)
@@ -394,7 +399,8 @@ func evaluateTopology(t Topology, b Backend, rec *obs.Recorder) (TopologyEvaluat
 			Analytic:     &p,
 		}, nil
 	default:
-		run, err := simulate(t.lowered, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
+		lower := func(cfg *topo.Config) error { return t.lowered(cfg, nil) }
+		run, err := simulate(lower, t.Seed, t.Stream, t.Warmup, t.Horizon, rec)
 		if err != nil {
 			return TopologyEvaluation{}, err
 		}

@@ -124,6 +124,19 @@ func TestTopologyBuilderBuildsValidChain(t *testing.T) {
 	if top.Warmup != 2000 {
 		t.Errorf("Horizon did not rescale warmup: %v", top.Warmup)
 	}
+	// Build returns the normalized topology, in nodes of its own.
+	if !reflect.DeepEqual(top, top.Normalized()) {
+		t.Errorf("Build returned %+v, not its normalized form", top)
+	}
+	b := NewTopology().BufferedSourceNode("cpu", 4, 0.05, 1, Infinite)
+	first, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Nodes[0].Buses = 7
+	if again, err := b.Build(); err != nil || again.Nodes[0].Buses != 1 {
+		t.Errorf("a second Build shares the first's nodes: %+v, %v", again.Nodes, err)
+	}
 	ev, err := EvaluateTopology(top, BackendSim)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +255,7 @@ func TestNodeSegmentReturnsConstructionErrors(t *testing.T) {
 			top := chainTopology(2, 0.1, 1, 1, 2)
 			tt.mutate(&top)
 			var fabric topo.Config
-			if err := top.lowered(&fabric); err == nil || !strings.Contains(err.Error(), tt.want) {
+			if err := top.lowered(&fabric, nil); err == nil || !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("lowered() of %+v: err = %v, want %q", top, err, tt.want)
 			}
 			if err := top.Validate(); err == nil || !strings.Contains(err.Error(), tt.want) {
